@@ -32,6 +32,7 @@ from hypertoric.localize import (
     steinberg_operator,
 )
 from hypertoric.multifan import box_elements, circuits
+from hypertoric.polynomials import poly_to_sympy
 from hypertoric.quantum import (
     QuantumContext,
     differential_sign_report,
@@ -220,11 +221,12 @@ def payload_fan(arr: StackyArrangement) -> dict:
 
 def payload_cohomology(arr: StackyArrangement, sign: str) -> dict:
     ctx = CohomologyContext(arr)
+    chen_ruan = cr_presentation(ctx, box_square_sign=sign)
     return {
         "torus_presentation": list(ht_presentation(ctx).texts()),
         "extended_presentation": list(htt_presentation(ctx).texts()),
-        "chen_ruan_presentation": list(cr_presentation(ctx, box_square_sign=sign).texts()),
-        "generators": list(cr_presentation(ctx, box_square_sign=sign).generators),
+        "chen_ruan_presentation": list(chen_ruan.texts()),
+        "generators": list(chen_ruan.generators),
         "box_square_sign": sign,
     }
 
@@ -261,9 +263,11 @@ def payload_localize(arr: StackyArrangement, index: int, convention: str) -> dic
                     {
                         "slot": p.slot + 1,
                         "multiplicity": _frac(p.multiplicity),
-                        "tangent_weights": [str(t) for t in p.tangent_weights],
-                        "euler": str(p.euler),
-                        "restrictions": {k: str(v) for k, v in sorted(p.restrictions.items())},
+                        "tangent_weights": [str(poly_to_sympy(t)) for t in p.tangent_weights],
+                        "euler": str(poly_to_sympy(p.euler)),
+                        "restrictions": {
+                            k: str(poly_to_sympy(v)) for k, v in sorted(p.restrictions.items())
+                        },
                     }
                     for p in points
                 ],

@@ -448,8 +448,21 @@ def solve_rational(rows, rhs):
     ``rows`` is a list of coefficient sequences, ``rhs`` the right-hand
     side; entries may be ints or Fractions.
     """
+    out = _gauss_jordan(rows, [[b] for b in rhs])
+    return None if out is None else tuple(r[0] for r in out)
+
+
+def rational_inverse(rows):
+    """Rows of the inverse of a square rational matrix; None if singular."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    return _gauss_jordan(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def _gauss_jordan(rows, right):
+    """Reduce the square block ``rows`` of [rows | right] to the identity;
+    the right block that results, or None when ``rows`` is singular."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(x) for x in extra] for row, extra in zip(rows, right)]
     for col in range(n):
         piv = None
         for i in range(col, n):
@@ -465,7 +478,7 @@ def solve_rational(rows, rhs):
             if i != col and m[i][col] != 0:
                 f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return tuple(m[i][n] for i in range(n))
+    return tuple(tuple(row[n:]) for row in m)
 
 
 def solve_rational_system(rows, rhs):

@@ -10,7 +10,7 @@ canonical kernel basis of the lifted map.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from hypertoric.arrangement import ArrangementError, StackyArrangement
@@ -18,6 +18,7 @@ from hypertoric.exactalg import (
     IntMatrix,
     kernel_basis,
     rational_coordinates_in_basis,
+    rational_inverse,
     rational_rank,
     solve_rational,
 )
@@ -54,6 +55,10 @@ class LawrenceFan:
     rays (0, e_i).  ``h2_basis`` is the canonical kernel basis of the
     lifted map, sign-fixed so that pairs of rays sharing no cone pair
     nonnegatively (the effective orientation).
+
+    Point location caches, per fan, the inverse ray matrix of each maximal
+    cone scanned more than once and the cone coordinates of each point the
+    l-pairing has located.
     """
 
     arrangement: StackyArrangement
@@ -61,6 +66,9 @@ class LawrenceFan:
     max_cones: tuple[tuple[int, ...], ...]
     irrelevant_monomials: tuple[tuple[str, ...], ...]
     h2_basis: tuple[tuple[int, ...], ...]
+    _scanned: set = field(default_factory=set, init=False, repr=False, compare=False)
+    _inverses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _located: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -87,22 +95,41 @@ class LawrenceFan:
         if len(point) != len(self.rays[0]):
             raise ArrangementError("point has wrong dimension")
         for cone in self.max_cones:
-            cols = [self.rays[r] for r in cone]
-            rows = list(zip(*cols))
-            sol = solve_rational(rows, point)
-            if sol is None:
-                continue
-            if all(c >= 0 for c in sol):
+            sol = self._cone_coordinates(cone, point)
+            if sol is not None and all(c >= 0 for c in sol):
                 coeffs = {r: c for r, c in zip(cone, sol) if c != 0}
                 return ConeCoordinates(cone, coeffs)
         raise OutsideSupport(f"point {point} is outside the fan support")
 
+    def _cone_coordinates(self, cone, point):
+        """Coordinates of ``point`` in the cone's rays; None if they are
+        dependent.  The first scan of a cone solves its system directly;
+        the second inverts the ray matrix once for every later scan, so a
+        fan that locates only a few points inverts nothing."""
+        if cone in self._inverses:
+            inverse = self._inverses[cone]
+            if inverse is None:
+                return None
+            return [sum(a * x for a, x in zip(row, point)) for row in inverse]
+        rows = list(zip(*[self.rays[r] for r in cone]))
+        if cone in self._scanned:
+            self._inverses[cone] = rational_inverse(rows)
+            return self._cone_coordinates(cone, point)
+        self._scanned.add(cone)
+        return solve_rational(rows, point)
+
+    def _locate_once(self, point) -> ConeCoordinates:
+        key = tuple(point)
+        if key not in self._located:
+            self._located[key] = self.locate(key)
+        return self._located[key]
+
     def l_pairing(self, c1, c2):
         """The correction vector in Q^m + Q^m and its curve-degree projection."""
-        loc1 = self.locate(c1)
-        loc2 = self.locate(c2)
+        loc1 = self._locate_once(c1)
+        loc2 = self._locate_once(c2)
         total = tuple(Fraction(a) + Fraction(b) for a, b in zip(c1, c2))
-        loc12 = self.locate(total)
+        loc12 = self._locate_once(total)
         vec = []
         for r in range(2 * self.m):
             vec.append(

@@ -7,16 +7,22 @@ convention island for weights (1, 2) that reproduces a specific set of
 quoted identities verbatim; those identities overdetermine any
 single self-consistent table, so it stores exactly the stated values
 and nothing more.
+
+Tables hold exact ``Poly`` linear forms, and the compact sector integrals
+that the quantum product reads are exact polynomial arithmetic.  sympy is
+imported only where a rational function is the result: ``integrate``,
+``nonequivariant_limit`` and the hard-coded convention's operator.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
-import sympy
+from hypertoric.exactalg import rational_rank
+from hypertoric.polynomials import Poly, PolyRing, divide_linear, poly_to_sympy
 
 
 class LocalizeError(ValueError):
@@ -31,18 +37,24 @@ class UnsupportedClass(LocalizeError):
     """The class cannot be restricted with the data this table stores."""
 
 
+class NotPolynomial(LocalizeError):
+    """A compact sector integral did not reduce to a polynomial."""
+
+
 @dataclass(frozen=True)
 class WeightedModel:
     """Weights of a cotangent bundle of a weighted projective stack.
 
-    ``lam_exprs`` and ``u_names`` allow a model to be embedded in a
-    larger geometry: torus parameters may be arbitrary expressions in
-    ambient symbols, and divisor symbols may be renamed to avoid
-    collisions.
+    Its classes live in ``ring``, by default the variables u1..u(n+1),
+    hbar, lam1..lam(n+1).  ``lam_forms`` and ``u_names`` allow a model to
+    be embedded in a larger geometry: torus parameters may be arbitrary
+    linear forms in the ring, and the divisor of each slot may be any
+    ring variable.
     """
 
     weights: tuple[int, ...]
-    lam_exprs: tuple | None = None
+    ring: PolyRing | None = None
+    lam_forms: tuple | None = None
     u_names: tuple | None = None
 
     def __post_init__(self):
@@ -50,6 +62,15 @@ class WeightedModel:
             raise LocalizeError("need at least two weights")
         if any(w < 1 for w in self.weights):
             raise LocalizeError("weights must be positive")
+        slots = range(len(self.weights))
+        if self.ring is None:
+            names = [f"u{k + 1}" for k in slots] + ["hbar"] + [f"lam{k + 1}" for k in slots]
+            object.__setattr__(self, "ring", PolyRing(names))
+        if self.lam_forms is None:
+            lams = tuple(self.ring.var(f"lam{k + 1}") for k in slots)
+            object.__setattr__(self, "lam_forms", lams)
+        if self.u_names is None:
+            object.__setattr__(self, "u_names", tuple(f"u{k + 1}" for k in slots))
 
     @property
     def n(self) -> int:
@@ -62,19 +83,22 @@ class WeightedModel:
             out = out * w // gcd(out, w)
         return out
 
+    def hbar_form(self) -> Poly:
+        return self.ring.var("hbar")
+
+    def u_form(self, i: int) -> Poly:
+        return self.ring.var(self.u_names[i])
+
+    # sympy views, for the rational functions of ``integrate``
+
     def lam(self, k: int):
-        if self.lam_exprs is not None:
-            return self.lam_exprs[k]
-        return sympy.Symbol(f"lam{k + 1}")
+        return poly_to_sympy(self.lam_forms[k])
 
     @property
     def hbar(self):
-        return sympy.Symbol("hbar")
+        import sympy
 
-    def u_symbol(self, i: int):
-        if self.u_names is not None:
-            return sympy.Symbol(self.u_names[i])
-        return sympy.Symbol(f"u{i + 1}")
+        return sympy.Symbol("hbar")
 
 
 @dataclass(frozen=True)
@@ -115,22 +139,25 @@ def sectors(model: WeightedModel) -> tuple[Sector, ...]:
     return tuple(out)
 
 
-def sector_of(model: WeightedModel, f: Fraction) -> Sector:
-    for s in sectors(model):
-        if s.f == f:
-            return s
-    raise LocalizeError(f"{f} is not a sector class of weights {model.weights}")
-
-
 @dataclass(frozen=True)
 class FixedPoint:
-    """Localization data of one torus-fixed point inside one sector."""
+    """Localization data of one torus-fixed point inside one sector.
+
+    Weights and restrictions are linear forms in the model's ring.  The
+    full normal Euler factor in the cotangent bundle is the product of the
+    base and fiber weights; it is built only when read.
+    """
 
     slot: int
     multiplicity: Fraction
-    tangent_weights: tuple  # sympy exprs, the base directions
-    euler: object  # sympy expr: full normal Euler factor in the cotangent bundle
-    restrictions: dict  # u-symbol name -> sympy expr
+    tangent_weights: tuple  # Polys, the base directions
+    fiber_weights: tuple  # Polys, the cotangent fiber directions
+    restrictions: dict  # divisor variable name -> Poly
+
+    @property
+    def euler(self) -> Poly:
+        one = next(iter(self.restrictions.values())).ring.one()
+        return prod(self.tangent_weights + self.fiber_weights, start=one)
 
 
 @dataclass(frozen=True)
@@ -146,10 +173,11 @@ class FixedPointTable:
             raise LocalizeError(f"no table data for sector {f}") from None
 
 
-def tangent_weight(model: WeightedModel, at_slot: int, toward: int):
+def tangent_weight(model: WeightedModel, at_slot: int, toward: int) -> Poly:
     """Weight of the base direction toward another fixed point."""
     w = model.weights
-    return model.lam(toward) - sympy.Rational(w[toward], w[at_slot]) * model.lam(at_slot)
+    lam = model.lam_forms
+    return lam[toward] - lam[at_slot] * Fraction(w[toward], w[at_slot])
 
 
 def standard_table(model: WeightedModel) -> FixedPointTable:
@@ -160,29 +188,24 @@ def standard_table(model: WeightedModel) -> FixedPointTable:
     point multiplicity is 1/w_k, and the divisor class u_i restricts to
     the tangent weight in its own direction (zero for i = k).
     """
+    slots = range(len(model.weights))
+    hbar = model.hbar_form()
+    toward = {
+        k: [model.ring.zero() if i == k else tangent_weight(model, k, i) for i in slots]
+        for k in slots
+    }
     pts: dict = {}
     for sec in sectors(model):
         data = []
         for k in sec.support:
-            tangents = tuple(
-                tangent_weight(model, k, j) for j in sec.support if j != k
-            )
-            euler = sympy.Integer(1)
-            for t in tangents:
-                euler *= t * (model.hbar - t)
-            restrictions = {}
-            for i in range(len(model.weights)):
-                if i == k:
-                    restrictions[str(model.u_symbol(i))] = sympy.Integer(0)
-                else:
-                    restrictions[str(model.u_symbol(i))] = tangent_weight(model, k, i)
+            tangents = tuple(toward[k][j] for j in sec.support if j != k)
             data.append(
                 FixedPoint(
                     slot=k,
                     multiplicity=Fraction(1, model.weights[k]),
                     tangent_weights=tangents,
-                    euler=sympy.expand(euler),
-                    restrictions=restrictions,
+                    fiber_weights=tuple(hbar - t for t in tangents),
+                    restrictions=dict(zip(model.u_names, toward[k])),
                 )
             )
         pts[sec.f] = tuple(data)
@@ -199,67 +222,79 @@ def paper_table_p12() -> FixedPointTable:
     stated quantities and nothing finer.
     """
     model = WeightedModel((1, 2))
-    lam1, lam2, hbar = model.lam(0), model.lam(1), model.hbar
-    pts: dict = {}
-    data = []
-    for k in (0, 1):
-        euler = [lam1, lam2][k] * (hbar - lam1 - lam2)
-        data.append(
-            FixedPoint(
-                slot=k,
-                multiplicity=Fraction(1, 2),
-                tangent_weights=([lam1, lam2][k],),
-                euler=sympy.expand(euler),
-                restrictions={"u1": lam1, "u2": lam2},
-            )
-        )
-    pts[Fraction(0)] = tuple(data)
-    pts[Fraction(1, 2)] = (
-        FixedPoint(
-            slot=1,
-            multiplicity=Fraction(1, 2),
-            tangent_weights=(),
-            euler=sympy.Integer(1),
-            restrictions={"u1": lam1, "u2": lam2},
-        ),
+    lam1, lam2 = model.lam_forms
+    fiber = model.hbar_form() - lam1 - lam2
+    restrictions = {"u1": lam1, "u2": lam2}
+    untwisted = tuple(
+        FixedPoint(k, Fraction(1, 2), (lam,), (fiber,), restrictions)
+        for k, lam in enumerate((lam1, lam2))
     )
-    return FixedPointTable("paper", model, pts)
+    twisted = (FixedPoint(1, Fraction(1, 2), (), (), restrictions),)
+    return FixedPointTable("paper", model, {Fraction(0): untwisted, Fraction(1, 2): twisted})
 
 
 # ---------------------------------------------------------------------------
 # Restriction and integration
 
 
-def restrict_expr(expr, point: FixedPoint):
-    """Substitute the stored divisor restrictions into a sympy expression."""
-    subs = {sympy.Symbol(name): val for name, val in point.restrictions.items()}
-    return sympy.expand(expr.subs(subs))
+def restrict_expr(poly: Poly, point: FixedPoint) -> Poly:
+    """Substitute the stored divisor restrictions into a class."""
+    return poly.substitute(point.restrictions)
 
 
 def integrate(expr, table: FixedPointTable, sector_class: Fraction = Fraction(0)):
-    """Localized integral over the cotangent sector: sum of multiplicity
-    times restriction over the full normal Euler factor."""
+    """Localized integral over the cotangent sector of a sympy expression in
+    the model's variables: sum of multiplicity times restriction over the
+    full normal Euler factor, as a cancelled sympy rational function."""
+    import sympy
+
     total = sympy.Integer(0)
     for pt in table.sector_points(sector_class):
-        if sympy.simplify(pt.euler) == 0:
+        euler = pt.euler
+        if euler.is_zero():
             raise ZeroEuler("vanishing Euler factor")
-        total += sympy.Rational(pt.multiplicity) * restrict_expr(expr, pt) / pt.euler
+        subs = {sympy.Symbol(k): poly_to_sympy(v) for k, v in pt.restrictions.items()}
+        restricted = sympy.expand(sympy.sympify(expr).subs(subs))
+        total += sympy.Rational(pt.multiplicity) * restricted / poly_to_sympy(euler)
     return sympy.cancel(sympy.together(total))
 
 
-def integrate_base(expr, table: FixedPointTable, sector_class: Fraction = Fraction(0)):
+def integrate_base(
+    poly: Poly, table: FixedPointTable, sector_class: Fraction = Fraction(0)
+) -> Poly:
     """Integral over the compact zero section of a sector: Euler factors are
-    the base tangent weights only.  Polynomial classes integrate to
-    polynomials; the result is returned cancelled."""
-    total = sympy.Integer(0)
-    for pt in table.sector_points(sector_class):
-        euler = sympy.Integer(1)
+    the base tangent weights only.
+
+    The localization sum is put over one common denominator, the product of
+    the distinct tangent forms (proportional forms counted once), and the
+    numerator is divided exactly by each form.  A polynomial class
+    integrates to a polynomial; a nonzero remainder raises NotPolynomial.
+    """
+    points = table.sector_points(sector_class)
+    denominators = []  # per point: (scalar, Counter of monic tangent forms)
+    common: Counter = Counter()
+    for pt in points:
+        scalar, forms = Fraction(1), Counter()
         for t in pt.tangent_weights:
-            euler *= t
-        if euler == 0:
-            raise ZeroEuler("vanishing tangent Euler factor")
-        total += sympy.Rational(pt.multiplicity) * restrict_expr(expr, pt) / euler
-    return sympy.cancel(sympy.together(total))
+            if t.is_zero():
+                raise ZeroEuler("vanishing tangent Euler factor")
+            lead = t.terms[max(t.terms)]
+            scalar *= lead
+            forms[t * (1 / lead)] += 1
+        denominators.append((scalar, forms))
+        common |= forms
+    numerator = poly.ring.zero()
+    for pt, (scalar, forms) in zip(points, denominators):
+        term = restrict_expr(poly, pt) * (pt.multiplicity / scalar)
+        for form, power in (common - forms).items():
+            term = term * form**power
+        numerator = numerator + term
+    for form, power in common.items():
+        for _ in range(power):
+            numerator, remainder = divide_linear(numerator, form)
+            if not remainder.is_zero():
+                raise NotPolynomial("sector integral is not polynomial")
+    return numerator
 
 
 def nonequivariant_limit(expr):
@@ -269,6 +304,8 @@ def nonequivariant_limit(expr):
     of an equivariant residue of subcritical degree is not a class) or
     when the substitution is singular.
     """
+    import sympy
+
     expr = sympy.cancel(sympy.together(sympy.sympify(expr)))
     if expr == 0:
         return sympy.Integer(0)
@@ -290,23 +327,19 @@ def nonequivariant_limit(expr):
     return sympy.cancel(num.subs({s: 0 for s in lams}) / den0)
 
 
-def fiber_class_expr(model: WeightedModel, support=None):
+def fiber_class_expr(model: WeightedModel, support=None) -> Poly:
     """The zero-section dual class of a sector, as a polynomial in the u's:
     sum of (-1)^j e_j(u) hbar^(n-j) over the sector support."""
     if support is None:
         support = tuple(range(len(model.weights)))
-    us = [model.u_symbol(i) for i in support]
-    n = len(us) - 1
-    expr = sympy.Integer(0)
-    for j in range(n + 1):
-        ej = sympy.Integer(0)
-        for comb in itertools.combinations(us, j):
-            term = sympy.Integer(1)
-            for s in comb:
-                term *= s
-            ej += term
-        expr += (-1) ** j * ej * model.hbar ** (n - j)
-    return sympy.expand(expr)
+    ring = model.ring
+    e = [ring.one()]  # elementary symmetric polynomials of the u's so far
+    for i in support:
+        u = model.u_form(i)
+        e = [e[0]] + [a + b * u for a, b in zip(e[1:], e)] + [e[-1] * u]
+    n = len(support) - 1
+    hbar = model.hbar_form()
+    return sum((e[j] * hbar ** (n - j) * (-1) ** j for j in range(n + 1)), ring.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -317,34 +350,57 @@ def fiber_class_expr(model: WeightedModel, support=None):
 class SteinbergOperator:
     """A correspondence operator on the sector basis.
 
-    ``matrix[f2][f1]`` is the coefficient with which the basis class of
-    sector f1 feeds the basis class of sector f2.  ``generator_images``
-    gives the action on specific named classes when the convention pins
-    them directly (used by the hard-coded table).
+    ``matrix[f2][f1]`` is the Fraction coefficient with which the basis
+    class of sector f1 feeds the basis class of sector f2.
+    ``generator_images`` gives the action on specific named classes when
+    the convention pins them directly (used by the hard-coded table).
     """
 
     direction: str  # "forward" | "inverse"
     sector_order: tuple
-    matrix: tuple  # rows indexed by output sector, sympy entries
-    generator_images: dict  # name -> dict output sector -> sympy coeff
+    matrix: tuple  # rows indexed by output sector
+    generator_images: dict  # name -> dict output sector -> coeff
 
     def apply_generator(self, name: str) -> dict:
         if name in self.generator_images:
             return dict(self.generator_images[name])
         raise UnsupportedClass(f"no stored image for generator {name!r}")
 
-    def det(self):
-        return sympy.Matrix([[e for e in row] for row in self.matrix]).det()
-
     def is_injective(self) -> bool:
-        return sympy.simplify(self.det()) != 0
+        return rational_rank(self.matrix) == len(self.matrix)
 
     def compose(self, other: "SteinbergOperator"):
-        a = sympy.Matrix([[e for e in row] for row in self.matrix])
-        b = sympy.Matrix([[e for e in row] for row in other.matrix])
-        return a * b
+        cols = tuple(zip(*other.matrix))
+        return tuple(
+            tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols)
+            for row in self.matrix
+        )
 
     def is_identity_matrix(self, mat) -> bool:
+        return all(
+            e == (1 if i == j else 0) for i, row in enumerate(mat) for j, e in enumerate(row)
+        )
+
+
+class PaperSteinbergOperator(SteinbergOperator):
+    """The hard-coded convention: entries are sympy rational functions."""
+
+    def _sympy_matrix(self):
+        import sympy
+
+        return sympy.Matrix([list(row) for row in self.matrix])
+
+    def is_injective(self) -> bool:
+        import sympy
+
+        return sympy.simplify(self._sympy_matrix().det()) != 0
+
+    def compose(self, other: "SteinbergOperator"):
+        return self._sympy_matrix() * other._sympy_matrix()
+
+    def is_identity_matrix(self, mat) -> bool:
+        import sympy
+
         n = mat.shape[0]
         return all(
             sympy.simplify(mat[i, j] - (1 if i == j else 0)) == 0
@@ -379,12 +435,12 @@ def steinberg_operator(
         return _paper_steinberg(model, table, direction, order)
     idx = {f: i for i, f in enumerate(order)}
     size = len(order)
-    rows = [[sympy.Integer(0) for _ in range(size)] for _ in range(size)]
+    rows = [[Fraction(0) for _ in range(size)] for _ in range(size)]
     for s_in in secs:
         # pairing of the sector basis class against the correspondence:
         # integrate it over the compact zero section of the input factor
         phi_in = fiber_class_expr(model, s_in.support)
-        weight = integrate_base(phi_in, table, s_in.f)
+        weight = integrate_base(phi_in, table, s_in.f).constant_value()
         for s_out in secs:
             sign = (-1) ** (s_in.age + s_out.age)
             target = idx[_sector_inverse(s_out.f)]
@@ -393,6 +449,8 @@ def steinberg_operator(
 
 
 def _paper_steinberg(model, table, direction, order):
+    import sympy
+
     lam1, lam2, hbar = model.lam(0), model.lam(1), model.hbar
     half = sympy.Rational(1, 2)
     e0 = "fiber"  # hbar - u1 - u2
@@ -404,7 +462,7 @@ def _paper_steinberg(model, table, direction, order):
         # base integral of the fiber class.
         std = standard_table(model)
         mixed = integrate_base(fiber_class_expr(model), std, Fraction(0))
-        matrix = ((I, half), (sympy.expand(mixed), half))
+        matrix = ((I, half), (poly_to_sympy(mixed), half))
         images = {
             "u1": {e0: half, et: half},
             "u2": {e0: sympy.Integer(1), et: half},
@@ -416,7 +474,7 @@ def _paper_steinberg(model, table, direction, order):
             "fiber": {e0: I, et: I},
             "box": {e0: half, et: half},
         }
-    return SteinbergOperator(direction, order, matrix, images)
+    return PaperSteinbergOperator(direction, order, matrix, images)
 
 
 def orbifold_degrees(model: WeightedModel):

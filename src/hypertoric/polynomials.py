@@ -246,15 +246,47 @@ def _fmt_coeff(c: Fraction, lead: bool) -> str:
     return "+ " + s
 
 
-def poly_to_sympy(p: Poly, symbols: dict):
-    """Convert to a sympy expression given ``{name: sympy.Symbol}``."""
+def divide_linear(p: Poly, form: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of ``p`` by a linear form: p = q*form + r.
+
+    The division runs in the form's first variable x, whose coefficient c
+    is a nonzero constant: writing form = c*x + rest and p = sum a_k x^k,
+    the quotient coefficients are b_(d-1) = a_d / c and
+    b_(k-1) = (a_k - rest*b_k) / c.  The remainder is free of x, and it
+    is zero exactly when the form divides ``p``.
+    """
+    if form.total_degree() != 1:
+        raise ValueError("not a linear form")
+    ring = p.ring
+    v = min(form.support())
+    unit = tuple(1 if i == v else 0 for i in range(len(ring.names)))
+    inv = 1 / form.terms[unit]
+    rest = form - ring.monomial(unit, form.terms[unit])
+    slices: dict = {}
+    for m, c in p.terms.items():
+        slices.setdefault(m[v], {})[m[:v] + (0,) + m[v + 1:]] = c
+    top = max(slices, default=0)
+    if top == 0:
+        return ring.zero(), p
+    a = [Poly(ring, slices.get(k, {})) for k in range(top + 1)]
+    b = [ring.zero()] * top
+    b[top - 1] = a[top] * inv
+    for k in range(top - 1, 0, -1):
+        b[k - 1] = (a[k] - rest * b[k]) * inv
+    quotient = {}
+    for k, bk in enumerate(b):
+        for m, c in bk.terms.items():
+            quotient[m[:v] + (k,) + m[v + 1:]] = c
+    return Poly(ring, quotient), a[0] - rest * b[0]
+
+
+def poly_to_sympy(p: Poly):
+    """Convert to a sympy expression in the plain symbols of the ring's names."""
     import sympy
 
-    expr = sympy.Integer(0)
+    symbols = [sympy.Symbol(name) for name in p.ring.names]
+    terms = []
     for m, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for name, e in zip(p.ring.names, m):
-            if e:
-                term *= symbols[name] ** e
-        expr += term
-    return expr
+        powers = [x ** e for x, e in zip(symbols, m) if e]
+        terms.append(sympy.Mul(sympy.Rational(c.numerator, c.denominator), *powers))
+    return sympy.Add(*terms)

@@ -15,8 +15,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from hypertoric.arrangement import ArrangementError, StackyArrangement
 from hypertoric.crring import CohomologyContext, CRClass, cr_multiply
 from hypertoric.exactalg import solve_rational_system
@@ -30,7 +28,7 @@ from hypertoric.localize import (
     standard_table,
 )
 from hypertoric.multifan import BoxElement, Circuit
-from hypertoric.polynomials import Poly, poly_to_sympy
+from hypertoric.polynomials import Poly
 
 SIGN_CONVENTIONS = ("example-calibrated", "theorem-1.2-literal", "eq-5.2-literal")
 
@@ -79,10 +77,9 @@ class CircuitQuantumData:
     circuit: Circuit
     lcm_w: int
     sector_pairs: tuple  # ((f1, f2, r), ...)
-    sign_convention: str
 
 
-def circuit_quantum_data(circuit: Circuit, sign_convention: str) -> CircuitQuantumData:
+def circuit_quantum_data(circuit: Circuit) -> CircuitQuantumData:
     model = WeightedModel(circuit.weights)
     fracs = tuple(s.f for s in sectors(model))
     pairs = []
@@ -91,7 +88,7 @@ def circuit_quantum_data(circuit: Circuit, sign_convention: str) -> CircuitQuant
             r = r_of_sector_pair(f1, f2, circuit.weights)
             if r is not None:
                 pairs.append((f1, f2, r))
-    return CircuitQuantumData(circuit, model.lcm, tuple(pairs), sign_convention)
+    return CircuitQuantumData(circuit, model.lcm, tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -102,27 +99,31 @@ class CircuitModel:
     """The weighted projective geometry of one circuit, spliced into the
     arrangement's variables.
 
-    Positive-side slots keep their divisor and torus parameter, negative
-    side slots enter through the fiber-dual dictionary u -> hbar - u,
-    lam -> hbar - lam.  Divisors outside the circuit support are
-    eliminated through the global linear relations when possible.
+    The model works in the arrangement ring.  Positive-side slots keep
+    their divisor and torus parameter, negative side slots enter through
+    the fiber-dual dictionary u -> hbar - u, lam -> hbar - lam.  Divisors
+    outside the circuit support are eliminated through the global linear
+    relations when possible.
     """
 
     def __init__(self, context: CohomologyContext, circuit: Circuit):
         self.context = context
         self.circuit = circuit
-        arr = context.arr
         self.slots = circuit.support
-        lam_exprs = []
-        for i in self.slots:
-            lam = sympy.Symbol(f"lam{i + 1}")
-            hbar = sympy.Symbol("hbar")
-            lam_exprs.append(lam if circuit.sign_of(i) > 0 else hbar - lam)
-        u_names = tuple(f"mu{j + 1}" for j in range(len(self.slots)))
-        self.model = WeightedModel(circuit.weights, tuple(lam_exprs), u_names)
+        hbar = context.hbar()
+        negative = [i for i in self.slots if circuit.sign_of(i) < 0]
+        # the dictionary on divisors is an involution, so it translates
+        # classes both into and out of the model
+        self._fiber_dual = {f"u{i + 1}": hbar - context.u(i) for i in negative}
+        lam_forms = tuple(
+            hbar - context.lam(i) if i in negative else context.lam(i) for i in self.slots
+        )
+        u_names = tuple(f"u{i + 1}" for i in self.slots)
+        self.model = WeightedModel(circuit.weights, context.ring, lam_forms, u_names)
         self.table = standard_table(self.model)
+        self._sectors = {sec.f: sec for sec in sectors(self.model)}
         self._elimination = self._build_elimination()
-        self._sector_boxes = self._build_sector_boxes()
+        self._sector_boxes = {f: self._box_of_fraction(f) for f in self._sectors}
 
     # -- translation ---------------------------------------------------------
 
@@ -174,44 +175,11 @@ class CircuitModel:
             )
         return out
 
-    def to_model_expr(self, poly: Poly):
-        """Arrangement polynomial -> sympy expression in model symbols."""
-        poly = self.eliminate_outside(poly)
-        symbols = {}
-        arr = self.context.arr
-        for name in poly.ring.names:
-            symbols[name] = sympy.Symbol(name)
-        expr = poly_to_sympy(poly, symbols)
-        hbar = sympy.Symbol("hbar")
-        for j, i in enumerate(self.slots):
-            u_arr = sympy.Symbol(f"u{i + 1}")
-            mu = self.model.u_symbol(j)
-            if self.circuit.sign_of(i) > 0:
-                expr = expr.subs(u_arr, mu)
-            else:
-                expr = expr.subs(u_arr, hbar - mu)
-        return sympy.expand(expr)
-
-    def from_model_expr(self, expr) -> Poly:
-        """Sympy polynomial in model symbols -> arrangement polynomial."""
-        hbar_sym = sympy.Symbol("hbar")
-        for j, i in enumerate(self.slots):
-            u_arr = sympy.Symbol(f"u{i + 1}")
-            mu = self.model.u_symbol(j)
-            if self.circuit.sign_of(i) > 0:
-                expr = expr.subs(mu, u_arr)
-            else:
-                expr = expr.subs(mu, hbar_sym - u_arr)
-        expr = sympy.expand(expr)
-        return _sympy_to_poly(expr, self.context)
+    def fiber_dual(self, poly: Poly) -> Poly:
+        """Apply the fiber-dual dictionary on the negative-side divisors."""
+        return poly.substitute(self._fiber_dual) if self._fiber_dual else poly
 
     # -- sector/box dictionary ------------------------------------------------
-
-    def _build_sector_boxes(self):
-        out = {}
-        for sec in sectors(self.model):
-            out[sec.f] = self._box_of_fraction(sec.f)
-        return out
 
     def _box_of_fraction(self, f: Fraction) -> BoxElement:
         context = self.context
@@ -234,17 +202,17 @@ class CircuitModel:
     def box_of_sector(self, f: Fraction) -> BoxElement:
         return self._sector_boxes[f]
 
+    def _sector(self, f: Fraction):
+        try:
+            return self._sectors[f]
+        except KeyError:
+            raise QuantumError(f"unknown sector {f}") from None
+
     def sector_age(self, f: Fraction) -> int:
-        for sec in sectors(self.model):
-            if sec.f == f:
-                return sec.age
-        raise QuantumError(f"unknown sector {f}")
+        return self._sector(f).age
 
     def sector_support(self, f: Fraction):
-        for sec in sectors(self.model):
-            if sec.f == f:
-                return sec.support
-        raise QuantumError(f"unknown sector {f}")
+        return self._sector(f).support
 
     # -- the correspondence ----------------------------------------------------
 
@@ -256,44 +224,13 @@ class CircuitModel:
         comp = x.component(self.box_of_sector(f1))
         if comp.is_zero():
             return CRClass.zero(context)
-        expr = self.to_model_expr(comp)
-        value = integrate_base(expr, self.table, f1)
-        num, den = sympy.fraction(sympy.cancel(sympy.together(value)))
-        if not den.is_number:
-            raise QuantumError(
-                f"sector integral is not polynomial for circuit {self.circuit.support}"
-            )
-        scalar = _sympy_to_poly(sympy.expand(num / den), self.context)
+        integrand = self.fiber_dual(self.eliminate_outside(comp))
+        scalar = integrate_base(integrand, self.table, f1)
         sign = (-1) ** (self.sector_age(f1) + self.sector_age(f2))
         out_fraction = Fraction(0) if f2 == 0 else 1 - f2
         out_box = self.box_of_sector(out_fraction)
-        out_class = self.from_model_expr(
-            fiber_class_expr(self.model, self.sector_support(f2))
-        )
+        out_class = self.fiber_dual(fiber_class_expr(self.model, self.sector_support(f2)))
         return CRClass.build(context, {out_box: out_class * scalar * sign})
-
-
-def _sympy_to_poly(expr, context: CohomologyContext) -> Poly:
-    expr = sympy.expand(expr)
-    poly = context.ring.zero()
-    terms = expr.as_ordered_terms() if expr != 0 else []
-    names = context.ring.names
-    for term in terms:
-        coeff, factors = term.as_coeff_Mul()
-        mono = [0] * len(names)
-        for factor in sympy.Mul.make_args(factors):
-            base, exp = factor.as_base_exp()
-            if base == 1:
-                continue
-            name = str(base)
-            if name not in context.ring.index:
-                raise QuantumError(f"unexpected symbol {name} in scalar")
-            if not exp.is_Integer or exp < 0:
-                raise QuantumError(f"non-polynomial exponent on {name}")
-            mono[context.ring.index[name]] += int(exp)
-        q = sympy.Rational(coeff)
-        poly = poly + context.ring.monomial(mono, Fraction(int(q.p), int(q.q)))
-    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +331,7 @@ class QuantumContext:
         self.models = tuple(
             CircuitModel(self.context, c) for c in self.context.circuits
         )
-        self.data = tuple(
-            circuit_quantum_data(c, "example-calibrated") for c in self.context.circuits
-        )
+        self.data = tuple(circuit_quantum_data(c) for c in self.context.circuits)
 
 
 def _convention_sign(convention: str, circuit: Circuit, degree: int) -> int:
@@ -481,14 +416,6 @@ def star_word(qctx: QuantumContext, word, order: int, convention="example-calibr
     return result
 
 
-def verify_relation(qctx: QuantumContext, lhs: NovikovSeries, order: int) -> bool:
-    """Whether the series vanishes termwise through the truncation order."""
-    for key, cls in lhs.terms:
-        if sum(key) <= order and not cls.is_zero():
-            return False
-    return True
-
-
 def lawrence_euler_constant(qctx: QuantumContext) -> Poly:
     """The Euler class of the (trivial) ambient normal bundle: hbar^(m-d)."""
     arr = qctx.arr
@@ -500,8 +427,8 @@ def differential_sign_report(qctx: QuantumContext, order: int):
     and the first order where each literal reading departs from the
     calibrated one."""
     report = []
-    for circuit in qctx.context.circuits:
-        residues = sorted({r for _, _, r in circuit_quantum_data(circuit, "x").sector_pairs})
+    for circuit, data in zip(qctx.context.circuits, qctx.data):
+        residues = sorted({r for _, _, r in data.sector_pairs})
         for r in residues:
             start = r if r > 0 else circuit.lcm_w
             degrees = list(range(start, order + 1, circuit.lcm_w))

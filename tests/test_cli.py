@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import hypertoric
 
 from hypertoric.cli import run
 from hypertoric.examples_data import example_document, example_names
@@ -279,3 +284,38 @@ def test_quantum_all_conventions(capsys, write_examples):
     report = env["payload"]["differential_sign_report"]
     zero_residue = [e for e in report if e["residue"] == 0][0]
     assert zero_residue["first_divergence_from_calibrated"]["eq-5.2-literal"] == 4
+
+
+SYMPY_FREE_SCRIPT = """
+import contextlib, io, json, sys
+import hypertoric.cli
+loaded = {"import": "sympy" in sys.modules}
+doc = sys.argv[1]
+commands = (
+    ["gale"], ["circuits"], ["box"], ["core"], ["fan"], ["cohomology"],
+    ["quantum-divisor", "--divisor", "1", "--with", "2"], ["qsr"],
+)
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = hypertoric.cli.run([argv[0], "--input", doc, *argv[1:]])
+    loaded[argv[0]] = (code, "sympy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_do_not_import_sympy():
+    """sympy is loaded only to print localization tables and for the paper
+    convention: the CLI import and the other commands never load it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypertoric.__file__)))
+    doc = os.path.join(os.path.dirname(__file__), "..", "arrangements", "hirzebruch.json")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-c", SYMPY_FREE_SCRIPT, doc],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    ).stdout
+    loaded = json.loads(out)
+    assert loaded.pop("import") is False
+    assert loaded == {
+        cmd: [0, False]
+        for cmd in ("gale", "circuits", "box", "core", "fan", "cohomology", "quantum-divisor", "qsr")
+    }

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -78,6 +79,50 @@ def test_locate_expand_identity(shipped):
                     for t in range(len(fan.rays[0]))
                 )
                 assert tuple(Fraction(x) for x in pt) == rebuilt
+
+
+def _locate_or_none(fan, pt):
+    try:
+        return fan.locate(pt)
+    except OutsideSupport:
+        return None
+
+
+def test_locate_same_with_cached_cone_inverses(shipped):
+    """A cone's first scan solves its ray system directly and later scans
+    reuse its inverse ray matrix; both give the same location."""
+    for arr in shipped.values():
+        fan = lawrence_fan(arr)
+        points = [
+            tuple(a + b for a, b in zip(fan.ray_vector(r), fan.ray_vector(s)))
+            for r, s in itertools.combinations_with_replacement(range(len(fan.rays)), 2)
+        ]
+        reused = [_locate_or_none(fan, pt) for pt in points]
+        # a fresh copy of the fan has scanned nothing yet
+        direct = [_locate_or_none(dataclasses.replace(fan), pt) for pt in points]
+        assert reused == direct
+        assert any(inv is not None for inv in fan._inverses.values())
+
+
+def test_l_pairing_locates_each_point_once(shipped):
+    """The fan remembers every point the l-pairing located; a pairing
+    answered from that memo equals one computed on a fresh fan."""
+    for arr in shipped.values():
+        fan = lawrence_fan(arr)
+        pairs = [
+            (fan.ray_vector(r), fan.ray_vector(s))
+            for r, s in itertools.combinations_with_replacement(range(len(fan.rays)), 2)
+        ]
+        located = set()
+        for p, q in pairs:
+            try:
+                memo = fan.l_pairing(p, q)
+            except OutsideSupport:
+                continue
+            # a copy of the fan starts with an empty memo
+            assert memo == dataclasses.replace(fan).l_pairing(p, q)
+            located |= {p, q, tuple(Fraction(a + b) for a, b in zip(p, q))}
+        assert located and set(fan._located) == located
 
 
 def test_outside_support(tp1):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ import sympy
 
 from hypertoric.localize import (
     LocalizeError,
+    NotPolynomial,
     WeightedModel,
     box_square_sign_oracle,
     fiber_class_expr,
@@ -21,9 +24,15 @@ from hypertoric.localize import (
     standard_table,
     steinberg_operator,
 )
+from hypertoric.polynomials import Poly, divide_linear, poly_to_sympy
 
+# sympy symbols, for the rational functions of ``integrate``
 U1, U2 = sympy.Symbol("u1"), sympy.Symbol("u2")
 LAM1, LAM2, HBAR = sympy.Symbol("lam1"), sympy.Symbol("lam2"), sympy.Symbol("hbar")
+
+# the same variables as table polynomials, in the ring of every two-slot model
+RING2 = WeightedModel((1, 2)).ring
+P_U1, P_U2, P_HBAR, P_LAM1, P_LAM2 = (RING2.var(n) for n in ("u1", "u2", "hbar", "lam1", "lam2"))
 
 
 def test_sectors_of_12():
@@ -38,36 +47,36 @@ def test_sectors_of_12():
 def test_standard_tangents_plain_line():
     table = standard_table(WeightedModel((1, 1)))
     p0 = table.sector_points(Fraction(0))[0]
-    assert p0.tangent_weights == (LAM2 - LAM1,)
+    assert p0.tangent_weights == (P_LAM2 - P_LAM1,)
 
 
 def test_standard_tangent_weighted():
     table = standard_table(WeightedModel((1, 2)))
     p0 = table.sector_points(Fraction(0))[0]
-    assert p0.tangent_weights == (LAM2 - 2 * LAM1,)
+    assert p0.tangent_weights == (P_LAM2 - 2 * P_LAM1,)
     p1 = table.sector_points(Fraction(0))[1]
     assert p1.multiplicity == Fraction(1, 2)
 
 
 def test_fiber_plus_tangent_is_hbar():
     for weights in ((1, 1), (1, 2), (2, 3), (1, 1, 2)):
-        table = standard_table(WeightedModel(weights))
+        model = WeightedModel(weights)
+        table = standard_table(model)
         for f, points in table.points.items():
             for p in points:
-                for t in p.tangent_weights:
-                    fiber = HBAR - t
-                    assert sympy.simplify((fiber + t) - HBAR) == 0
+                assert len(p.fiber_weights) == len(p.tangent_weights)
+                for fiber, t in zip(p.fiber_weights, p.tangent_weights):
+                    assert fiber + t == model.hbar_form()
 
 
 def test_paper_table_identities():
     table = paper_table_p12()
     pts = table.sector_points(Fraction(0))
-    assert sympy.expand(pts[0].euler - LAM1 * (HBAR - LAM1 - LAM2)) == 0
-    assert sympy.expand(pts[1].euler - LAM2 * (HBAR - LAM1 - LAM2)) == 0
+    assert pts[0].euler == P_LAM1 * (P_HBAR - P_LAM1 - P_LAM2)
+    assert pts[1].euler == P_LAM2 * (P_HBAR - P_LAM1 - P_LAM2)
     for p in pts:
         assert p.multiplicity == Fraction(1, 2)
-        restricted = restrict_expr(U1 + U2, p)
-        assert sympy.expand(restricted - (LAM1 + LAM2)) == 0
+        assert restrict_expr(P_U1 + P_U2, p) == P_LAM1 + P_LAM2
     val = integrate((HBAR - U1 - U2) ** 2, table, Fraction(0))
     expected = sympy.Rational(1, 2) * (
         (HBAR - LAM2) / LAM1 + (HBAR - LAM1) / LAM2 - 2
@@ -101,23 +110,22 @@ def test_euler_characteristic_count():
     for weights in ((1, 1), (1, 2), (2, 3), (1, 2, 2)):
         model = WeightedModel(weights)
         table = standard_table(model)
-        us = [model.u_symbol(i) for i in range(len(weights))]
-        top = sympy.expand(
-            sum(
-                sympy.prod(c)
-                for c in itertools.combinations(us, len(weights) - 1)
-            )
-        )
+        us = [model.u_form(i) for i in range(len(weights))]
+        top = model.ring.zero()
+        for c in itertools.combinations(us, len(weights) - 1):
+            top = top + math.prod(c, start=model.ring.one())
         val = integrate_base(top, table)
         expected = sum(Fraction(1, w) for w in weights)
-        assert sympy.simplify(val - sympy.Rational(expected)) == 0
+        assert val == model.ring.const(expected)
 
 
 def test_base_degrees():
     table = standard_table(WeightedModel((1, 2)))
-    assert integrate_base(U1, table) == sympy.Rational(1, 2)
-    assert integrate_base(U2, table) == 1
-    assert integrate_base(fiber_class_expr(WeightedModel((1, 2))), table) == sympy.Rational(-3, 2)
+    assert integrate_base(P_U1, table) == RING2.const(Fraction(1, 2))
+    assert integrate_base(P_U2, table) == RING2.one()
+    phi = fiber_class_expr(WeightedModel((1, 2)))
+    assert phi == P_HBAR - P_U1 - P_U2
+    assert integrate_base(phi, table) == RING2.const(Fraction(-3, 2))
 
 
 def test_gkm_edge_divisibility():
@@ -130,11 +138,9 @@ def test_gkm_edge_divisibility():
         for k, j in itertools.permutations(pts, 2):
             edge = pts[k].restrictions[f"u{j + 1}"]  # tangent weight toward j
             for i in range(len(weights)):
-                diff = sympy.expand(
-                    pts[k].restrictions[f"u{i + 1}"] - pts[j].restrictions[f"u{i + 1}"]
-                )
-                ratio = sympy.cancel(diff / edge)
-                assert ratio.is_number, (weights, k, j, i, ratio)
+                diff = pts[k].restrictions[f"u{i + 1}"] - pts[j].restrictions[f"u{i + 1}"]
+                ratio, remainder = divide_linear(diff, edge)
+                assert remainder.is_zero() and ratio.is_constant(), (weights, k, j, i, ratio)
 
 
 def test_fiber_class_restrictions():
@@ -143,10 +149,10 @@ def test_fiber_class_restrictions():
         table = standard_table(model)
         phi = fiber_class_expr(model)
         for p in table.sector_points(Fraction(0)):
-            expected = sympy.Integer(1)
+            expected = model.ring.one()
             for t in p.tangent_weights:
-                expected *= HBAR - t
-            assert sympy.expand(restrict_expr(phi, p) - expected) == 0
+                expected = expected * (model.hbar_form() - t)
+            assert restrict_expr(phi, p) == expected
 
 
 def test_steinberg_paper_values():
@@ -172,6 +178,16 @@ def test_steinberg_standard_matrix_shape():
     L = steinberg_operator(model, standard_table(model), "forward")
     assert len(L.matrix) == 2
     assert L.sector_order == (Fraction(0), Fraction(1, 2))
+    half = Fraction(1, 2)
+    assert L.matrix == ((-3 * half, -half), (3 * half, half))
+    assert not L.is_injective()
+    Linv = steinberg_operator(model, standard_table(model), "inverse")
+    assert not L.is_identity_matrix(Linv.compose(L))
+    line = WeightedModel((1, 1))
+    L1 = steinberg_operator(line, standard_table(line), "forward")
+    assert L1.matrix == ((Fraction(-2),),)
+    assert L1.is_injective()
+    assert L1.is_identity_matrix(((Fraction(1),),))
 
 
 def test_orbifold_degrees_are_twice_n():
@@ -203,9 +219,61 @@ def test_conventions_agree_on_shared_quantities():
     std = standard_table(model)
     paper = paper_table_p12()
     assert set(std.points) == set(paper.points)
-    std_half = integrate_base(sympy.Integer(1), std, Fraction(1, 2))
-    paper_half = integrate_base(sympy.Integer(1), paper, Fraction(1, 2))
-    assert std_half == paper_half == sympy.Rational(1, 2)
+    std_half = integrate_base(RING2.one(), std, Fraction(1, 2))
+    paper_half = integrate_base(RING2.one(), paper, Fraction(1, 2))
+    assert std_half == paper_half == RING2.const(Fraction(1, 2))
     for table in (std, paper):
         pts = table.sector_points(Fraction(1, 2))
         assert len(pts) == 1 and pts[0].multiplicity == Fraction(1, 2)
+
+
+def _sympy_localization_sum(weights, f, cls):
+    """The compact sector integral of ``cls`` (a sympy expression in u_i,
+    lam_i), summed over the fixed points straight from the weights."""
+    slots = range(len(weights))
+    lam = [sympy.Symbol(f"lam{k + 1}") for k in slots]
+    support = [k for k in slots if (f * weights[k]).denominator == 1]
+    total = sympy.Integer(0)
+    for k in support:
+        def toward(j):
+            return lam[j] - sympy.Rational(weights[j], weights[k]) * lam[k]
+
+        subs = {sympy.Symbol(f"u{i + 1}"): 0 if i == k else toward(i) for i in slots}
+        euler = sympy.prod([toward(j) for j in support if j != k])
+        total += sympy.Rational(1, weights[k]) * cls.subs(subs) / euler
+    return sympy.cancel(sympy.together(total))
+
+
+def test_integrate_base_matches_sympy_localization():
+    """Differential check of the exact-division integral against a sympy
+    localization sum, on seeded weight vectors, every sector and random
+    polynomial classes."""
+    rng = random.Random(20151)
+    checked = 0
+    for _ in range(15):
+        weights = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 4)))
+        model = WeightedModel(weights)
+        table = standard_table(model)
+        ring = model.ring
+        for sec in sectors(model):
+            for _ in range(2):
+                cls = ring.zero()
+                for _ in range(rng.randint(1, 4)):
+                    exps = [0] * len(ring.names)
+                    for _ in range(rng.randint(0, 4)):
+                        exps[rng.randrange(len(ring.names))] += 1
+                    cls = cls + ring.monomial(exps, rng.randint(-3, 3))
+                value = integrate_base(cls, table, sec.f)
+                expected = _sympy_localization_sum(weights, sec.f, poly_to_sympy(cls))
+                assert sympy.expand(poly_to_sympy(value) - expected) == 0, (weights, sec.f, cls)
+                checked += 1
+    assert checked > 50
+
+
+def test_integrate_base_rejects_non_polynomial_integrand():
+    # the hard-coded table's untwisted points have tangent weights lam1 and
+    # lam2, so the unit integrates to (1/lam1 + 1/lam2) / 2
+    with pytest.raises(NotPolynomial):
+        integrate_base(RING2.one(), paper_table_p12(), Fraction(0))
+    with pytest.raises(NotPolynomial):
+        integrate_base(P_U1 * P_HBAR, paper_table_p12(), Fraction(0))
