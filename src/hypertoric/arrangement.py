@@ -1,9 +1,12 @@
 """Stacky hyperplane arrangements: genericity, lifting, chambers, core.
 
-The combinatorial geometry is done with exact rational arithmetic; all
-emptiness and boundedness questions reduce to Fourier-Motzkin
-elimination, which is slow in theory but exact and dependency-free, and
-entirely adequate at the scale enforced by the dimension guard.
+The combinatorial geometry is done with exact rational arithmetic.  A
+generic stability vector makes the arrangement simple: every vertex lies
+on exactly d hyperplanes, with independent normals.  The bounded chambers
+come from a walk over the vertex graph, solved once per arrangement: the
+2d edges at a vertex run along the columns of the inverse of its tight
+normals and end at the nearest hyperplane they cross, and a chamber is
+bounded exactly when the walk around it meets no unbounded edge.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from hypertoric.exactalg import (
     FgAbelianGroup,
@@ -18,9 +23,9 @@ from hypertoric.exactalg import (
     IntMatrix,
     gale_dual,
     primitive_vector,
+    rational_inverse,
     rational_rank,
     solve_integer,
-    solve_rational,
 )
 
 
@@ -36,95 +41,13 @@ class DimensionTooLarge(ArrangementError):
     """Guard for the chamber enumeration: d <= 6 and m <= 16 only."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a fault of the program, never of the
+    input (for example a non-simple arrangement behind a generic theta)."""
+
+
 MAX_DIM = 6
 MAX_HYPERPLANES = 16
-
-
-# ---------------------------------------------------------------------------
-# Exact linear constraint systems
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """a . x + c >= 0 with rational data."""
-
-    coeffs: tuple
-    offset: Fraction
-
-    @staticmethod
-    def of(coeffs, offset) -> "Constraint":
-        return Constraint(tuple(Fraction(x) for x in coeffs), Fraction(offset))
-
-    def negated(self) -> "Constraint":
-        return Constraint(tuple(-x for x in self.coeffs), -self.offset)
-
-
-def fourier_motzkin_feasible(constraints) -> bool:
-    """Whether the closed system { a.x + c >= 0 } has a rational solution."""
-    if not constraints:
-        return True
-    dim = len(constraints[0].coeffs)
-    rows = [(list(c.coeffs), Fraction(c.offset)) for c in constraints]
-    for var in range(dim):
-        pos, neg, zero = [], [], []
-        for a, c in rows:
-            if a[var] > 0:
-                pos.append((a, c))
-            elif a[var] < 0:
-                neg.append((a, c))
-            else:
-                zero.append((a, c))
-        new_rows = zero
-        for (ap, cp) in pos:
-            for (an, cn) in neg:
-                # eliminate: scale so the var coefficients cancel
-                s, t = -an[var], ap[var]
-                a = [s * x + t * y for x, y in zip(ap, an)]
-                c = s * cp + t * cn
-                new_rows.append((a, c))
-        rows = new_rows
-        if not rows:
-            return True
-    return all(c >= 0 for _, c in rows)
-
-
-def recession_cone_is_trivial(constraints) -> bool:
-    """Whether { a.x >= 0 } contains no nonzero vector."""
-    if not constraints:
-        return False
-    dim = len(constraints[0].coeffs)
-    homogeneous = [Constraint(c.coeffs, Fraction(0)) for c in constraints]
-    for j in range(dim):
-        for sign in (1, -1):
-            probe = [Fraction(0)] * dim
-            probe[j] = Fraction(sign)
-            extra = Constraint(tuple(probe), Fraction(-1))  # sign * x_j >= 1
-            if fourier_motzkin_feasible(homogeneous + [extra]):
-                return False
-    return True
-
-
-def enumerate_vertices(constraints):
-    """Vertices of the polyhedron { a.x + c >= 0 }, by exact enumeration.
-
-    Intended for desk-scale systems: solves every maximal independent
-    subsystem of equalities and keeps the feasible solutions.
-    """
-    if not constraints:
-        return []
-    dim = len(constraints[0].coeffs)
-    verts = []
-    for subset in itertools.combinations(range(len(constraints)), dim):
-        rows = [constraints[i].coeffs for i in subset]
-        rhs = [-constraints[i].offset for i in subset]
-        sol = solve_rational(rows, rhs)
-        if sol is None:
-            continue
-        if all(sum(a * x for a, x in zip(c.coeffs, sol)) + c.offset >= 0 for c in constraints):
-            if sol not in verts:
-                verts.append(sol)
-    verts.sort()
-    return verts
 
 
 # ---------------------------------------------------------------------------
@@ -142,23 +65,32 @@ class Hyperplane:
         if all(x == 0 for x in self.normal):
             raise ArrangementError("hyperplane normal must be nonzero")
 
-    def halfspace(self, side: str) -> Constraint:
-        """'F' is the side <normal,v> + offset >= 0, 'G' the opposite."""
-        c = Constraint.of(self.normal, self.offset)
-        return c if side == "F" else c.negated()
-
 
 @dataclass(frozen=True)
 class Chamber:
-    """A chamber P_U: the hyperplanes in ``flips`` keep their coorientation,
-    the others are reversed."""
+    """A bounded chamber P_U: the hyperplanes in ``flips`` keep their
+    coorientation (side 'F', <b_i, v> + psi_i >= 0), the others are
+    reversed (side 'G').  ``corners`` pairs each vertex, in sorted order,
+    with the indices of the hyperplanes through it."""
 
     flips: frozenset
-    constraints: tuple
-    bounded: bool
+    corners: tuple
 
     def vertices(self):
-        return enumerate_vertices(list(self.constraints))
+        return [point for point, _ in self.corners]
+
+
+@dataclass(frozen=True)
+class _Vertex:
+    """A vertex of a simple arrangement, stored under its tight set T.
+    ``above`` has bit i set when <b_i, v> + psi_i > 0; ``ends[k]`` holds the
+    far ends (tight sets, None for an unbounded edge) of the edges along
+    -e_k and +e_k, where e_k is the direction on which T[k] grows and the
+    rest of T stays 0."""
+
+    point: tuple
+    above: int
+    ends: tuple
 
 
 @dataclass(frozen=True)
@@ -169,10 +101,11 @@ class NormalFan:
     max_cones: tuple
 
     @staticmethod
-    def of(rays, cones) -> "NormalFan":
-        rays = sorted(set(tuple(int(x) for x in r) for r in rays))
+    def of(cones) -> "NormalFan":
+        """The fan of cones given as lists of integer ray tuples."""
+        rays = sorted({r for cone in cones for r in cone})
         ray_index = {r: i for i, r in enumerate(rays)}
-        max_cones = sorted(set(tuple(sorted(ray_index[tuple(r)] for r in cone)) for cone in cones))
+        max_cones = sorted(set(tuple(sorted(ray_index[r] for r in cone)) for cone in cones))
         return NormalFan(tuple(rays), tuple(max_cones))
 
 
@@ -275,72 +208,126 @@ class StackyArrangement:
     def d(self) -> int:
         return self.group_N.rank
 
+    @cached_property
+    def _normals(self) -> tuple[tuple[int, ...], ...]:
+        free = self.beta.free_part()
+        return tuple(free.col(i) for i in range(self.m))
+
     def b_bar(self, i: int) -> tuple[int, ...]:
-        return self.beta.free_part().col(i)
+        return self._normals[i]
 
     def hyperplanes(self) -> tuple[Hyperplane, ...]:
-        return tuple(Hyperplane(self.b_bar(i), self.psi[i]) for i in range(self.m))
-
-    def halfspace(self, i: int, side: str) -> Constraint:
-        return self.hyperplanes()[i].halfspace(side)
+        return tuple(Hyperplane(b, p) for b, p in zip(self._normals, self.psi))
 
     # -- chambers ------------------------------------------------------------
 
-    def chamber_constraints(self, flips) -> tuple:
-        flips = set(flips)
-        return tuple(
-            self.halfspace(i, "F" if i in flips else "G") for i in range(self.m)
-        )
+    @cached_property
+    def _vertex_graph(self) -> dict:
+        """Every vertex, keyed by its tight set and in the order of the
+        points, with the far ends of its edges.
+
+        Values are scaled by a positive common denominator of the inverse,
+        so the ratio test runs on integers.  A further hyperplane through a
+        vertex, or a tie in the ratio test, means the arrangement is not
+        simple, which a generic theta rules out.
+        """
+        normals, psi, m = self._normals, self.psi, self.m
+        graph = {}
+        for tight in itertools.combinations(range(m), self.d):
+            inverse = rational_inverse([normals[i] for i in tight])
+            if inverse is None:
+                continue
+            scale = lcm(*(x.denominator for row in inverse for x in row))
+            inverse = [[x.numerator * (scale // x.denominator) for x in row] for row in inverse]
+            point = [-sum(a * psi[i] for a, i in zip(row, tight)) for row in inverse]
+            values = [sum(a * x for a, x in zip(b, point)) + p * scale for b, p in zip(normals, psi)]
+            others = [j for j in range(m) if j not in tight]
+            if any(values[j] == 0 for j in others):
+                raise InvariantError(
+                    f"vertex {tight} lies on a further hyperplane: the arrangement is not simple"
+                )
+            ends = []
+            for k in range(len(tight)):
+                column = [row[k] for row in inverse]
+                nearest = [None, None]  # (|value|, |rate|, j) along -e_k, +e_k
+                for j in others:
+                    rate = sum(a * x for a, x in zip(normals[j], column))
+                    if rate == 0:
+                        continue
+                    side = (values[j] > 0) != (rate > 0)  # 1: crossed along +e_k
+                    cand = (abs(values[j]), abs(rate), j)
+                    best = nearest[side]
+                    if best is None or cand[0] * best[1] < best[0] * cand[1]:
+                        nearest[side] = cand
+                    elif cand[0] * best[1] == best[0] * cand[1]:
+                        raise InvariantError(
+                            f"hyperplanes {best[2]} and {j} tie in the ratio test at vertex {tight}: "
+                            "the arrangement is not simple"
+                        )
+                rest = tight[:k] + tight[k + 1 :]
+                ends.append(tuple(near and tuple(sorted(rest + (near[2],))) for near in nearest))
+            point = tuple(Fraction(x, scale) for x in point)
+            above = sum(1 << j for j in others if values[j] > 0)
+            graph[tight] = _Vertex(point, above, tuple(ends))
+        return dict(sorted(graph.items(), key=lambda item: item[1].point))
+
+    def _walk(self, start, mask):
+        """Tight sets of the vertices of the chamber whose 'F' sides are the
+        bits of ``mask``, reached from ``start``; None once an edge of the
+        chamber turns out unbounded."""
+        graph = self._vertex_graph
+        seen = {start}
+        todo = [start]
+        while todo:
+            tight = todo.pop()
+            for i, ends in zip(tight, graph[tight].ends):
+                end = ends[mask >> i & 1]
+                if end is None:
+                    return None
+                if end not in seen:
+                    seen.add(end)
+                    todo.append(end)
+        return seen
 
     def bounded_chambers(self) -> tuple[Chamber, ...]:
         """All nonempty bounded chambers, ordered by their flip sets.
 
-        Enumeration is a depth-first search over coorientation choices
-        with infeasible branches pruned early.
+        A vertex touches 2^d chambers: any signs on its tight set, the
+        signs it takes on the other hyperplanes.  Each chamber not yet
+        seen is walked once.
         """
         if self.d > MAX_DIM or self.m > MAX_HYPERPLANES:
             raise DimensionTooLarge(
                 f"chamber enumeration is guarded to d <= {MAX_DIM}, m <= {MAX_HYPERPLANES}"
             )
+        graph = self._vertex_graph
+        order = {tight: k for k, tight in enumerate(graph)}
         found = []
-
-        def descend(i, partial):
-            if not fourier_motzkin_feasible(partial):
-                return
-            if i == self.m:
-                if recession_cone_is_trivial(partial):
-                    flips = frozenset(
-                        j for j, c in enumerate(partial) if c == self.halfspace(j, "F")
-                    )
-                    found.append(Chamber(flips, tuple(partial), True))
-                return
-            descend(i + 1, partial + [self.halfspace(i, "F")])
-            descend(i + 1, partial + [self.halfspace(i, "G")])
-
-        descend(0, [])
+        walked = set()
+        for tight, vertex in graph.items():
+            masks = [vertex.above]
+            for i in tight:
+                masks += [mask | 1 << i for mask in masks]
+            for mask in masks:
+                if mask in walked:
+                    continue
+                walked.add(mask)
+                corners = self._walk(tight, mask)
+                if corners is not None:
+                    flips = frozenset(i for i in range(self.m) if mask >> i & 1)
+                    corners = sorted(corners, key=order.__getitem__)
+                    found.append(Chamber(flips, tuple((graph[t].point, t) for t in corners)))
         found.sort(key=lambda ch: tuple(sorted(ch.flips)))
         return tuple(found)
 
     def core(self):
-        """Pairs (chamber, normal fan) over all bounded chambers."""
+        """Pairs (chamber, normal fan) over all bounded chambers.  The cone
+        at a vertex is spanned by the inward normals of its tight set."""
+        sides = [(primitive_vector(tuple(-x for x in b)), primitive_vector(b)) for b in self._normals]
         out = []
         for chamber in self.bounded_chambers():
-            verts = chamber.vertices()
-            cones = []
-            rays = []
-            for v in verts:
-                tight = [
-                    i
-                    for i, c in enumerate(chamber.constraints)
-                    if sum(a * x for a, x in zip(c.coeffs, v)) + c.offset == 0
-                ]
-                normals = []
-                for i in tight:
-                    n = self.b_bar(i) if i in chamber.flips else tuple(-x for x in self.b_bar(i))
-                    normals.append(primitive_vector(n))
-                cones.append(normals)
-                rays.extend(normals)
-            out.append((chamber, NormalFan.of(rays, cones)))
+            cones = [[sides[i][i in chamber.flips] for i in tight] for _, tight in chamber.corners]
+            out.append((chamber, NormalFan.of(cones)))
         return tuple(out)
 
     # -- serialization -------------------------------------------------------

@@ -188,7 +188,7 @@ def payload_core(arr: StackyArrangement) -> dict:
         out.append(
             {
                 "flips": sorted(i + 1 for i in chamber.flips),
-                "bounded": chamber.bounded,
+                "bounded": True,
                 "vertices": [[_frac(x) for x in v] for v in chamber.vertices()],
                 "normal_fan": {
                     "rays": [list(r) for r in fan.rays],

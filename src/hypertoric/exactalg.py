@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class ExactAlgError(ValueError):
@@ -460,25 +460,34 @@ def rational_inverse(rows):
 
 def _gauss_jordan(rows, right):
     """Reduce the square block ``rows`` of [rows | right] to the identity;
-    the right block that results, or None when ``rows`` is singular."""
+    the right block that results, or None when ``rows`` is singular.
+
+    Fraction-free (Bareiss): each row is scaled to integers, and every
+    division by the previous pivot is exact, so the work stays on integers
+    until the last pivot divides the right block."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(x) for x in extra] for row, extra in zip(rows, right)]
+    m = [_integer_row(list(row) + list(extra)) for row, extra in zip(rows, right)]
+    prev = 1
     for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
         if piv is None:
             return None
         m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
+        p = m[col][col]
         for i in range(n):
-            if i != col and m[i][col] != 0:
+            if i != col:
                 f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], m[col])]
+        prev = p
+    return tuple(tuple(Fraction(x, prev) for x in row[n:]) for row in m)
+
+
+def _integer_row(row):
+    """The row times a positive integer that clears its denominators."""
+    if all(isinstance(x, int) for x in row):
+        return row
+    scale = lcm(*(Fraction(x).denominator for x in row))
+    return [int(x * scale) for x in row]
 
 
 def solve_rational_system(rows, rhs):

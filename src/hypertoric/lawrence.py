@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from hypertoric.arrangement import ArrangementError, StackyArrangement
 from hypertoric.exactalg import (
     IntMatrix,
     kernel_basis,
-    rational_coordinates_in_basis,
     rational_inverse,
     rational_rank,
     solve_rational,
@@ -58,7 +58,8 @@ class LawrenceFan:
 
     Point location caches, per fan, the inverse ray matrix of each maximal
     cone scanned more than once and the cone coordinates of each point the
-    l-pairing has located.
+    l-pairing has located; the curve-degree projection is set up once per
+    fan.
     """
 
     arrangement: StackyArrangement
@@ -135,10 +136,23 @@ class LawrenceFan:
             vec.append(
                 loc1.coefficient(r) + loc2.coefficient(r) - loc12.coefficient(r)
             )
-        degree = rational_coordinates_in_basis(self.h2_basis, vec)
-        if degree is None:
+        pivots, inverse = self._h2_projection
+        degree = tuple(sum(a * vec[p] for a, p in zip(row, pivots)) for row in inverse)
+        if any(sum(c * b[i] for c, b in zip(degree, self.h2_basis)) != x for i, x in enumerate(vec)):
             raise ArrangementError("l-pairing vector is outside the curve lattice")
-        return tuple(vec), tuple(degree)
+        return tuple(vec), degree
+
+    @cached_property
+    def _h2_projection(self):
+        """Coordinates on which ``h2_basis`` is independent, and the inverse
+        of the basis restricted to them: it maps those coordinates of a
+        vector in the span to the vector's coefficients in the basis."""
+        pivots, rows = [], []
+        for i, row in enumerate(zip(*self.h2_basis)):
+            if rational_rank(rows + [row]) > len(rows):
+                pivots.append(i)
+                rows.append(row)
+        return tuple(pivots), rational_inverse(rows)
 
     def nonfacial_ray_pairs(self):
         """Ray pairs contained in no common maximal cone."""
@@ -233,7 +247,7 @@ def _orient_h2_basis(fan: LawrenceFan) -> LawrenceFan:
     coords = []
     for a, b in fan.nonfacial_ray_pairs():
         try:
-            _, degree = fan.l_pairing(_unit(fan, a), _unit(fan, b))
+            _, degree = fan.l_pairing(fan.ray_vector(a), fan.ray_vector(b))
         except OutsideSupport:
             continue
         coords.append(degree)
@@ -247,10 +261,6 @@ def _orient_h2_basis(fan: LawrenceFan) -> LawrenceFan:
     return LawrenceFan(
         fan.arrangement, fan.rays, fan.max_cones, fan.irrelevant_monomials, tuple(flipped)
     )
-
-
-def _unit(fan: LawrenceFan, ray_id: int):
-    return fan.ray_vector(ray_id)
 
 
 def lawrence_fan(arr: StackyArrangement) -> LawrenceFan:

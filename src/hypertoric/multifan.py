@@ -12,11 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from hypertoric.arrangement import (
-    ArrangementError,
-    StackyArrangement,
-    fourier_motzkin_feasible,
-)
+from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
 from hypertoric.exactalg import (
     IntMatrix,
     coordinates_in_basis,
@@ -25,10 +21,6 @@ from hypertoric.exactalg import (
     rational_rank,
     smith_normal_form,
 )
-
-
-class AmbiguousSplit(ArrangementError):
-    """Neither or both circuit orientations pass the emptiness test."""
 
 
 @dataclass(frozen=True)
@@ -83,18 +75,17 @@ class Circuit:
         return 0
 
 
-def _split_is_empty(arr: StackyArrangement, positive, negative) -> bool:
-    constraints = [arr.halfspace(i, "G") for i in positive]
-    constraints += [arr.halfspace(j, "F") for j in negative]
-    return not fourier_motzkin_feasible(constraints)
-
-
 def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
     """All circuits, oriented by the halfspace emptiness test.
 
-    The weight vector is the primitive kernel vector of the restricted
+    The weight vector w is the primitive kernel vector of the restricted
     matrix; of its two signings exactly one makes the mixed halfspace
-    intersection empty, and that signing is the canonical split.
+    intersection empty (side 'G' of the positive hyperplanes, side 'F' of
+    the negative ones), and that signing is the canonical split.  Since
+    sum w_i b_i = 0, sum w_i (<b_i, v> + psi_i) = sum w_i psi_i at every v,
+    while each term is <= 0 on the mixed intersection; so the empty
+    signing is the one that pairs positively with psi.  A zero pairing
+    puts theta on a wall, which genericity rules out.
     """
     kb = kernel_basis(arr.beta.free_part())
     out = []
@@ -113,18 +104,12 @@ def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
             if len(ker) != 1:
                 raise ArrangementError("circuit kernel is not one-dimensional")
             w = primitive_vector(ker[0])
-            candidates = []
-            for sign in (1, -1):
-                signed = [sign * x for x in w]
-                pos = tuple(i for i, x in zip(subset, signed) if x > 0)
-                neg = tuple(i for i, x in zip(subset, signed) if x < 0)
-                if _split_is_empty(arr, pos, neg):
-                    candidates.append((pos, neg, signed))
-            if len(candidates) != 1:
-                raise AmbiguousSplit(
-                    f"circuit {subset}: {len(candidates)} orientations pass the emptiness test"
-                )
-            pos, neg, signed = candidates[0]
+            pairing = sum(x * arr.psi[i] for i, x in zip(subset, w))
+            if pairing == 0:
+                raise InvariantError(f"circuit {subset} pairs to zero with psi: theta is on a wall")
+            signed = [x if pairing > 0 else -x for x in w]
+            pos = tuple(i for i, x in zip(subset, signed) if x > 0)
+            neg = tuple(i for i, x in zip(subset, signed) if x < 0)
             beta_s = [0] * arr.m
             for i, x in zip(subset, signed):
                 beta_s[i] = x

@@ -7,17 +7,17 @@ from fractions import Fraction
 import pytest
 
 from hypertoric.arrangement import (
-    Constraint,
+    ArrangementError,
     DimensionTooLarge,
+    InvariantError,
     NonGenericTheta,
     StackyArrangement,
     check_generic,
-    enumerate_vertices,
-    fourier_motzkin_feasible,
     lift_theta,
-    recession_cone_is_trivial,
 )
+from hypertoric.cli import run
 from hypertoric.exactalg import (
+    ExactAlgError,
     FgAbelianGroup,
     GroupHom,
     IntMatrix,
@@ -25,6 +25,7 @@ from hypertoric.exactalg import (
     kernel_basis,
     rational_rank,
 )
+from hypertoric.multifan import circuits
 
 
 def dual_of(columns, rank):
@@ -155,10 +156,9 @@ def test_core_hirzebruch_fans(hirzebruch):
     assert len(by_len[3].max_cones) == 3  # triangle
 
 
-def brute_force_recession_nontrivial(constraints, dim):
+def brute_force_recession_nontrivial(rows, dim):
     """Independent oracle: candidate extreme rays from (dim-1)-subsets of
     rows plus the lineality kernel, checked against the homogeneous system."""
-    rows = [c.coeffs for c in constraints]
 
     def ok(vec):
         return any(x != 0 for x in vec) and all(
@@ -183,44 +183,264 @@ def brute_force_recession_nontrivial(constraints, dim):
     return False
 
 
+# ---------------------------------------------------------------------------
+# Brute-force oracles with their own exact elimination: systems
+# { <a_i, x> + c_i >= 0 } are given as parallel lists of normals and offsets.
+
+
+def echelon(rows, ncols):
+    """Reduced row echelon form over Q: (rows, pivot columns)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[top])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def rank_of(rows, ncols):
+    return len(echelon(rows, ncols)[1])
+
+
+def point_on(normals, offsets, dim):
+    """A point of { <a_i, x> + c_i = 0 } with free coordinates 0, or None."""
+    rows, pivots = echelon([list(a) + [-c] for a, c in zip(normals, offsets)], dim + 1)
+    if dim in pivots:
+        return None
+    x = [Fraction(0)] * dim
+    for row, col in zip(rows, pivots):
+        x[col] = row[dim]
+    return tuple(x)
+
+
+def satisfies(normals, offsets, x):
+    return all(sum(a * v for a, v in zip(n, x)) + c >= 0 for n, c in zip(normals, offsets))
+
+
+def brute_feasible(normals, offsets, dim):
+    """A nonempty system has a minimal face, cut out by setting rank-many
+    independent rows to equality; so try every such subsystem."""
+    r = rank_of(normals, dim)
+    for subset in itertools.combinations(range(len(normals)), r):
+        chosen = [normals[i] for i in subset]
+        if rank_of(chosen, dim) < r:
+            continue
+        x = point_on(chosen, [offsets[i] for i in subset], dim)
+        if satisfies(normals, offsets, x):
+            return True
+    return False
+
+
+def brute_vertices(normals, offsets, dim):
+    """Feasible points where dim independent rows are tight, sorted."""
+    out = set()
+    for subset in itertools.combinations(range(len(normals)), dim):
+        chosen = [normals[i] for i in subset]
+        if rank_of(chosen, dim) == dim:
+            x = point_on(chosen, [offsets[i] for i in subset], dim)
+            if satisfies(normals, offsets, x):
+                out.add(x)
+    return sorted(out)
+
+
+def brute_simple(normals, offsets, dim):
+    """Whether every k hyperplanes that meet do so in codimension k."""
+    m = len(normals)
+    for size in range(2, m + 1):
+        for subset in itertools.combinations(range(m), size):
+            chosen = [normals[i] for i in subset]
+            if rank_of(chosen, dim) < size and point_on(chosen, [offsets[i] for i in subset], dim):
+                return False
+    return True
+
+
+def zaslavsky_count(normals, offsets, dim):
+    """Bounded regions of an essential arrangement: |chi(1)|, with chi(1) the
+    sum of (-1)^|S| over the subsets S of hyperplanes that meet."""
+    m = len(normals)
+    total = 0
+    for size in range(m + 1):
+        for subset in itertools.combinations(range(m), size):
+            if point_on([normals[i] for i in subset], [offsets[i] for i in subset], dim):
+                total += (-1) ** size
+    return abs(total)
+
+
+def chamber_system(normals, offsets, flips):
+    """Side 'F' of the hyperplanes in ``flips``, side 'G' of the others."""
+    signs = [1 if i in flips else -1 for i in range(len(normals))]
+    return (
+        [tuple(s * a for a in n) for s, n in zip(signs, normals)],
+        [s * c for s, c in zip(signs, offsets)],
+    )
+
+
+def raw_arrangement(normals, psi):
+    """An arrangement straight from normals and lifts, bypassing the
+    genericity and lifting checks of ``build``."""
+    dim = len(normals[0])
+    beta = GroupHom(
+        FgAbelianGroup(len(normals)), FgAbelianGroup(dim), IntMatrix.from_rows(tuple(zip(*normals)))
+    )
+    return StackyArrangement(FgAbelianGroup(dim), beta, (), tuple(psi), None)
+
+
+def random_family(rank, count, seed, max_m):
+    """Seeded generic arrangements as (columns, psi, arrangement)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(2000):
+        m = rng.randint(rank + 1, max_m)
+        cols = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(m)]
+        psi = tuple(rng.randint(-3, 3) for _ in range(m))
+        try:
+            dual = dual_of(cols, rank)
+        except ExactAlgError:
+            continue  # a zero column or an infinite cokernel
+        theta = tuple(-x for x in dual.matrix.apply(psi))
+        if check_generic(dual, theta):
+            out.append((cols, psi, StackyArrangement.build(FgAbelianGroup(rank), cols, theta, psi)))
+            if len(out) == count:
+                return out
+    raise AssertionError("too few generic draws")
+
+
+FAMILIES = {
+    "rank2": random_family(2, count=12, seed=5, max_m=6),
+    "rank3": random_family(3, count=10, seed=7, max_m=7),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_bounded_chamber_count_matches_zaslavsky(family):
+    for cols, psi, arr in FAMILIES[family]:
+        assert len(arr.bounded_chambers()) == zaslavsky_count(cols, psi, arr.d), (cols, psi)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_chamber_vertices_match_brute_force(family):
+    for cols, psi, arr in FAMILIES[family]:
+        for chamber, fan in arr.core():
+            normals, offsets = chamber_system(cols, psi, chamber.flips)
+            assert chamber.vertices() == brute_vertices(normals, offsets, arr.d), (cols, psi)
+            assert not brute_force_recession_nontrivial(normals, arr.d)
+            assert len(fan.max_cones) == len(chamber.vertices())
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_circuit_orientation_matches_brute_feasibility(family):
+    for cols, psi, arr in FAMILIES[family]:
+        for c in circuits(arr):
+            # side 'G' of the positive hyperplanes with side 'F' of the negative ones
+            support = c.positive + c.negative
+            normals = [tuple(-c.sign_of(i) * x for x in cols[i]) for i in support]
+            offsets = [-c.sign_of(i) * psi[i] for i in support]
+            assert not brute_feasible(normals, offsets, arr.d), (cols, psi, c.support)
+            flipped = [tuple(-x for x in n) for n in normals]
+            assert brute_feasible(flipped, [-x for x in offsets], arr.d)
+
+
 def test_recession_oracle_agreement():
+    """On seeded random systems, read as arrangements: a chamber is bounded
+    by the vertex walk exactly when its system is feasible and has a trivial
+    recession cone by the brute-force oracle; an arrangement that is not
+    simple is an internal error once its normals span."""
     rng = random.Random(11)
     for _ in range(60):
         dim = rng.randint(1, 3)
         rows = [
-            Constraint.of([rng.randint(-3, 3) for _ in range(dim)], rng.randint(-2, 2))
+            ([rng.randint(-3, 3) for _ in range(dim)], rng.randint(-2, 2))
             for _ in range(rng.randint(1, 5))
         ]
-        rows = [c for c in rows if any(c.coeffs)]
+        rows = [(a, c) for a, c in rows if any(a)]
         if not rows:
             continue
-        fm = recession_cone_is_trivial(rows)
-        brute = brute_force_recession_nontrivial(rows, dim)
-        assert fm == (not brute), (rows,)
+        normals, offsets = [a for a, _ in rows], [c for _, c in rows]
+        arr = raw_arrangement(normals, offsets)
+        if not brute_simple(normals, offsets, dim) and rank_of(normals, dim) == dim:
+            with pytest.raises(InvariantError):
+                arr.bounded_chambers()
+            continue
+        walked = {ch.flips for ch in arr.bounded_chambers()}
+        brute = set()
+        for size in range(len(rows) + 1):
+            for flips in itertools.combinations(range(len(rows)), size):
+                system = chamber_system(normals, offsets, flips)
+                if brute_feasible(*system, dim) and not brute_force_recession_nontrivial(
+                    system[0], dim
+                ):
+                    brute.add(frozenset(flips))
+        assert walked == brute, (rows,)
 
 
 def test_fm_feasibility_basic():
-    c1 = Constraint.of([1], 0)  # x >= 0
-    c2 = Constraint.of([-1], -1)  # x <= -1
-    assert not fourier_motzkin_feasible([c1, c2])
-    c3 = Constraint.of([-1], 1)  # x <= 1
-    assert fourier_motzkin_feasible([c1, c3])
+    # x >= 0 with x <= -1 is empty, x >= 0 with x <= 1 is not: read as the
+    # hyperplanes x = 0 and -x + c = 0, whose circuit {0, 1} has weights
+    # (1, 1) and is split so that side 'F' of both (negative = (0, 1)) is empty
+    for c, empty in ((-1, True), (1, False)):
+        normals, offsets = [(1,), (-1,)], [0, c]
+        assert brute_feasible(normals, offsets, 1) == (not empty)
+        (circuit,) = circuits(raw_arrangement(normals, offsets))
+        assert (circuit.negative == (0, 1)) == empty
 
 
 def test_vertices_of_square():
-    cs = [
-        Constraint.of([1, 0], 0),
-        Constraint.of([-1, 0], 1),
-        Constraint.of([0, 1], 0),
-        Constraint.of([0, -1], 1),
-    ]
-    verts = enumerate_vertices(cs)
+    normals, offsets = [(1, 0), (-1, 0), (0, 1), (0, -1)], [0, 1, 0, 1]
+    (chamber,) = raw_arrangement(normals, offsets).bounded_chambers()
+    assert chamber.flips == frozenset(range(4))
+    verts = chamber.vertices()
     assert verts == [
         (Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(1)),
         (Fraction(1), Fraction(0)),
         (Fraction(1), Fraction(1)),
     ]
+    assert verts == brute_vertices(normals, offsets, 2)
+
+
+def test_internal_invariants_are_not_input_errors():
+    assert not issubclass(InvariantError, (ArrangementError, ExactAlgError))
+
+
+def test_concurrent_lines_are_a_non_simple_vertex():
+    arr = raw_arrangement([(1, 0), (0, 1), (1, 1)], [0, 0, 0])
+    with pytest.raises(InvariantError, match="further hyperplane"):
+        arr.bounded_chambers()
+
+
+def test_ratio_test_tie_is_an_internal_error():
+    # from the vertex x = 0, the edge toward +x meets x = 1 twice
+    arr = raw_arrangement([(1,), (1,), (-1,)], [0, -1, 1])
+    with pytest.raises(InvariantError, match="tie"):
+        arr.bounded_chambers()
+
+
+def test_zero_circuit_pairing_is_an_internal_error():
+    with pytest.raises(InvariantError, match="wall"):
+        circuits(raw_arrangement([(1,), (-1,)], [0, 0]))
+
+
+def test_cli_reports_zero_circuit_pairing_as_internal(tmp_path, monkeypatch, capsys):
+    # theta = 0 is on a wall; with the genericity gate off it reaches circuits
+    monkeypatch.setattr("hypertoric.arrangement.check_generic", lambda *args: True)
+    path = tmp_path / "wall.json"
+    path.write_text(
+        '{"schema_version": "hypertoric-arrangement/1", "rank": 1, "torsion": [],'
+        ' "beta": [[1], [-1]], "theta": [0]}'
+    )
+    assert run(["circuits", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "internal error" in captured.err
+    assert "(input data)" not in captured.out
 
 
 def test_round_trip(shipped):
@@ -251,5 +471,4 @@ def test_chamber_enumeration_scales_to_eight_lines():
     chambers = arr.bounded_chambers()
     assert len(chambers) > 5
     for ch in chambers:
-        assert ch.bounded
         assert len(ch.vertices()) >= 3

@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from hypertoric.cli import payload_qsr
+from hypertoric.exactalg import rational_coordinates_in_basis
 from hypertoric.lawrence import (
+    LawrenceFan,
     NonGeneric,
     OutsideSupport,
     build_lawrence_fan,
@@ -123,6 +126,24 @@ def test_l_pairing_locates_each_point_once(shipped):
             assert memo == dataclasses.replace(fan).l_pairing(p, q)
             located |= {p, q, tuple(Fraction(a + b) for a, b in zip(p, q))}
         assert located and set(fan._located) == located
+
+
+def test_l_pairing_projection_matches_basis_coordinates(hirzebruch, monkeypatch):
+    """The curve-degree projection set up once per fan gives the basis
+    coordinates of every vector the qsr command pairs on hirzebruch."""
+    pairs = []
+    l_pairing = LawrenceFan.l_pairing
+
+    def recording(fan, c1, c2):
+        vec, degree = l_pairing(fan, c1, c2)
+        pairs.append((fan.h2_basis, vec, degree))
+        return vec, degree
+
+    monkeypatch.setattr(LawrenceFan, "l_pairing", recording)
+    payload_qsr(hirzebruch, 6)
+    assert pairs
+    for basis, vec, degree in pairs:
+        assert degree == rational_coordinates_in_basis(basis, vec)
 
 
 def test_outside_support(tp1):
