@@ -23,8 +23,8 @@ from hypertoric.exactalg import (
     IntMatrix,
     gale_dual,
     primitive_vector,
+    rational_coordinates_in_basis,
     rational_inverse,
-    rational_rank,
     solve_integer,
 )
 
@@ -130,10 +130,8 @@ def check_generic(beta_dual: GroupHom, theta) -> bool:
     if all(x == 0 for x in theta_free):
         return False
     for subset in itertools.combinations(range(len(cols)), f - 1):
-        chosen = [cols[i] for i in subset]
-        if rational_rank(chosen) < f - 1:
-            continue
-        if rational_rank(chosen + [theta_free]) == f - 1:
+        # a wall: f - 1 independent columns whose span holds theta
+        if rational_coordinates_in_basis([cols[i] for i in subset], theta_free) is not None:
             return False
     return True
 

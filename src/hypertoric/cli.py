@@ -23,7 +23,7 @@ from hypertoric.arrangement import ArrangementError, StackyArrangement
 from hypertoric.exactalg import ExactAlgError
 from hypertoric.crring import CohomologyContext, CRClass, cr_presentation, ht_presentation, htt_presentation
 from hypertoric.examples_data import SCHEMA_VERSION, example_document, example_names
-from hypertoric.lawrence import lawrence_fan
+from hypertoric.lawrence import build_lawrence_fan
 from hypertoric.localize import (
     LocalizeError,
     WeightedModel,
@@ -200,7 +200,7 @@ def payload_core(arr: StackyArrangement) -> dict:
 
 
 def payload_fan(arr: StackyArrangement) -> dict:
-    fan = lawrence_fan(arr)
+    fan = build_lawrence_fan(arr)
     return {
         "lattice_rank": arr.d + arr.m,
         "rays": [

@@ -1,10 +1,16 @@
-"""Exact integer linear algebra: Smith/Hermite forms, kernels, Gale duality.
+"""Exact linear algebra: Smith/Hermite forms, kernels, Gale duality, and
+one rational elimination kernel.
 
 All matrices carry Python ints, so there is no overflow anywhere.  The
 algorithms are deterministic: pivot selection is by smallest absolute
 value with row-major tie-breaking, and kernel bases are canonicalized by
 row Hermite normal form, so every downstream basis choice is stable
 across runs and platforms.
+
+Lattice problems (Smith and Hermite forms, integer solutions) work on
+integer matrices.  Field problems over the rationals (rank, solving,
+inverses, coordinates in a basis) all go through ``row_reduce``, one
+fraction-free Gauss-Jordan kernel, and thin wrappers around it.
 """
 
 from __future__ import annotations
@@ -107,7 +113,7 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
 
     def rank(self) -> int:
-        return sum(1 for d in smith_diagonal(self) if d != 0)
+        return rational_rank(self.entries)
 
     def det(self) -> int:
         if self.nrows != self.ncols:
@@ -442,44 +448,38 @@ def solve_integer(A: IntMatrix, b) -> tuple[int, ...]:
     return v.apply(y)
 
 
-def solve_rational(rows, rhs):
-    """Solve a square rational linear system exactly; None if singular.
+def row_reduce(rows, right=()):
+    """Fraction-free (Bareiss) Gauss-Jordan reduction of [rows | right].
 
-    ``rows`` is a list of coefficient sequences, ``rhs`` the right-hand
-    side; entries may be ints or Fractions.
+    Entries may be ints or Fractions; ``right`` holds one sequence per row
+    (none by default).  Pivots are searched left to right, only in the
+    columns of ``rows``, and a column with no pivot is skipped.  Each row is
+    first scaled to integers, and every update divides exactly by the
+    previous pivot.  Returns ``(pivots, reduced, d)``: the pivot columns,
+    the reduced integer rows and the last pivot ``d``.  Row i < len(pivots)
+    holds ``d`` in column pivots[i] and 0 in the other pivot columns; the
+    later rows are zero in the columns of ``rows``.  So the rank is
+    len(pivots), and a reduced entry divided by ``d`` is the entry of the
+    reduced row echelon form.
     """
-    out = _gauss_jordan(rows, [[b] for b in rhs])
-    return None if out is None else tuple(r[0] for r in out)
-
-
-def rational_inverse(rows):
-    """Rows of the inverse of a square rational matrix; None if singular."""
-    n = len(rows)
-    return _gauss_jordan(rows, [[int(i == j) for j in range(n)] for i in range(n)])
-
-
-def _gauss_jordan(rows, right):
-    """Reduce the square block ``rows`` of [rows | right] to the identity;
-    the right block that results, or None when ``rows`` is singular.
-
-    Fraction-free (Bareiss): each row is scaled to integers, and every
-    division by the previous pivot is exact, so the work stays on integers
-    until the last pivot divides the right block."""
-    n = len(rows)
-    m = [_integer_row(list(row) + list(extra)) for row, extra in zip(rows, right)]
+    ncols = len(rows[0]) if rows else 0
+    m = [_integer_row([*row, *extra]) for row, extra in zip(rows, right or [()] * len(rows))]
+    pivots = []
     prev = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        for i in range(n):
-            if i != col:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p = m[r][col]
+        for i in range(len(m)):
+            if i != r:
                 f = m[i][col]
-                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], m[col])]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], m[r])]
         prev = p
-    return tuple(tuple(Fraction(x, prev) for x in row[n:]) for row in m)
+        pivots.append(col)
+    return pivots, m, prev
 
 
 def _integer_row(row):
@@ -490,67 +490,46 @@ def _integer_row(row):
     return [int(x * scale) for x in row]
 
 
+def rational_rank(rows) -> int:
+    """Rank of a matrix with int/Fraction entries."""
+    return len(row_reduce(rows)[0])
+
+
+def _solve(rows, rhs, ncols):
+    """The rank of ``rows`` and one solution of rows.x = rhs with its free
+    variables set to zero, or None for the solution when inconsistent."""
+    pivots, m, d = row_reduce(rows, [[b] for b in rhs])
+    if any(row[ncols] for row in m[len(pivots):]):
+        return len(pivots), None
+    x = [Fraction(0)] * ncols
+    for c, row in zip(pivots, m):
+        x[c] = Fraction(row[ncols], d)
+    return len(pivots), tuple(x)
+
+
+def solve_rational(rows, rhs):
+    """Solve a square rational linear system exactly; None if singular.
+
+    ``rows`` is a list of coefficient sequences, ``rhs`` the right-hand
+    side; entries may be ints or Fractions.
+    """
+    rank, x = _solve(rows, rhs, len(rows))
+    return x if rank == len(rows) else None
+
+
 def solve_rational_system(rows, rhs):
     """One rational solution of a general (possibly non-square) system,
     with free variables set to zero; None when inconsistent."""
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        sol[c] = m[row_idx][ncols]
-    return tuple(sol)
+    return _solve(rows, rhs, len(rows[0]))[1] if rows else ()
 
 
-def rational_rank(rows) -> int:
-    """Rank of a matrix with int/Fraction entries, by exact elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(row, len(m)):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col]
-        m[row] = [x / inv for x in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        rank += 1
-        row += 1
-    return rank
+def rational_inverse(rows):
+    """Rows of the inverse of a square rational matrix; None if singular."""
+    n = len(rows)
+    pivots, m, d = row_reduce(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+    if len(pivots) < n:
+        return None
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in m)
 
 
 def vector_content(vec) -> int:
@@ -624,11 +603,8 @@ def gale_dual(beta: GroupHom) -> GroupHom:
     dg = FgAbelianGroup(len(free_rows), torsion_orders)
     cols = []
     for j in range(m):
-        e = [0] * pres.ncols
-        e[j] = 1
-        coord = [sum(fr[t] * e[t] for t in range(len(e))) for fr in free_rows]
-        coord += [sum(tr[t] * e[t] for t in range(len(e))) % o
-                  for tr, o in zip(torsion_rows, torsion_orders)]
+        coord = [fr[j] for fr in free_rows]
+        coord += [tr[j] % o for tr, o in zip(torsion_rows, torsion_orders)]
         cols.append(coord)
     if dg.generator_count == 0:
         matrix = IntMatrix.zero(0, m)
@@ -637,58 +613,17 @@ def gale_dual(beta: GroupHom) -> GroupHom:
     return GroupHom(FgAbelianGroup(m), dg, matrix)
 
 
+def rational_coordinates_in_basis(basis_rows, vec):
+    """Rational coordinates of ``vec`` in the span of the basis; None when
+    ``vec`` is outside the span or the basis is dependent."""
+    n = len(basis_rows)
+    rank, x = _solve([[b[i] for b in basis_rows] for i in range(len(vec))], vec, n)
+    return x if rank == n else None
+
+
 def coordinates_in_basis(basis_rows, vec):
     """Integer coordinates of ``vec`` in the given lattice basis, else None."""
-    if not basis_rows:
-        return () if all(x == 0 for x in vec) else None
-    cols = list(zip(*basis_rows))
-    n = len(basis_rows)
-    # Solve (basis^T) c = vec in the least-squares-free exact sense: use
-    # any n independent coordinate rows.
-    idx = []
-    probe = []
-    for i, row in enumerate(cols):
-        cand = probe + [row]
-        if rational_rank(cand) == len(cand):
-            probe = cand
-            idx.append(i)
-        if len(idx) == n:
-            break
-    if len(idx) < n:
+    x = rational_coordinates_in_basis(basis_rows, vec)
+    if x is None or any(c.denominator != 1 for c in x):
         return None
-    sol = solve_rational([cols[i] for i in idx], [vec[i] for i in idx])
-    if sol is None:
-        return None
-    # Verify all coordinates and integrality.
-    for i, row in enumerate(cols):
-        if sum(Fraction(row[j]) * sol[j] for j in range(n)) != vec[i]:
-            return None
-    if any(s.denominator != 1 for s in sol):
-        return None
-    return tuple(int(s) for s in sol)
-
-
-def rational_coordinates_in_basis(basis_rows, vec):
-    """Rational coordinates of ``vec`` in the span of the basis, else None."""
-    if not basis_rows:
-        return () if all(Fraction(x) == 0 for x in vec) else None
-    cols = list(zip(*basis_rows))
-    n = len(basis_rows)
-    idx = []
-    probe = []
-    for i, row in enumerate(cols):
-        cand = probe + [row]
-        if rational_rank(cand) == len(cand):
-            probe = cand
-            idx.append(i)
-        if len(idx) == n:
-            break
-    if len(idx) < n:
-        return None
-    sol = solve_rational([cols[i] for i in idx], [vec[i] for i in idx])
-    if sol is None:
-        return None
-    for i, row in enumerate(cols):
-        if sum(Fraction(row[j]) * sol[j] for j in range(n)) != Fraction(vec[i]):
-            return None
-    return tuple(sol)
+    return tuple(int(c) for c in x)

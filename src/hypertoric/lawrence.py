@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from hypertoric.arrangement import ArrangementError, StackyArrangement
+from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
 from hypertoric.exactalg import (
     IntMatrix,
     kernel_basis,
     rational_inverse,
-    rational_rank,
+    row_reduce,
     solve_rational,
 )
 
@@ -139,20 +139,24 @@ class LawrenceFan:
         pivots, inverse = self._h2_projection
         degree = tuple(sum(a * vec[p] for a, p in zip(row, pivots)) for row in inverse)
         if any(sum(c * b[i] for c, b in zip(degree, self.h2_basis)) != x for i, x in enumerate(vec)):
-            raise ArrangementError("l-pairing vector is outside the curve lattice")
+            raise InvariantError("l-pairing vector is outside the curve lattice")
         return tuple(vec), degree
 
     @cached_property
     def _h2_projection(self):
         """Coordinates on which ``h2_basis`` is independent, and the inverse
         of the basis restricted to them: it maps those coordinates of a
-        vector in the span to the vector's coefficients in the basis."""
-        pivots, rows = [], []
-        for i, row in enumerate(zip(*self.h2_basis)):
-            if rational_rank(rows + [row]) > len(rows):
-                pivots.append(i)
-                rows.append(row)
-        return tuple(pivots), rational_inverse(rows)
+        vector in the span to the vector's coefficients in the basis.
+
+        Both come from one reduction of [B | I], B the basis rows: the
+        pivot columns P are the coordinates, and the right block over the
+        last pivot is E with E B_P = I.  The coefficients c of a vector
+        v = c B are c = v_P E, so the projection's rows are E's columns."""
+        n = len(self.h2_basis)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        pivots, reduced, d = row_reduce(self.h2_basis, identity)
+        inverse = zip(*(row[-n:] for row in reduced))
+        return tuple(pivots), tuple(tuple(Fraction(x, d) for x in col) for col in inverse)
 
     def nonfacial_ray_pairs(self):
         """Ray pairs contained in no common maximal cone."""
@@ -208,15 +212,9 @@ def build_lawrence_fan(arr: StackyArrangement, theta=None) -> LawrenceFan:
     sigma_sets = []
     monomials = []
     for subset in itertools.combinations(range(m), f):
-        chosen = [cols[i] for i in subset]
-        if rational_rank(chosen) != f:
+        lam = solve_rational(list(zip(*(cols[i] for i in subset))), theta_free)
+        if lam is None:
             continue
-        if f == 0:
-            lam = ()
-        else:
-            lam = solve_rational(list(zip(*chosen)), theta_free)
-            if lam is None:
-                continue
         if any(x == 0 for x in lam):
             raise NonGeneric(f"basis {subset} solves theta with a zero coefficient")
         sigma = []
@@ -264,4 +262,6 @@ def _orient_h2_basis(fan: LawrenceFan) -> LawrenceFan:
 
 
 def lawrence_fan(arr: StackyArrangement) -> LawrenceFan:
+    """``build_lawrence_fan`` at the arrangement's own theta; only the
+    acceptance tests still import this name."""
     return build_lawrence_fan(arr)

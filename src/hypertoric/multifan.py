@@ -102,7 +102,7 @@ def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
             sub = IntMatrix.from_rows(tuple(zip(*cols)))
             ker = kernel_basis(sub)
             if len(ker) != 1:
-                raise ArrangementError("circuit kernel is not one-dimensional")
+                raise InvariantError("circuit kernel is not one-dimensional")
             w = primitive_vector(ker[0])
             pairing = sum(x * arr.psi[i] for i, x in zip(subset, w))
             if pairing == 0:
@@ -115,7 +115,7 @@ def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
                 beta_s[i] = x
             h2 = coordinates_in_basis(kb, tuple(beta_s))
             if h2 is None:
-                raise ArrangementError("curve class is not in the kernel lattice")
+                raise InvariantError("curve class is not in the kernel lattice")
             out.append(
                 Circuit(
                     support=tuple(subset),
@@ -130,15 +130,6 @@ def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
             )
     out.sort(key=lambda c: (len(c.support), c.support))
     return tuple(out)
-
-
-def curve_class_coordinates(circuit: Circuit, arr: StackyArrangement) -> tuple[int, ...]:
-    """Coordinates of the circuit curve class in the canonical kernel basis."""
-    kb = kernel_basis(arr.beta.free_part())
-    coords = coordinates_in_basis(kb, circuit.beta_S)
-    if coords is None:
-        raise ArrangementError("curve class is not in the kernel lattice")
-    return coords
 
 
 @dataclass(frozen=True)

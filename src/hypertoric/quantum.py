@@ -18,7 +18,7 @@ from fractions import Fraction
 from hypertoric.arrangement import ArrangementError, StackyArrangement
 from hypertoric.crring import CohomologyContext, CRClass, cr_multiply
 from hypertoric.exactalg import solve_rational_system
-from hypertoric.lawrence import LawrenceFan, lawrence_fan
+from hypertoric.lawrence import LawrenceFan, build_lawrence_fan
 from hypertoric.localize import (
     UnsupportedClass,
     WeightedModel,
@@ -548,7 +548,7 @@ def qsr_multiply(a: QSRElement, b: QSRElement, fan: LawrenceFan, order) -> QSREl
 
 def qsr_presentation(qctx: QuantumContext, fan: LawrenceFan | None = None, order=6):
     """The defining relations: one per hyperplane, y(z-ray) + y(w-ray) = hbar."""
-    fan = fan or lawrence_fan(qctx.arr)
+    fan = fan or build_lawrence_fan(qctx.arr)
     ring = qctx.context.ring
     rels = []
     for i in range(qctx.arr.m):

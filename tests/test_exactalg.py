@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,16 @@ from hypertoric.exactalg import (
     IntMatrix,
     NotInImage,
     TorsionColumn,
+    coordinates_in_basis,
     gale_dual,
     hermite_row_basis,
     kernel_basis,
+    rational_coordinates_in_basis,
+    rational_inverse,
+    rational_rank,
     smith_normal_form,
     solve_integer,
+    solve_rational,
     solve_rational_system,
 )
 
@@ -192,3 +198,98 @@ def test_snf_random_batch_deterministic():
         assert (U.entries, D.entries, V.entries) == (U2.entries, D2.entries, V2.entries)
         seen.append(D.entries)
     assert seen  # exercised
+
+
+def _sympy_fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def _draw_matrix(rng, nrows, ncols):
+    def entry():
+        if rng.random() < 0.4:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return rng.randint(-3, 3)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if nrows and rng.random() < 0.4:
+        # rank-deficient: the last row is a combination of the others
+        # (the zero row when there are none)
+        coeffs = [rng.randint(-2, 2) for _ in rows[:-1]]
+        rows[-1] = [sum((c * r[j] for c, r in zip(coeffs, rows)), 0) for j in range(ncols)]
+    return rows
+
+
+def test_rational_kernel_matches_sympy():
+    """rank, solve, inverse and coordinates against sympy's own
+    elimination, on seeded int/Fraction matrices with entries in [-3, 3]."""
+    import sympy
+
+    rng = random.Random(20151)
+    counts = {"deficient": 0, "inconsistent": 0, "singular": 0, "non_integral": 0}
+    for _ in range(500):
+        nrows, ncols = rng.randint(0, 7), rng.randint(1, 7)
+        rows = _draw_matrix(rng, nrows, ncols)
+        A = sympy.Matrix(nrows, ncols, [x for row in rows for x in row])
+        rank = A.rank()
+        assert rational_rank(rows) == rank
+        counts["deficient"] += rank < min(nrows, ncols)
+
+        # general systems, consistent (b = A x) or drawn at random
+        if rng.random() < 0.5:
+            x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+            rhs = [sum((a * c for a, c in zip(row, x)), Fraction(0)) for row in rows]
+        else:
+            rhs = [rng.randint(-3, 3) for _ in range(nrows)]
+        got = solve_rational_system(rows, rhs)
+        if nrows == 0:
+            assert got == ()
+        else:
+            b = sympy.Matrix(nrows, 1, rhs)
+            inconsistent = A.row_join(b).rank() > rank
+            counts["inconsistent"] += inconsistent
+            if inconsistent:
+                assert got is None
+            else:
+                sol, params = A.gauss_jordan_solve(b)
+                sol = sol.subs({p: 0 for p in params})
+                assert got == tuple(_sympy_fraction(v) for v in sol)
+
+        # the leading square block
+        k = min(nrows, ncols)
+        square = [row[:k] for row in rows[:k]]
+        rhs_k = rhs[:k]
+        if k:
+            S = A[:k, :k]
+            if S.det() == 0:
+                counts["singular"] += 1
+                assert solve_rational(square, rhs_k) is None
+                assert rational_inverse(square) is None
+            else:
+                want = S.LUsolve(sympy.Matrix(k, 1, rhs_k))
+                assert solve_rational(square, rhs_k) == tuple(_sympy_fraction(v) for v in want)
+                inv = S.inv()
+                assert rational_inverse(square) == tuple(
+                    tuple(_sympy_fraction(inv[i, j]) for j in range(k)) for i in range(k)
+                )
+
+        # coordinates in a basis: the integer rows of the matrix as a basis
+        basis = [[int(x * 2) for x in row] for row in rows]
+        coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in basis]
+        vec = [sum((c * r[j] for c, r in zip(coeffs, basis)), Fraction(0)) for j in range(ncols)]
+        if rng.random() < 0.2:
+            vec[rng.randrange(ncols)] += 1
+        B = sympy.Matrix(nrows, ncols, [x for row in basis for x in row])
+        independent = B.rank() == nrows
+        inside = B.col_join(sympy.Matrix(1, ncols, vec)).rank() == B.rank()
+        got = rational_coordinates_in_basis(basis, vec)
+        if not (independent and inside):
+            assert got is None
+            assert coordinates_in_basis(basis, vec) is None
+            continue
+        want = B.T.gauss_jordan_solve(sympy.Matrix(ncols, 1, vec))[0]
+        want = tuple(_sympy_fraction(v) for v in want)
+        assert got == want
+        integral = all(c.denominator == 1 for c in want)
+        counts["non_integral"] += not integral
+        assert coordinates_in_basis(basis, vec) == (want if integral else None)
+    assert all(n >= 20 for n in counts.values()), counts

@@ -6,19 +6,19 @@ from fractions import Fraction
 
 import pytest
 
+from hypertoric.arrangement import InvariantError
 from hypertoric.cli import payload_qsr
-from hypertoric.exactalg import rational_coordinates_in_basis
+from hypertoric.exactalg import rational_coordinates_in_basis, row_reduce
 from hypertoric.lawrence import (
     LawrenceFan,
     NonGeneric,
     OutsideSupport,
     build_lawrence_fan,
-    lawrence_fan,
 )
 
 
 def test_tp1_fan_shape(tp1):
-    fan = lawrence_fan(tp1)
+    fan = build_lawrence_fan(tp1)
     assert len(fan.rays) == 4
     assert len(fan.rays[0]) == 3  # rank d + m
     assert len(fan.max_cones) == 2
@@ -28,13 +28,13 @@ def test_tp1_fan_shape(tp1):
 
 
 def test_tp12_fan_shape(tp12):
-    fan = lawrence_fan(tp12)
+    fan = build_lawrence_fan(tp12)
     assert len(fan.rays) == 4
     assert len(fan.max_cones) == 2
 
 
 def test_hirzebruch_fan_counts(hirzebruch):
-    fan = lawrence_fan(hirzebruch)
+    fan = build_lawrence_fan(hirzebruch)
     assert len(fan.rays) == 2 * hirzebruch.m
     for cone in fan.max_cones:
         assert len(cone) == hirzebruch.m + hirzebruch.d
@@ -52,7 +52,7 @@ def test_nongeneric_on_wall(tp1):
 
 
 def test_locate_rays_and_sums(tp1):
-    fan = lawrence_fan(tp1)
+    fan = build_lawrence_fan(tp1)
     loc = fan.locate(fan.ray_vector(0))
     assert loc.coefficients == {0: Fraction(1)}
     cone = fan.max_cones[0]
@@ -65,7 +65,7 @@ def test_locate_rays_and_sums(tp1):
 
 def test_locate_expand_identity(shipped):
     for arr in shipped.values():
-        fan = lawrence_fan(arr)
+        fan = build_lawrence_fan(arr)
         for cone in fan.max_cones:
             for coeffs in itertools.product(range(2), repeat=min(3, len(cone))):
                 chosen = cone[: len(coeffs)]
@@ -95,7 +95,7 @@ def test_locate_same_with_cached_cone_inverses(shipped):
     """A cone's first scan solves its ray system directly and later scans
     reuse its inverse ray matrix; both give the same location."""
     for arr in shipped.values():
-        fan = lawrence_fan(arr)
+        fan = build_lawrence_fan(arr)
         points = [
             tuple(a + b for a, b in zip(fan.ray_vector(r), fan.ray_vector(s)))
             for r, s in itertools.combinations_with_replacement(range(len(fan.rays)), 2)
@@ -111,7 +111,7 @@ def test_l_pairing_locates_each_point_once(shipped):
     """The fan remembers every point the l-pairing located; a pairing
     answered from that memo equals one computed on a fresh fan."""
     for arr in shipped.values():
-        fan = lawrence_fan(arr)
+        fan = build_lawrence_fan(arr)
         pairs = [
             (fan.ray_vector(r), fan.ray_vector(s))
             for r, s in itertools.combinations_with_replacement(range(len(fan.rays)), 2)
@@ -146,15 +146,30 @@ def test_l_pairing_projection_matches_basis_coordinates(hirzebruch, monkeypatch)
         assert degree == rational_coordinates_in_basis(basis, vec)
 
 
+def test_l_pairing_outside_curve_lattice_is_internal(tp1, monkeypatch):
+    fan = build_lawrence_fan(tp1)
+    (pair,) = fan.nonfacial_ray_pairs()
+    real = row_reduce
+
+    def wrong_last_pivot(rows, right=()):
+        pivots, reduced, d = real(rows, right)
+        return pivots, reduced, 2 * d
+
+    monkeypatch.setattr("hypertoric.lawrence.row_reduce", wrong_last_pivot)
+    fresh = dataclasses.replace(fan)  # no projection cached yet
+    with pytest.raises(InvariantError, match="curve lattice"):
+        fresh.l_pairing(fan.ray_vector(pair[0]), fan.ray_vector(pair[1]))
+
+
 def test_outside_support(tp1):
-    fan = lawrence_fan(tp1)
+    fan = build_lawrence_fan(tp1)
     with pytest.raises(OutsideSupport):
         fan.locate((0, -1, -1))
 
 
 def test_l_pairing_symmetry_and_zero(tp1, tp12):
     for arr in (tp1, tp12):
-        fan = lawrence_fan(arr)
+        fan = build_lawrence_fan(arr)
         pts = [fan.ray_vector(r) for r in range(4)]
         zero = tuple(0 for _ in pts[0])
         for p in pts:
@@ -172,7 +187,7 @@ def test_l_pairing_symmetry_and_zero(tp1, tp12):
 
 def test_same_cone_pairs_vanish(shipped):
     for arr in shipped.values():
-        fan = lawrence_fan(arr)
+        fan = build_lawrence_fan(arr)
         for cone in fan.max_cones:
             for a, b in itertools.combinations(cone[:4], 2):
                 vec, deg = fan.l_pairing(fan.ray_vector(a), fan.ray_vector(b))
@@ -180,11 +195,11 @@ def test_same_cone_pairs_vanish(shipped):
 
 
 def test_nonfacial_pair_positive_degree(tp1, tp12):
-    fan1 = lawrence_fan(tp1)
+    fan1 = build_lawrence_fan(tp1)
     (pair,) = fan1.nonfacial_ray_pairs()
     _, deg = fan1.l_pairing(fan1.ray_vector(pair[0]), fan1.ray_vector(pair[1]))
     assert deg == (Fraction(1),)
-    fan12 = lawrence_fan(tp12)
+    fan12 = build_lawrence_fan(tp12)
     (pair12,) = fan12.nonfacial_ray_pairs()
     _, deg12 = fan12.l_pairing(
         fan12.ray_vector(pair12[0]), fan12.ray_vector(pair12[1])
@@ -193,16 +208,16 @@ def test_nonfacial_pair_positive_degree(tp1, tp12):
 
 
 def test_cone_lattice_index(tp1, tp12):
-    fan1 = lawrence_fan(tp1)
+    fan1 = build_lawrence_fan(tp1)
     assert [fan1.cone_index(c) for c in fan1.max_cones] == [1, 1]
-    fan12 = lawrence_fan(tp12)
+    fan12 = build_lawrence_fan(tp12)
     # one chart is unimodular, the other carries the order-two stabilizer
     assert sorted(fan12.cone_index(c) for c in fan12.max_cones) == [1, 2]
 
 
 def test_l_vector_is_ray_relation(tp12):
     # the l vector contracts the rays to zero: it is a genuine curve relation
-    fan = lawrence_fan(tp12)
+    fan = build_lawrence_fan(tp12)
     (pair,) = fan.nonfacial_ray_pairs()
     vec, _ = fan.l_pairing(fan.ray_vector(pair[0]), fan.ray_vector(pair[1]))
     dim = len(fan.rays[0])

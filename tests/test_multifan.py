@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from hypertoric.arrangement import StackyArrangement
-from hypertoric.exactalg import FgAbelianGroup
+from hypertoric.arrangement import InvariantError, StackyArrangement
+from hypertoric.exactalg import FgAbelianGroup, kernel_basis
 from hypertoric.multifan import (
     MultiFan,
     box_elements,
     box_inverse,
     circuits,
-    curve_class_coordinates,
 )
 
 
@@ -59,8 +58,23 @@ def test_curve_classes_in_canonical_basis(hirzebruch, hirzebruch_weighted):
     assert cw[(0, 1, 3)].h2_class == (1, -2)
     assert cw[(0, 2, 3)].h2_class == (1, 0)
     for arr, table in ((hirzebruch, cs), (hirzebruch_weighted, cw)):
+        kb = kernel_basis(arr.beta.free_part())
         for c in table.values():
-            assert curve_class_coordinates(c, arr) == c.h2_class
+            total = [sum(x * b[i] for x, b in zip(c.h2_class, kb)) for i in range(arr.m)]
+            assert tuple(total) == c.beta_S
+
+
+def test_circuit_kernel_of_wrong_dimension_is_internal(hirzebruch, monkeypatch):
+    real = kernel_basis
+    monkeypatch.setattr("hypertoric.multifan.kernel_basis", lambda A: real(A) * 2)
+    with pytest.raises(InvariantError, match="not one-dimensional"):
+        circuits(hirzebruch)
+
+
+def test_curve_class_outside_kernel_lattice_is_internal(hirzebruch, monkeypatch):
+    monkeypatch.setattr("hypertoric.multifan.coordinates_in_basis", lambda basis, vec: None)
+    with pytest.raises(InvariantError, match="kernel lattice"):
+        circuits(hirzebruch)
 
 
 def test_circuit_weight_relation(shipped):

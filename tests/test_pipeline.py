@@ -15,7 +15,7 @@ from fractions import Fraction
 from hypertoric.arrangement import StackyArrangement, check_generic
 from hypertoric.crring import CohomologyContext, CRClass, cr_multiply
 from hypertoric.exactalg import FgAbelianGroup, GroupHom, IntMatrix, gale_dual
-from hypertoric.lawrence import OutsideSupport, lawrence_fan
+from hypertoric.lawrence import OutsideSupport, build_lawrence_fan
 from hypertoric.multifan import MultiFan, box_elements, box_inverse, circuits
 
 
@@ -90,7 +90,7 @@ def test_chamber_identities_random():
 
 def test_lawrence_identities_random():
     for arr in ARRANGEMENTS:
-        fan = lawrence_fan(arr)
+        fan = build_lawrence_fan(arr)
         assert len(fan.rays) == 2 * arr.m
         for cone in fan.max_cones:
             assert len(cone) == arr.m + arr.d
