@@ -19,6 +19,7 @@ from hypertoric.exactalg import (
     kernel_basis,
     primitive_vector,
     rational_rank,
+    row_reduce,
     smith_normal_form,
 )
 
@@ -78,10 +79,12 @@ class Circuit:
 def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
     """All circuits, oriented by the halfspace emptiness test.
 
-    The weight vector w is the primitive kernel vector of the restricted
-    matrix; of its two signings exactly one makes the mixed halfspace
-    intersection empty (side 'G' of the positive hyperplanes, side 'F' of
-    the negative ones), and that signing is the canonical split.  Since
+    One fraction-free reduction of a subset's columns gives its rank, its
+    kernel vector and so its minimality (no zero entry).  The weight vector
+    w is the primitive kernel vector of a circuit; of its two signings
+    exactly one makes the mixed halfspace intersection empty (side 'G' of
+    the positive hyperplanes, side 'F' of the negative ones), and that
+    signing is the canonical split.  Since
     sum w_i b_i = 0, sum w_i (<b_i, v> + psi_i) = sum w_i psi_i at every v,
     while each term is <= 0 on the mixed intersection; so the empty
     signing is the one that pairs positively with psi.  A zero pairing
@@ -92,18 +95,21 @@ def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
     for size in range(2, arr.d + 2):
         for subset in itertools.combinations(range(arr.m), size):
             cols = [arr.b_bar(i) for i in subset]
-            if rational_rank(cols) != size - 1:
-                continue
-            if any(
-                rational_rank([arr.b_bar(i) for i in subset if i != drop]) != size - 1
-                for drop in subset
-            ):
-                continue  # not minimal
-            sub = IntMatrix.from_rows(tuple(zip(*cols)))
-            ker = kernel_basis(sub)
-            if len(ker) != 1:
+            pivots, reduced, last = row_reduce(list(zip(*cols)))
+            if len(pivots) != size - 1:
+                continue  # independent, or its kernel holds a smaller circuit
+            # the kernel is spanned by the vector with `last` at the free
+            # column and minus that column of the reduced rows at the pivots
+            (free,) = set(range(size)) - set(pivots)
+            w = [last] * size
+            for k, row in zip(pivots, reduced):
+                w[k] = -row[free]
+            if 0 in w:
+                continue  # not minimal: the kernel vector lives on a subset
+            if any(sum(x * col[r] for x, col in zip(w, cols)) for r in range(arr.d)):
+                # the reduction reported rank size - 1 for a vector it does not annihilate
                 raise InvariantError("circuit kernel is not one-dimensional")
-            w = primitive_vector(ker[0])
+            w = primitive_vector(w)
             pairing = sum(x * arr.psi[i] for i, x in zip(subset, w))
             if pairing == 0:
                 raise InvariantError(f"circuit {subset} pairs to zero with psi: theta is on a wall")

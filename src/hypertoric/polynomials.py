@@ -280,6 +280,33 @@ def divide_linear(p: Poly, form: Poly) -> tuple[Poly, Poly]:
     return Poly(ring, quotient), a[0] - rest * b[0]
 
 
+def sympy_str(p: Poly) -> str:
+    """``str(poly_to_sympy(p))``, without sympy.
+
+    Terms come in lex order over the names sorted as strings, largest
+    first; a coefficient c = num/den prints as ``num*mono/den``.  sympy's
+    one exception (``Expr.as_ordered_terms``): a positive constant plus a
+    negative multiple of one variable's power prints the constant first,
+    as in ``1 - hbar``.
+    """
+    names = p.ring.names
+    order = sorted(range(len(names)), key=names.__getitem__)
+    terms = sorted(p.terms.items(), key=lambda mc: [mc[0][i] for i in order], reverse=True)
+    if len(terms) == 2:
+        (mono, c), (last, const) = terms
+        if not any(last) and const > 0 and c < 0 and sum(map(bool, mono)) == 1:
+            terms.reverse()
+    parts = []
+    for mono, c in terms:
+        factors = [names[i] + (f"**{mono[i]}" if mono[i] > 1 else "") for i in order if mono[i]]
+        if abs(c.numerator) != 1 or not factors:
+            factors.insert(0, str(abs(c.numerator)))
+        text = "*".join(factors) + (f"/{c.denominator}" if c.denominator != 1 else "")
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + text)
+    return " ".join(parts) or "0"
+
+
 def poly_to_sympy(p: Poly):
     """Convert to a sympy expression in the plain symbols of the ring's names."""
     import sympy

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -9,7 +11,8 @@ import pytest
 
 import hypertoric
 
-from hypertoric.cli import run
+from hypertoric.cli import build_arrangement, run
+from hypertoric.multifan import circuits
 from hypertoric.examples_data import example_document, example_names
 
 
@@ -289,33 +292,157 @@ def test_quantum_all_conventions(capsys, write_examples):
 SYMPY_FREE_SCRIPT = """
 import contextlib, io, json, sys
 import hypertoric.cli
-loaded = {"import": "sympy" in sys.modules}
-doc = sys.argv[1]
+heavy = ("sympy", "jsonschema")
+loaded = {"import": [m for m in heavy if m in sys.modules]}
+doc, p12 = sys.argv[1], sys.argv[2]
 commands = (
     ["gale"], ["circuits"], ["box"], ["core"], ["fan"], ["cohomology"],
     ["quantum-divisor", "--divisor", "1", "--with", "2"], ["qsr"],
+    ["localize"], ["steinberg"],
 )
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         code = hypertoric.cli.run([argv[0], "--input", doc, *argv[1:]])
-    loaded[argv[0]] = (code, "sympy" in sys.modules)
+    loaded[argv[0]] = (code, [m for m in heavy if m in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = hypertoric.cli.run(["localize", "--input", p12, "--convention", "paper"])
+loaded["localize --convention paper"] = (code, [m for m in heavy if m in sys.modules])
 print(json.dumps(loaded))
 """
 
 
 def test_commands_do_not_import_sympy():
-    """sympy is loaded only to print localization tables and for the paper
-    convention: the CLI import and the other commands never load it."""
+    """sympy is loaded only for the paper convention's steinberg, integrate
+    and nonequivariant_limit, and jsonschema never: the CLI import and the
+    other commands load neither."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hypertoric.__file__)))
-    doc = os.path.join(os.path.dirname(__file__), "..", "arrangements", "hirzebruch.json")
+    root = os.path.join(os.path.dirname(__file__), "..", "arrangements")
+    docs = [os.path.join(root, f"{name}.json") for name in ("hirzebruch", "cotangent-p12")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run(
-        [sys.executable, "-c", SYMPY_FREE_SCRIPT, doc],
+        [sys.executable, "-c", SYMPY_FREE_SCRIPT, *docs],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     ).stdout
     loaded = json.loads(out)
-    assert loaded.pop("import") is False
+    assert loaded.pop("import") == []
     assert loaded == {
-        cmd: [0, False]
-        for cmd in ("gale", "circuits", "box", "core", "fan", "cohomology", "quantum-divisor", "qsr")
+        cmd: [0, []]
+        for cmd in (
+            "gale", "circuits", "box", "core", "fan", "cohomology", "quantum-divisor", "qsr",
+            "localize", "steinberg", "localize --convention paper",
+        )
     }
+
+
+def _mutated_documents(rng, count):
+    """Seeded mutations of the shipped examples, plus non-object documents."""
+    odd = [True, False, None, 1.0, 1.5, -1, -2.0, 0, 1, 2, 3.0, "x", "", [], {}, [1],
+           {"a": 1}, 10**30, "hypertoric-arrangement/0"]
+    keys = ["schema_version", "name", "rank", "torsion", "beta", "theta", "psi"]
+    bases = [example_document(name) for name in example_names()]
+
+    def pick():
+        return copy.deepcopy(rng.choice(odd))
+
+    for _ in range(count):
+        if rng.random() < 0.05:
+            yield pick()
+            continue
+        doc = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(5)
+            if kind == 0:
+                doc.pop(rng.choice(keys), None)
+            elif kind == 1:
+                doc[rng.choice(["a", "x", "extra", "Rank"])] = pick()
+            elif kind == 2:
+                doc[rng.choice(keys)] = pick()
+            else:  # inside an array, or in a column of beta
+                seq = doc.get(rng.choice(["torsion", "beta", "beta", "theta", "psi"]))
+                if isinstance(seq, list) and seq and isinstance(seq[0], list) and rng.random() < 0.6:
+                    seq = seq[0]
+                if not isinstance(seq, list):
+                    continue
+                r = rng.random()
+                if r < 0.15:
+                    seq.clear()
+                elif seq and r < 0.4:
+                    del seq[rng.randrange(len(seq))]
+                elif seq:
+                    seq[rng.randrange(len(seq))] = pick()
+                else:
+                    seq.append(pick())
+        yield doc
+
+
+def test_validator_matches_jsonschema():
+    """The in-house check finds jsonschema's errors, messages and paths, in
+    jsonschema's order, on seeded mutated documents; so it reports the same
+    first error and accepts what jsonschema accepts."""
+    import jsonschema
+
+    from hypertoric.cli import ARRANGEMENT_SCHEMA, InputError, schema_errors, validate_document
+
+    oracle = jsonschema.Draft202012Validator(ARRANGEMENT_SCHEMA)
+    seen = {"valid": 0}
+    for doc in _mutated_documents(random.Random(2015), 2500):
+        errors = sorted(oracle.iter_errors(doc), key=lambda e: str(e.path))
+        expected = [(e.message, "/".join(map(str, e.path)) or "(document)") for e in errors]
+        ours = sorted(schema_errors(ARRANGEMENT_SCHEMA, doc), key=lambda e: repr(list(e[1])))
+        assert [(m, "/".join(map(str, p)) or "(document)") for m, p in ours] == expected, doc
+        try:
+            validate_document(doc)
+            assert not expected, doc
+            seen["valid"] += 1
+        except InputError as e:
+            assert (str(e), e.path) == expected[0], doc
+        for e in errors:  # each kind of violation occurs
+            seen[e.validator] = seen.get(e.validator, 0) + 1
+    kinds = ("valid", "type", "const", "minimum", "minItems", "required", "additionalProperties")
+    assert all(seen.get(k, 0) >= 20 for k in kinds), seen
+
+
+def test_validator_rejects_unknown_schema_keywords():
+    from hypertoric.cli import schema_errors
+
+    for schema in ({"type": "number"}, {"maxItems": 3}, {"const": 1}, {"additionalProperties": {}}):
+        with pytest.raises(ValueError, match="not supported"):
+            list(schema_errors(schema, 1))
+
+
+def test_integral_floats_hash_as_integers(capsys, tmp_path):
+    """JSON Schema counts 1.0 as an integer; such a document is the same
+    input as the one spelled with ints, envelope and hash alike."""
+    doc = example_document("cotangent-p12")
+    floats = {k: v if k in ("schema_version", "name") else json.loads(json.dumps(v), parse_int=float)
+              for k, v in doc.items()}
+    assert floats["rank"] == 1.0 and isinstance(floats["beta"][0][0], float)
+    paths = []
+    for name, d in (("ints", doc), ("floats", floats)):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(d), encoding="utf-8")
+        paths.append(str(p))
+    for cmd in ("gale", "core", "circuits", "box", "qsr"):
+        outs = [invoke(capsys, [cmd, "--input", p]) for p in paths]
+        assert outs[0][0] == 0 and outs[0] == outs[1], cmd
+
+
+def test_localize_prints_as_sympy(monkeypatch):
+    """Every localize payload of the shipped examples, in both conventions,
+    is the one printed through sympy."""
+    from hypertoric import cli
+    from hypertoric.polynomials import poly_to_sympy
+
+    cases = []
+    for name in example_names():
+        arr = build_arrangement(example_document(name))
+        for index in range(1, len(circuits(arr)) + 1):
+            for convention in ("standard", "paper"):
+                try:
+                    cases.append((arr, index, convention, cli.payload_localize(arr, index, convention)))
+                except cli.InputError:
+                    assert convention == "paper"
+    monkeypatch.setattr(cli, "sympy_str", lambda p: str(poly_to_sympy(p)))
+    for arr, index, convention, payload in cases:
+        assert payload == cli.payload_localize(arr, index, convention)
+    assert sum(c[2] == "paper" for c in cases) >= 1 and len(cases) >= 8

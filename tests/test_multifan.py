@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hypertoric.arrangement import InvariantError, StackyArrangement
-from hypertoric.exactalg import FgAbelianGroup, kernel_basis
+from hypertoric.exactalg import FgAbelianGroup, kernel_basis, row_reduce
 from hypertoric.multifan import (
     MultiFan,
     box_elements,
@@ -65,8 +65,11 @@ def test_curve_classes_in_canonical_basis(hirzebruch, hirzebruch_weighted):
 
 
 def test_circuit_kernel_of_wrong_dimension_is_internal(hirzebruch, monkeypatch):
-    real = kernel_basis
-    monkeypatch.setattr("hypertoric.multifan.kernel_basis", lambda A: real(A) * 2)
+    def skewed(rows):  # a reduction whose kernel vector misses the kernel
+        pivots, reduced, last = row_reduce(rows)
+        return pivots, reduced, 2 * last
+
+    monkeypatch.setattr("hypertoric.multifan.row_reduce", skewed)
     with pytest.raises(InvariantError, match="not one-dimensional"):
         circuits(hirzebruch)
 
