@@ -125,9 +125,6 @@ class CRClass:
                 return p
         return self.context.ring.zero()
 
-    def untwisted_part(self) -> Poly:
-        return self.component(self.context.trivial_box())
-
     def is_zero(self) -> bool:
         return not self.components
 

@@ -163,9 +163,6 @@ class FgAbelianGroup:
     def generator_count(self) -> int:
         return self.rank + len(self.torsion_invariants)
 
-    def is_free(self) -> bool:
-        return not self.torsion_invariants
-
     def reduce_vector(self, vec) -> tuple[int, ...]:
         """Reduce the torsion coordinates of ``vec`` modulo the invariant orders."""
         vec = tuple(int(x) for x in vec)

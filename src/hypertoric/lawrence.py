@@ -39,10 +39,6 @@ class ConeCoordinates:
     max_cone: tuple[int, ...]
     coefficients: dict  # ray id -> Fraction, zero entries omitted
 
-    @property
-    def minimal_rays(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coefficients))
-
     def coefficient(self, ray_id: int) -> Fraction:
         return self.coefficients.get(ray_id, Fraction(0))
 

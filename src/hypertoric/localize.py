@@ -10,8 +10,8 @@ and nothing more.
 
 Tables hold exact ``Poly`` linear forms, and the compact sector integrals
 that the quantum product reads are exact polynomial arithmetic.  sympy is
-imported only where a rational function is the result: ``integrate``,
-``nonequivariant_limit`` and the hard-coded convention's operator.
+imported only where a rational function is the result: ``integrate`` and
+the hard-coded convention's operator.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 
 from hypertoric.exactalg import rational_rank
 from hypertoric.polynomials import Poly, PolyRing, divide_linear, poly_to_sympy
@@ -75,13 +75,6 @@ class WeightedModel:
     @property
     def n(self) -> int:
         return len(self.weights) - 1
-
-    @property
-    def lcm(self) -> int:
-        out = 1
-        for w in self.weights:
-            out = out * w // gcd(out, w)
-        return out
 
     def hbar_form(self) -> Poly:
         return self.ring.var("hbar")
@@ -297,36 +290,6 @@ def integrate_base(
     return numerator
 
 
-def nonequivariant_limit(expr):
-    """Set all lam parameters to zero.
-
-    Rejected when the class has negative homogeneous degree (the limit
-    of an equivariant residue of subcritical degree is not a class) or
-    when the substitution is singular.
-    """
-    import sympy
-
-    expr = sympy.cancel(sympy.together(sympy.sympify(expr)))
-    if expr == 0:
-        return sympy.Integer(0)
-    syms = sorted(expr.free_symbols, key=str)
-    num, den = sympy.fraction(expr)
-    deg = sympy.Integer(0)
-    if syms:
-        deg = sympy.Poly(num, *syms).total_degree() - (
-            sympy.Poly(den, *syms).total_degree() if den.free_symbols else 0
-        )
-    if deg < 0:
-        raise LocalizeError(
-            "nonequivariant limit is undefined: the class has negative degree"
-        )
-    lams = [s for s in syms if str(s).startswith("lam")]
-    den0 = den.subs({s: 0 for s in lams})
-    if sympy.simplify(den0) == 0:
-        raise LocalizeError("nonequivariant limit is undefined for this class")
-    return sympy.cancel(num.subs({s: 0 for s in lams}) / den0)
-
-
 def fiber_class_expr(model: WeightedModel, support=None) -> Poly:
     """The zero-section dual class of a sector, as a polynomial in the u's:
     sum of (-1)^j e_j(u) hbar^(n-j) over the sector support."""
@@ -356,7 +319,6 @@ class SteinbergOperator:
     the convention pins them directly (used by the hard-coded table).
     """
 
-    direction: str  # "forward" | "inverse"
     sector_order: tuple
     matrix: tuple  # rows indexed by output sector
     generator_images: dict  # name -> dict output sector -> coeff
@@ -445,7 +407,7 @@ def steinberg_operator(
             sign = (-1) ** (s_in.age + s_out.age)
             target = idx[_sector_inverse(s_out.f)]
             rows[target][idx[s_in.f]] += sign * weight
-    return SteinbergOperator(direction, order, tuple(tuple(r) for r in rows), {})
+    return SteinbergOperator(order, tuple(tuple(r) for r in rows), {})
 
 
 def _paper_steinberg(model, table, direction, order):
@@ -474,7 +436,7 @@ def _paper_steinberg(model, table, direction, order):
             "fiber": {e0: I, et: I},
             "box": {e0: half, et: half},
         }
-    return PaperSteinbergOperator(direction, order, matrix, images)
+    return PaperSteinbergOperator(order, matrix, images)
 
 
 def orbifold_degrees(model: WeightedModel):

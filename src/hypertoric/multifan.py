@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
+from hypertoric.arrangement import InvariantError, StackyArrangement
 from hypertoric.exactalg import (
     IntMatrix,
     coordinates_in_basis,
@@ -198,14 +198,11 @@ def _cone_boxes(arr: StackyArrangement, sigma) -> list[BoxElement]:
         ]
         if any(a == 0 for a in alpha):
             continue  # belongs to a proper face
-        v_free = tuple(
-            int(sum(Fraction(cols[t][r]) * alpha[t] for t in range(k)))
-            for r in range(arr.d)
-        )
-        # sanity: the combination really is integral
-        for r in range(arr.d):
-            if sum(Fraction(cols[t][r]) * alpha[t] for t in range(k)) != v_free[r]:
-                raise ArrangementError("non-integral box candidate")
+        v_free = tuple(sum(cols[t][r] * alpha[t] for t in range(k)) for r in range(arr.d))
+        if any(x.denominator != 1 for x in v_free):
+            # the Smith form guarantees an integral combination
+            raise InvariantError("non-integral box candidate")
+        v_free = tuple(int(x) for x in v_free)
         for tor in _torsion_elements(arr.group_N):
             out.append(
                 BoxElement(

@@ -161,18 +161,6 @@ class Poly:
             out &= set(indices)
         return out
 
-    def coefficient_of(self, name: str, power: int = 1) -> "Poly":
-        """Coefficient polynomial of ``name**power`` (other powers of the
-        variable are dropped)."""
-        i = self.ring.index[name]
-        out = {}
-        for m, c in self.terms.items():
-            if m[i] == power:
-                mm = list(m)
-                mm[i] = 0
-                out[tuple(mm)] = out.get(tuple(mm), Fraction(0)) + c
-        return Poly(self.ring, out)
-
     def substitute(self, assignment: dict) -> "Poly":
         """Substitute polynomials or scalars for named variables."""
         subs = {}

@@ -3,10 +3,13 @@
 The divisor product is assembled circuit by circuit: each circuit
 contributes correction terms supported on the compatible sector pairs of
 its weighted projective model, with geometric series in the circuit's
-Novikov variable expanded exactly to the truncation order.  The sign
-bookkeeping ships in three conventions; the default is calibrated so
-that the worked example series are reproduced at low order, and the
-other two literal readings are available for differential testing.
+Novikov variable expanded exactly to the truncation order.  The degree
+residue of each pair solves congruences in the circuit weights by the
+Chinese remainder theorem, once per circuit, when its model is built.
+The sign bookkeeping ships in three conventions; the default is
+calibrated so that the worked example series are reproduced at low
+order, and the other two literal readings are available for
+differential testing.
 """
 
 from __future__ import annotations
@@ -14,13 +17,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from hypertoric.arrangement import ArrangementError, StackyArrangement
+from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
 from hypertoric.crring import CohomologyContext, CRClass, cr_multiply
 from hypertoric.exactalg import solve_rational_system
 from hypertoric.lawrence import LawrenceFan, build_lawrence_fan
 from hypertoric.localize import (
-    UnsupportedClass,
     WeightedModel,
     fiber_class_expr,
     integrate_base,
@@ -41,54 +44,49 @@ class TruncationTooSmall(QuantumError):
     pass
 
 
-def r_of_sector_pair(f1: Fraction, f2: Fraction, weights) -> int | None:
-    """The unique degree residue carrying maps with sector ends (f1, f2).
-
-    A residue r in {0, ..., lcm-1} qualifies when some ordered pair of
-    distinct weight slots (i, j) satisfies <r/w_i> = f1, <r/w_j> = f2
-    and every remaining slot weight divides r.  Returns None when no
-    residue qualifies (an incompatible pair).
-    """
-    weights = tuple(int(w) for w in weights)
-    model = WeightedModel(weights)
-    l = model.lcm
-    found = []
-    for r in range(l):
-        ok = False
-        for i, j in itertools.permutations(range(len(weights)), 2):
-            if Fraction(r, weights[i]) % 1 != f1:
-                continue
-            if Fraction(r, weights[j]) % 1 != f2:
-                continue
-            if all(r % weights[k] == 0 for k in range(len(weights)) if k not in (i, j)):
-                ok = True
-                break
-        if ok:
-            found.append(r)
-    if not found:
+def _crt(r1: int, m1: int, r2: int, m2: int):
+    """The common solution of r = r1 mod m1 and r = r2 mod m2, as
+    (residue, lcm(m1, m2)), or None when the congruences disagree."""
+    g = gcd(m1, m2)
+    if (r2 - r1) % g:
         return None
-    if len(found) > 1:
-        raise QuantumError(f"sector pair ({f1},{f2}) has several residues {found}")
-    return found[0]
+    t = (r2 - r1) // g * pow(m1 // g, -1, m2 // g)
+    l = m1 // g * m2
+    return (r1 + m1 * t) % l, l
 
 
-@dataclass(frozen=True)
-class CircuitQuantumData:
-    circuit: Circuit
-    lcm_w: int
-    sector_pairs: tuple  # ((f1, f2, r), ...)
+def sector_pairs(weights) -> tuple:
+    """The compatible sector pairs (f1, f2, r) of a circuit, in sector order.
 
-
-def circuit_quantum_data(circuit: Circuit) -> CircuitQuantumData:
-    model = WeightedModel(circuit.weights)
-    fracs = tuple(s.f for s in sectors(model))
+    The degree residue r mod lcm(w) carries maps with sector ends (f1, f2)
+    when some ordered pair of distinct weight slots (i, j) has
+    <r/w_i> = f1, <r/w_j> = f2 and every remaining slot weight dividing r.
+    For each (i, j), f1 = a/w_i and f2 = b/w_j these are the congruences
+    r = a mod w_i, r = b mod w_j and r = 0 mod the other weights' lcm,
+    with at most one common solution.  Sectors are ordered by fraction,
+    so the pairs come sorted.  When two slot pairs give one sector pair
+    different residues, the product has no single series for it, and the
+    pair raises.
+    """
+    found: dict = {}  # (f1, f2) -> residues
+    for i, j in itertools.permutations(range(len(weights)), 2):
+        wi, wj = weights[i], weights[j]
+        rest = lcm(*(w for k, w in enumerate(weights) if k not in (i, j)))
+        for a in range(wi):
+            partial = _crt(0, rest, a, wi)
+            if partial is None:
+                continue
+            for b in range(wj):
+                solved = _crt(*partial, b, wj)
+                if solved is not None:
+                    found.setdefault((Fraction(a, wi), Fraction(b, wj)), set()).add(solved[0])
     pairs = []
-    for f1 in fracs:
-        for f2 in fracs:
-            r = r_of_sector_pair(f1, f2, circuit.weights)
-            if r is not None:
-                pairs.append((f1, f2, r))
-    return CircuitQuantumData(circuit, model.lcm, tuple(pairs))
+    for f1, f2 in sorted(found):
+        residues = sorted(found[f1, f2])
+        if len(residues) > 1:
+            raise InvariantError(f"sector pair ({f1},{f2}) has several residues {residues}")
+        pairs.append((f1, f2, residues[0]))
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +122,7 @@ class CircuitModel:
         self._sectors = {sec.f: sec for sec in sectors(self.model)}
         self._elimination = self._build_elimination()
         self._sector_boxes = {f: self._box_of_fraction(f) for f in self._sectors}
+        self.sector_pairs = sector_pairs(circuit.weights)
 
     # -- translation ---------------------------------------------------------
 
@@ -164,13 +163,13 @@ class CircuitModel:
         subs = {}
         for t in sorted(used):
             if t not in self._elimination:
-                raise UnsupportedClass(
+                raise InvariantError(
                     f"divisor u{t + 1} cannot be eliminated into circuit {self.circuit.support}"
                 )
             subs[f"u{t + 1}"] = self._elimination[t]
         out = poly.substitute(subs)
         if out.support(outside):
-            raise UnsupportedClass(
+            raise InvariantError(
                 f"elimination left divisors {sorted(out.support(outside))} in the class"
             )
         return out
@@ -202,18 +201,6 @@ class CircuitModel:
     def box_of_sector(self, f: Fraction) -> BoxElement:
         return self._sector_boxes[f]
 
-    def _sector(self, f: Fraction):
-        try:
-            return self._sectors[f]
-        except KeyError:
-            raise QuantumError(f"unknown sector {f}") from None
-
-    def sector_age(self, f: Fraction) -> int:
-        return self._sector(f).age
-
-    def sector_support(self, f: Fraction):
-        return self._sector(f).support
-
     # -- the correspondence ----------------------------------------------------
 
     def gamma_apply(self, f1: Fraction, f2: Fraction, x: CRClass) -> CRClass:
@@ -226,10 +213,10 @@ class CircuitModel:
             return CRClass.zero(context)
         integrand = self.fiber_dual(self.eliminate_outside(comp))
         scalar = integrate_base(integrand, self.table, f1)
-        sign = (-1) ** (self.sector_age(f1) + self.sector_age(f2))
+        sign = (-1) ** (self._sectors[f1].age + self._sectors[f2].age)
         out_fraction = Fraction(0) if f2 == 0 else 1 - f2
         out_box = self.box_of_sector(out_fraction)
-        out_class = self.fiber_dual(fiber_class_expr(self.model, self.sector_support(f2)))
+        out_class = self.fiber_dual(fiber_class_expr(self.model, self._sectors[f2].support))
         return CRClass.build(context, {out_box: out_class * scalar * sign})
 
 
@@ -331,7 +318,6 @@ class QuantumContext:
         self.models = tuple(
             CircuitModel(self.context, c) for c in self.context.circuits
         )
-        self.data = tuple(circuit_quantum_data(c) for c in self.context.circuits)
 
 
 def _convention_sign(convention: str, circuit: Circuit, degree: int) -> int:
@@ -373,11 +359,12 @@ def quantum_divisor_product(
     for base_key, base_cls in x.terms:
         classical = cr_multiply(u_class, base_cls)
         parts[base_key] = parts.get(base_key, CRClass.zero(context)) + classical
-        for ci, (circuit, model) in enumerate(zip(context.circuits, qctx.models)):
+        for ci, model in enumerate(qctx.models):
+            circuit = model.circuit
             pairing = circuit.beta_S[i]
             if pairing == 0:
                 continue
-            for f1, f2, r in qctx.data[ci].sector_pairs:
+            for f1, f2, r in model.sector_pairs:
                 gamma = model.gamma_apply(f1, f2, base_cls)
                 if gamma.is_zero():
                     continue
@@ -427,8 +414,9 @@ def differential_sign_report(qctx: QuantumContext, order: int):
     and the first order where each literal reading departs from the
     calibrated one."""
     report = []
-    for circuit, data in zip(qctx.context.circuits, qctx.data):
-        residues = sorted({r for _, _, r in data.sector_pairs})
+    for model in qctx.models:
+        circuit = model.circuit
+        residues = sorted({r for _, _, r in model.sector_pairs})
         for r in residues:
             start = r if r > 0 else circuit.lcm_w
             degrees = list(range(start, order + 1, circuit.lcm_w))
@@ -630,5 +618,5 @@ def minimal_curve_unit(fan: LawrenceFan):
         if total > 0 and (best is None or total < sum(best)):
             best = degree
     if best is None:
-        raise QuantumError("fan has no positive curve degrees")
+        raise InvariantError("fan has no positive curve degrees")
     return best

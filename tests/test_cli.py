@@ -289,6 +289,52 @@ def test_quantum_all_conventions(capsys, write_examples):
     assert zero_residue["first_divergence_from_calibrated"]["eq-5.2-literal"] == 4
 
 
+QUANTUM = ["quantum-divisor", "--divisor", "1", "--with", "2"]
+
+
+@pytest.mark.parametrize(
+    "beta, psi, theta, argv, message",
+    [
+        # T*P^2: the Lawrence fan has no nonfacial ray pair of positive degree
+        ([[1, 0], [0, 1], [-1, -1]], [0, 0, 1], [-1], ["qsr"],
+         "fan has no positive curve degrees"),
+        # two slot pairs of one circuit give the sector pair two residues
+        ([[-2, -1, 0], [-2, 1, 1], [-1, -2, -1], [0, 1, 0], [2, -1, 2], [2, -1, 0], [0, -2, -1]],
+         [-2, 1, 0, 2, 3, 4, -4], [-6, -5, -14, 1], QUANTUM,
+         "sector pair (1/5,4/5) has several residues [12, 48]"),
+        ([[-1, 2], [1, 2], [0, -1], [-1, 2], [-1, 2], [-2, 2]],
+         [-3, 0, -1, -1, -2, 4], [1, -14, 10, -1], QUANTUM,
+         "divisor u2 cannot be eliminated into circuit (0, 3)"),
+    ],
+)
+def test_quantum_program_faults_exit_1(capsys, tmp_path, beta, psi, theta, argv, message):
+    """A valid generic input that the quantum layer cannot handle is a fault
+    of the program: exit 1 with the message on stderr, not 2 (input data)."""
+    doc = {
+        "schema_version": "hypertoric-arrangement/1",
+        "rank": len(beta[0]),
+        "torsion": [],
+        "beta": beta,
+        "psi": psi,
+        "theta": theta,
+    }
+    p = tmp_path / "fault.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    code = run([argv[0], "--input", str(p), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"internal error: {message}\n"
+
+
+def test_truncation_too_small_is_input_error(capsys, write_examples):
+    code, out = invoke(
+        capsys, [*QUANTUM, "--input", write_examples["cotangent-p1"], "--max-q-order", "0"]
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["path"] == "(input data)"
+
+
 SYMPY_FREE_SCRIPT = """
 import contextlib, io, json, sys
 import hypertoric.cli
@@ -312,9 +358,9 @@ print(json.dumps(loaded))
 
 
 def test_commands_do_not_import_sympy():
-    """sympy is loaded only for the paper convention's steinberg, integrate
-    and nonequivariant_limit, and jsonschema never: the CLI import and the
-    other commands load neither."""
+    """sympy is loaded only for the paper convention's steinberg and for
+    integrate, and jsonschema never: the CLI import and the other commands
+    load neither."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hypertoric.__file__)))
     root = os.path.join(os.path.dirname(__file__), "..", "arrangements")
     docs = [os.path.join(root, f"{name}.json") for name in ("hirzebruch", "cotangent-p12")]

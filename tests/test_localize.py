@@ -9,14 +9,12 @@ import pytest
 import sympy
 
 from hypertoric.localize import (
-    LocalizeError,
     NotPolynomial,
     WeightedModel,
     box_square_sign_oracle,
     fiber_class_expr,
     integrate,
     integrate_base,
-    nonequivariant_limit,
     orbifold_degrees,
     paper_table_p12,
     restrict_expr,
@@ -195,15 +193,6 @@ def test_orbifold_degrees_are_twice_n():
         model = WeightedModel(weights)
         for comp, deg in orbifold_degrees(model):
             assert deg == 2 * model.n, (weights, comp)
-
-
-def test_nonequivariant_limit_rejects_dimension_mismatch():
-    table = standard_table(WeightedModel((1, 2)))
-    with pytest.raises(LocalizeError):
-        nonequivariant_limit(integrate(sympy.Integer(1), table))
-    # a class of complementary degree has a fine limit
-    val = integrate(U2 * (HBAR - U2), table)
-    assert nonequivariant_limit(val) == 1
 
 
 def test_box_square_sign_oracle_positive():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from hypertoric.arrangement import StackyArrangement
+from hypertoric.arrangement import InvariantError, StackyArrangement
 from hypertoric.crring import CRClass, cr_multiply, reduce_poly
 from hypertoric.exactalg import FgAbelianGroup
 from hypertoric.quantum import (
@@ -20,7 +22,7 @@ from hypertoric.quantum import (
     qsr_multiply,
     qsr_presentation,
     quantum_divisor_product,
-    r_of_sector_pair,
+    sector_pairs,
     star_word,
 )
 
@@ -35,14 +37,33 @@ def q12(tp12):
     return QuantumContext(tp12)
 
 
+def residue_of(weights):
+    """The (f1, f2) -> r map of a circuit's sector pairs."""
+    return {(f1, f2): r for f1, f2, r in sector_pairs(weights)}.get
+
+
+def scan_residues(weights) -> dict:
+    """Reference: scan every r below lcm(w), and every ordered pair of
+    distinct slots (i, j), for <r/w_i> = f1, <r/w_j> = f2 and every other
+    weight dividing r.  Maps each (f1, f2) to its sorted residues."""
+    found: dict = {}
+    for r in range(math.lcm(*weights)):
+        for i, j in itertools.permutations(range(len(weights)), 2):
+            if all(r % weights[k] == 0 for k in range(len(weights)) if k not in (i, j)):
+                pair = (Fraction(r, weights[i]) % 1, Fraction(r, weights[j]) % 1)
+                found.setdefault(pair, set()).add(r)
+    return {pair: sorted(found[pair]) for pair in sorted(found)}
+
+
 def test_r_examples():
-    assert r_of_sector_pair(Fraction(0), Fraction(0), (1, 2)) == 0
-    assert r_of_sector_pair(Fraction(0), Fraction(1, 2), (1, 2)) == 1
-    assert r_of_sector_pair(Fraction(1, 2), Fraction(0), (1, 2)) == 1
-    assert r_of_sector_pair(Fraction(1, 2), Fraction(1, 2), (1, 2)) is None
-    assert r_of_sector_pair(Fraction(1, 2), Fraction(0), (2, 2)) is None
-    assert r_of_sector_pair(Fraction(1, 2), Fraction(1, 2), (2, 2)) == 1
-    assert r_of_sector_pair(Fraction(0), Fraction(0), (1, 1)) == 0
+    r = residue_of((1, 2))
+    assert r((Fraction(0), Fraction(0))) == 0
+    assert r((Fraction(0), Fraction(1, 2))) == 1
+    assert r((Fraction(1, 2), Fraction(0))) == 1
+    assert r((Fraction(1, 2), Fraction(1, 2))) is None
+    assert residue_of((2, 2))((Fraction(1, 2), Fraction(0))) is None
+    assert residue_of((2, 2))((Fraction(1, 2), Fraction(1, 2))) == 1
+    assert residue_of((1, 1))((Fraction(0), Fraction(0))) == 0
 
 
 def test_r_inverse_symmetry():
@@ -51,17 +72,59 @@ def test_r_inverse_symmetry():
     for weights in ((1, 2), (2, 2), (1, 2, 3), (2, 4)):
         model = WeightedModel(weights)
         fracs = [s.f for s in sectors(model)]
-        l = model.lcm
+        l = math.lcm(*weights)
+        residue = residue_of(weights)
 
         def inv(f):
             return Fraction(0) if f == 0 else 1 - f
 
         for f1, f2 in itertools.product(fracs, repeat=2):
-            r = r_of_sector_pair(f1, f2, weights)
-            r_rev = r_of_sector_pair(inv(f2), inv(f1), weights)
+            r = residue((f1, f2))
+            r_rev = residue((inv(f2), inv(f1)))
             assert (r is None) == (r_rev is None)
             if r is not None:
                 assert (r + r_rev) % l == 0
+
+
+def test_sector_pairs_match_the_scan():
+    """On seeded weights the congruence solution gives the scan's residue
+    for every pair, and where the scan finds several residues for a pair
+    it raises at the scan's first such pair with the same list."""
+    rng = random.Random(20261018)
+    several = 0
+    for _ in range(400):
+        weights = tuple(rng.randint(1, 6) for _ in range(rng.randint(2, 5)))
+        scanned = scan_residues(weights)
+        clashes = [pair for pair, rs in scanned.items() if len(rs) > 1]
+        if clashes:
+            several += 1
+            f1, f2 = clashes[0]
+            message = f"sector pair ({f1},{f2}) has several residues {scanned[f1, f2]}"
+            with pytest.raises(InvariantError) as err:
+                sector_pairs(weights)
+            assert str(err.value) == message
+        else:
+            assert sector_pairs(weights) == tuple(
+                (f1, f2, rs[0]) for (f1, f2), rs in scanned.items()
+            )
+    assert several > 10
+
+
+@pytest.mark.parametrize("weights", [(10, 13, 23, 2, 16), (15, 28, 3, 13, 24)])
+def test_sector_pairs_solve_their_congruences(weights):
+    """Circuit weights of the d4m6 ladder rung, whose lcm is too large for
+    the scan: every returned residue meets its congruences."""
+    l = math.lcm(*weights)
+    pairs = sector_pairs(weights)
+    assert len({(f1, f2) for f1, f2, _ in pairs}) == len(pairs)
+    for f1, f2, r in pairs:
+        assert 0 <= r < l
+        assert any(
+            Fraction(r, weights[i]) % 1 == f1
+            and Fraction(r, weights[j]) % 1 == f2
+            and all(r % w == 0 for k, w in enumerate(weights) if k not in (i, j))
+            for i, j in itertools.permutations(range(len(weights)), 2)
+        )
 
 
 def test_tp1_series_through_order_six(q1):
