@@ -2,26 +2,24 @@
 
 Rays come in mirror pairs (z-side and w-side); maximal cones are the
 complements of the sign patterns of the stability vector over all bases
-of the dual configuration.  The l-pairing measures the failure of two
+of the dual configuration.  A point is located in closed form: a cone's
+coordinates come from the inverse of the d x d basis of the arrangement
+behind it, in integers.  The l-pairing measures the failure of two
 lattice points to share a cone and projects to a curve degree on the
 canonical kernel basis of the lifted map.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm, prod
 
 from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
-from hypertoric.exactalg import (
-    IntMatrix,
-    kernel_basis,
-    rational_inverse,
-    row_reduce,
-    solve_rational,
-)
+from hypertoric.exactalg import IntMatrix, kernel_basis, row_reduce, smith_diagonal, solve_rational
 
 
 class NonGeneric(ArrangementError):
@@ -52,10 +50,9 @@ class LawrenceFan:
     lifted map, sign-fixed so that pairs of rays sharing no cone pair
     nonnegatively (the effective orientation).
 
-    Point location caches, per fan, the inverse ray matrix of each maximal
-    cone scanned more than once and the cone coordinates of each point the
-    l-pairing has located; the curve-degree projection is set up once per
-    fan.
+    Each maximal cone's integer location data is built once per fan, and
+    the fan remembers the cone coordinates of each point the l-pairing has
+    located; the curve-degree projection is set up once per fan.
     """
 
     arrangement: StackyArrangement
@@ -63,8 +60,6 @@ class LawrenceFan:
     max_cones: tuple[tuple[int, ...], ...]
     irrelevant_monomials: tuple[tuple[str, ...], ...]
     h2_basis: tuple[tuple[int, ...], ...]
-    _scanned: set = field(default_factory=set, init=False, repr=False, compare=False)
-    _inverses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _located: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -87,33 +82,55 @@ class LawrenceFan:
     # -- queries -------------------------------------------------------------
 
     def locate(self, point) -> ConeCoordinates:
-        """Minimal cone containing ``point`` and its simplicial coordinates."""
-        point = tuple(Fraction(x) for x in point)
+        """Minimal cone containing ``point`` and its simplicial coordinates:
+        the first maximal cone that holds it.  For the point scaled to
+        integers (a, c), the one ray of a one-sided i has coordinate c_i,
+        the two-sided I have z_I = b_I^-1 (a - sum of c_i b_i over the
+        one-sided z-rays) and w_i = c_i - z_i; so the point is in the cone
+        exactly when c >= 0 and 0 <= z_i <= c_i on I."""
         if len(point) != len(self.rays[0]):
             raise ArrangementError("point has wrong dimension")
-        for cone in self.max_cones:
-            sol = self._cone_coordinates(cone, point)
-            if sol is not None and all(c >= 0 for c in sol):
-                coeffs = {r: c for r, c in zip(cone, sol) if c != 0}
-                return ConeCoordinates(cone, coeffs)
+        m = self.m
+        d = len(point) - m
+        scale = lcm(*(x.denominator for x in point))
+        a = [x.numerator * (scale // x.denominator) for x in point[:d]]
+        c = [x.numerator * (scale // x.denominator) for x in point[d:]]
+        if all(x >= 0 for x in c):
+            for cone, inner, z_side, adjugate, det in self._charts:
+                rhs = list(a)
+                for i in z_side:
+                    for t in range(d):
+                        rhs[t] -= c[i] * self.rays[i][t]
+                z = [sum(x * y for x, y in zip(row, rhs)) for row in adjugate]
+                if all(0 <= zi <= det * c[i] for zi, i in zip(z, inner)):
+                    num = {r: det * c[r % m] for r in cone}  # one-sided rays
+                    for zi, i in zip(z, inner):
+                        num[i], num[m + i] = zi, det * c[i] - zi
+                    den = det * scale
+                    return ConeCoordinates(cone, {r: Fraction(n, den) for r, n in num.items() if n})
+        point = tuple(Fraction(x) for x in point)
         raise OutsideSupport(f"point {point} is outside the fan support")
 
-    def _cone_coordinates(self, cone, point):
-        """Coordinates of ``point`` in the cone's rays; None if they are
-        dependent.  The first scan of a cone solves its system directly;
-        the second inverts the ray matrix once for every later scan, so a
-        fan that locates only a few points inverts nothing."""
-        if cone in self._inverses:
-            inverse = self._inverses[cone]
-            if inverse is None:
-                return None
-            return [sum(a * x for a, x in zip(row, point)) for row in inverse]
-        rows = list(zip(*[self.rays[r] for r in cone]))
-        if cone in self._scanned:
-            self._inverses[cone] = rational_inverse(rows)
-            return self._cone_coordinates(cone, point)
-        self._scanned.add(cone)
-        return solve_rational(rows, point)
+    @cached_property
+    def _charts(self):
+        """Per maximal cone with independent rays, in order: the cone, its
+        two-sided indices I, its one-sided z indices, and the adjugate of
+        b_I with b_I's determinant, signed positive, from one reduction."""
+        m, d = self.m, len(self.rays[0]) - self.m
+        charts = []
+        for cone in self.max_cones:
+            inner = [i for i in range(m) if i in cone and m + i in cone]
+            z_side = [i for i in range(m) if i in cone and m + i not in cone]
+            n = len(inner)
+            rows = [[self.rays[i][t] for i in inner] for t in range(d)]
+            identity = [[int(i == j) for j in range(n)] for i in range(n)]
+            pivots, reduced, det = row_reduce(rows, identity)
+            if len(pivots) < n:
+                continue  # dependent rays: no point has coordinates here
+            sign = 1 if det > 0 else -1
+            adjugate = tuple(tuple(sign * x for x in row[n:]) for row in reduced)
+            charts.append((cone, inner, z_side, adjugate, sign * det))
+        return tuple(charts)
 
     def _locate_once(self, point) -> ConeCoordinates:
         key = tuple(point)
@@ -122,73 +139,70 @@ class LawrenceFan:
         return self._located[key]
 
     def l_pairing(self, c1, c2):
-        """The correction vector in Q^m + Q^m and its curve-degree projection."""
-        loc1 = self._locate_once(c1)
-        loc2 = self._locate_once(c2)
-        total = tuple(Fraction(a) + Fraction(b) for a, b in zip(c1, c2))
-        loc12 = self._locate_once(total)
-        vec = []
-        for r in range(2 * self.m):
-            vec.append(
-                loc1.coefficient(r) + loc2.coefficient(r) - loc12.coefficient(r)
-            )
-        pivots, inverse = self._h2_projection
-        degree = tuple(sum(a * vec[p] for a, p in zip(row, pivots)) for row in inverse)
-        if any(sum(c * b[i] for c, b in zip(degree, self.h2_basis)) != x for i, x in enumerate(vec)):
+        """The correction vector in Q^m + Q^m and its curve-degree projection.
+
+        The three locations are put over one common denominator, and the
+        projection and the check that the vector lies in the curve lattice
+        run in integers; only the returned numbers are Fractions."""
+        total = tuple(a + b for a, b in zip(c1, c2))
+        located = [self._locate_once(p).coefficients for p in (c1, c2, total)]
+        den = lcm(*(x.denominator for coeffs in located for x in coeffs.values()))
+        vec = [0] * (2 * self.m)
+        for coeffs, sign in zip(located, (1, 1, -1)):
+            for r, x in coeffs.items():
+                vec[r] += sign * x.numerator * (den // x.denominator)
+        pivots, rows, last = self._h2_projection
+        coords = [sum(a * vec[p] for a, p in zip(row, pivots)) for row in rows]
+        if any(sum(c * b[i] for c, b in zip(coords, self.h2_basis)) != last * x for i, x in enumerate(vec)):
             raise InvariantError("l-pairing vector is outside the curve lattice")
-        return tuple(vec), degree
+        return tuple(Fraction(x, den) for x in vec), tuple(Fraction(x, last * den) for x in coords)
 
     @cached_property
     def _h2_projection(self):
-        """Coordinates on which ``h2_basis`` is independent, and the inverse
-        of the basis restricted to them: it maps those coordinates of a
-        vector in the span to the vector's coefficients in the basis.
-
-        Both come from one reduction of [B | I], B the basis rows: the
-        pivot columns P are the coordinates, and the right block over the
-        last pivot is E with E B_P = I.  The coefficients c of a vector
-        v = c B are c = v_P E, so the projection's rows are E's columns."""
+        """Pivot coordinates P of ``h2_basis`` B, the integer projection and
+        its denominator d, from one reduction of [B | I]: the right block
+        is d E with E B_P = I, and a vector v = c B has c = v_P E, so the
+        projection's rows are the right block's columns."""
         n = len(self.h2_basis)
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
         pivots, reduced, d = row_reduce(self.h2_basis, identity)
-        inverse = zip(*(row[-n:] for row in reduced))
-        return tuple(pivots), tuple(tuple(Fraction(x, d) for x in col) for col in inverse)
+        return tuple(pivots), tuple(zip(*(row[-n:] for row in reduced))), d
 
     def nonfacial_ray_pairs(self):
         """Ray pairs contained in no common maximal cone."""
+        pairs = itertools.combinations(range(2 * self.m), 2)
+        return tuple((a, b) for a, b in pairs if not any(a in c and b in c for c in self.max_cones))
+
+    def _nonfacial_degrees(self):
+        """Curve degrees of the nonfacial ray pairs whose sum is in the fan."""
         out = []
-        for a, b in itertools.combinations(range(2 * self.m), 2):
-            if not any(a in cone and b in cone for cone in self.max_cones):
-                out.append((a, b))
-        return tuple(out)
+        for a, b in self.nonfacial_ray_pairs():
+            try:
+                out.append(self.l_pairing(self.rays[a], self.rays[b])[1])
+            except OutsideSupport:
+                pass
+        return out
+
+    @cached_property
+    def minimal_curve_degree(self):
+        """The first smallest positive nonfacial curve degree, or None."""
+        return min((x for x in self._nonfacial_degrees() if sum(x) > 0), key=sum, default=None)
 
     def cone_index(self, cone) -> int:
         """Lattice index of the sublattice spanned by the cone's rays
         (1 means unimodular), read off the Smith form of the ray matrix."""
-        from hypertoric.exactalg import smith_diagonal
-
         mat = IntMatrix.from_rows(tuple(zip(*[self.rays[r] for r in cone])))
-        idx = 1
-        for d in smith_diagonal(mat):
-            if d == 0:
-                raise ArrangementError("cone rays are dependent")
-            idx *= d
-        return idx
+        diagonal = smith_diagonal(mat)
+        if 0 in diagonal:
+            raise ArrangementError("cone rays are dependent")
+        return prod(diagonal)
 
 
 def lawrence_rays(arr: StackyArrangement):
-    m, d = arr.m, arr.d
-    rays = []
-    for i in range(m):
-        rays.append(tuple(arr.b_bar(i)) + tuple(1 if t == i else 0 for t in range(m)))
-    for i in range(m):
-        rays.append(tuple(0 for _ in range(d)) + tuple(1 if t == i else 0 for t in range(m)))
-    return tuple(rays)
-
-
-def lifted_map(arr: StackyArrangement) -> IntMatrix:
-    """The doubled map on the free quotient, with the 2m rays as columns."""
-    return IntMatrix.from_rows(tuple(zip(*lawrence_rays(arr))))
+    """The z-rays (b_i, e_i), then the w-rays (0, e_i)."""
+    units = [tuple(int(t == i) for t in range(arr.m)) for i in range(arr.m)]
+    z_rays = tuple(tuple(arr.b_bar(i)) + e for i, e in enumerate(units))
+    return z_rays + tuple((0,) * arr.d + e for e in units)
 
 
 def build_lawrence_fan(arr: StackyArrangement, theta=None) -> LawrenceFan:
@@ -213,23 +227,15 @@ def build_lawrence_fan(arr: StackyArrangement, theta=None) -> LawrenceFan:
             continue
         if any(x == 0 for x in lam):
             raise NonGeneric(f"basis {subset} solves theta with a zero coefficient")
-        sigma = []
-        mono = []
-        for i, coeff in zip(subset, lam):
-            if coeff > 0:
-                sigma.append(i)  # z-ray
-                mono.append(f"z{i + 1}")
-            else:
-                sigma.append(m + i)  # w-ray
-                mono.append(f"w{i + 1}")
+        sigma = [i if coeff > 0 else m + i for i, coeff in zip(subset, lam)]  # z- or w-ray
         sigma_sets.append(frozenset(sigma))
-        monomials.append(tuple(sorted(mono)))
+        monomials.append(tuple(sorted(f"z{r + 1}" if r < m else f"w{r - m + 1}" for r in sigma)))
     max_cones = sorted(
         set(tuple(sorted(set(range(2 * m)) - s)) for s in sigma_sets)
     )
     irrelevant = tuple(sorted(set(monomials)))
     rays = lawrence_rays(arr)
-    basis = kernel_basis(lifted_map(arr))
+    basis = kernel_basis(IntMatrix.from_rows(tuple(zip(*rays))))  # of the lifted map
     fan = LawrenceFan(arr, rays, tuple(max_cones), irrelevant, basis)
     return _orient_h2_basis(fan)
 
@@ -238,23 +244,16 @@ def _orient_h2_basis(fan: LawrenceFan) -> LawrenceFan:
     """Flip kernel basis vectors so nonfacial ray pairs pair nonnegatively."""
     if not fan.h2_basis:
         return fan
-    coords = []
-    for a, b in fan.nonfacial_ray_pairs():
-        try:
-            _, degree = fan.l_pairing(fan.ray_vector(a), fan.ray_vector(b))
-        except OutsideSupport:
-            continue
-        coords.append(degree)
+    degrees = fan._nonfacial_degrees()
     flipped = []
     for t, vec in enumerate(fan.h2_basis):
-        vals = [c[t] for c in coords]
-        if vals and all(v <= 0 for v in vals) and any(v < 0 for v in vals):
-            flipped.append(tuple(-x for x in vec))
-        else:
-            flipped.append(tuple(vec))
-    return LawrenceFan(
-        fan.arrangement, fan.rays, fan.max_cones, fan.irrelevant_monomials, tuple(flipped)
-    )
+        vals = [x[t] for x in degrees]
+        flip = min(vals, default=0) < 0 and max(vals) <= 0
+        flipped.append(tuple(-x for x in vec) if flip else tuple(vec))
+    oriented = dataclasses.replace(fan, h2_basis=tuple(flipped))
+    # cone coordinates do not depend on the basis: keep what is located
+    oriented._located.update(fan._located)
+    return oriented
 
 
 def lawrence_fan(arr: StackyArrangement) -> LawrenceFan:

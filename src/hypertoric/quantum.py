@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
@@ -123,6 +124,7 @@ class CircuitModel:
         self._elimination = self._build_elimination()
         self._sector_boxes = {f: self._box_of_fraction(f) for f in self._sectors}
         self.sector_pairs = sector_pairs(circuit.weights)
+        self._integrals = {}  # (f1, component) -> integral over the f1 factor
 
     # -- translation ---------------------------------------------------------
 
@@ -206,13 +208,17 @@ class CircuitModel:
     def gamma_apply(self, f1: Fraction, f2: Fraction, x: CRClass) -> CRClass:
         """One Lagrangian component applied to a class: integrate the f1
         component over the compact factor, emit the zero-section class of
-        the f2 factor in the inverse sector."""
+        the f2 factor in the inverse sector.  The integral does not depend
+        on f2, so the model computes it once per (f1, component)."""
         context = self.context
         comp = x.component(self.box_of_sector(f1))
         if comp.is_zero():
             return CRClass.zero(context)
-        integrand = self.fiber_dual(self.eliminate_outside(comp))
-        scalar = integrate_base(integrand, self.table, f1)
+        key = (f1, comp)
+        if key not in self._integrals:
+            integrand = self.fiber_dual(self.eliminate_outside(comp))
+            self._integrals[key] = integrate_base(integrand, self.table, f1)
+        scalar = self._integrals[key]
         sign = (-1) ** (self._sectors[f1].age + self._sectors[f2].age)
         out_fraction = Fraction(0) if f2 == 0 else 1 - f2
         out_box = self.box_of_sector(out_fraction)
@@ -310,14 +316,16 @@ class NovikovSeries:
 
 
 class QuantumContext:
-    """Caches the cohomology context and the circuit models of one arrangement."""
+    """Caches the cohomology context and the circuit models of one
+    arrangement; the models are built on first use."""
 
     def __init__(self, arr: StackyArrangement, context: CohomologyContext | None = None):
         self.arr = arr
         self.context = context or CohomologyContext(arr)
-        self.models = tuple(
-            CircuitModel(self.context, c) for c in self.context.circuits
-        )
+
+    @cached_property
+    def models(self) -> tuple:
+        return tuple(CircuitModel(self.context, c) for c in self.context.circuits)
 
 
 def _convention_sign(convention: str, circuit: Circuit, degree: int) -> int:
@@ -607,16 +615,7 @@ def qsr_circuit_relation_defect(qctx, fan, circuit: Circuit, order) -> QSRElemen
 
 def minimal_curve_unit(fan: LawrenceFan):
     """The smallest positive curve degree realized by a nonfacial ray pair,
-    as a vector in the curve lattice basis."""
-    best = None
-    for a, b in fan.nonfacial_ray_pairs():
-        try:
-            _, degree = fan.l_pairing(fan.ray_vector(a), fan.ray_vector(b))
-        except ArrangementError:
-            continue
-        total = sum(degree)
-        if total > 0 and (best is None or total < sum(best)):
-            best = degree
-    if best is None:
+    as a vector in the curve lattice basis; the fan finds it once."""
+    if fan.minimal_curve_degree is None:
         raise InvariantError("fan has no positive curve degrees")
-    return best
+    return fan.minimal_curve_degree

@@ -2,19 +2,33 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hypertoric.arrangement import InvariantError
+from hypertoric.arrangement import InvariantError, StackyArrangement, check_generic
 from hypertoric.cli import payload_qsr
-from hypertoric.exactalg import rational_coordinates_in_basis, row_reduce
+from hypertoric.exactalg import (
+    FgAbelianGroup,
+    GroupHom,
+    IntMatrix,
+    gale_dual,
+    rational_coordinates_in_basis,
+    row_reduce,
+    solve_rational,
+)
 from hypertoric.lawrence import (
+    ConeCoordinates,
     LawrenceFan,
     NonGeneric,
     OutsideSupport,
     build_lawrence_fan,
 )
+
+LADDER = Path(__file__).resolve().parent.parent / "bench" / "ladder"
 
 
 def test_tp1_fan_shape(tp1):
@@ -91,20 +105,68 @@ def _locate_or_none(fan, pt):
         return None
 
 
-def test_locate_same_with_cached_cone_inverses(shipped):
-    """A cone's first scan solves its ray system directly and later scans
-    reuse its inverse ray matrix; both give the same location."""
-    for arr in shipped.values():
-        fan = build_lawrence_fan(arr)
-        points = [
-            tuple(a + b for a, b in zip(fan.ray_vector(r), fan.ray_vector(s)))
-            for r, s in itertools.combinations_with_replacement(range(len(fan.rays)), 2)
-        ]
-        reused = [_locate_or_none(fan, pt) for pt in points]
-        # a fresh copy of the fan has scanned nothing yet
-        direct = [_locate_or_none(dataclasses.replace(fan), pt) for pt in points]
-        assert reused == direct
-        assert any(inv is not None for inv in fan._inverses.values())
+def scan_locate(fan, point):
+    """Reference: solve the full (d+m) x (d+m) ray system of each maximal
+    cone in turn, and return the first cone with nonnegative coordinates;
+    None when no cone holds the point."""
+    for cone in fan.max_cones:
+        sol = solve_rational([list(row) for row in zip(*(fan.rays[r] for r in cone))], point)
+        if sol is not None and all(c >= 0 for c in sol):
+            return ConeCoordinates(cone, {r: c for r, c in zip(cone, sol) if c != 0})
+    return None
+
+
+def random_rank3_arrangements(count=8, seed=7):
+    """Seeded generic rank-3 arrangements with m <= 7, entries in [-3, 3]."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = rng.randint(4, 7)
+        cols = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(m)]
+        beta = GroupHom(
+            FgAbelianGroup(m), FgAbelianGroup(3), IntMatrix.from_rows(tuple(zip(*cols)))
+        )
+        psi = tuple(rng.randint(-4, 4) for _ in range(m))
+        try:
+            dual = gale_dual(beta)
+            theta = tuple(-x for x in dual.matrix.apply(psi))
+            if check_generic(dual, theta):
+                out.append(StackyArrangement.build(FgAbelianGroup(3), cols, theta, psi))
+        except ValueError:  # not a valid generic input
+            continue
+    return out
+
+
+@pytest.fixture(scope="module")
+def wide_fans(shipped):
+    """Fans of the shipped examples, every ladder rung and a seeded rank-3 family."""
+    ladder = [
+        StackyArrangement.from_data(json.loads(path.read_text()))
+        for path in sorted(LADDER.glob("*.json"))
+    ]
+    return [build_lawrence_fan(arr) for arr in [*shipped.values(), *ladder, *random_rank3_arrangements()]]
+
+
+def test_locate_matches_full_cone_scan(wide_fans):
+    """Closed-form location equals the full rational solve of each cone's
+    ray system, in max_cones order: same first cone, same coordinates.
+    Points are integer combinations of three rays with coefficients in
+    [-2, 3], some of them halved."""
+    rng = random.Random(20151)
+    inside = outside = 0
+    for fan in wide_fans:
+        for _ in range(24):
+            rays = rng.sample(fan.rays, 3)
+            coeffs = [rng.randint(-2, 3) for _ in rays]
+            halve = Fraction(1, 2) if rng.random() < 0.3 else 1
+            pt = tuple(halve * sum(k * r[t] for k, r in zip(coeffs, rays)) for t in range(len(rays[0])))
+            expected = scan_locate(fan, pt)
+            assert _locate_or_none(fan, pt) == expected
+            if expected is None:
+                outside += 1
+            else:
+                inside += 1
+    assert inside >= 50 and outside >= 50
 
 
 def test_l_pairing_locates_each_point_once(shipped):
@@ -144,6 +206,28 @@ def test_l_pairing_projection_matches_basis_coordinates(hirzebruch, monkeypatch)
     assert pairs
     for basis, vec, degree in pairs:
         assert degree == rational_coordinates_in_basis(basis, vec)
+
+
+def test_l_pairing_matches_rational_coordinates(wide_fans):
+    """On every ray pair, the integer l-pairing returns the vector of the
+    located coefficients and its rational coordinates in the curve basis."""
+    paired = 0
+    for fan in wide_fans:
+        for a, b in itertools.combinations_with_replacement(range(2 * fan.m), 2):
+            p, q = fan.ray_vector(a), fan.ray_vector(b)
+            try:
+                vec, degree = fan.l_pairing(p, q)
+            except OutsideSupport:
+                continue
+            total = tuple(x + y for x, y in zip(p, q))
+            loc1, loc2, loc12 = (fan.locate(pt) for pt in (p, q, total))
+            assert vec == tuple(
+                loc1.coefficient(r) + loc2.coefficient(r) - loc12.coefficient(r)
+                for r in range(2 * fan.m)
+            )
+            assert degree == rational_coordinates_in_basis(fan.h2_basis, vec)
+            paired += 1
+    assert paired > 1000
 
 
 def test_l_pairing_outside_curve_lattice_is_internal(tp1, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from hypertoric.arrangement import InvariantError, StackyArrangement
 from hypertoric.crring import CRClass, cr_multiply, reduce_poly
 from hypertoric.exactalg import FgAbelianGroup
+from hypertoric.localize import fiber_class_expr, integrate_base, sectors
 from hypertoric.quantum import (
     NovikovSeries,
     QSRElement,
@@ -213,6 +214,45 @@ def test_additive_in_divisor(q12):
     single = quantum_divisor_product(q12, 0, x, order=3)
     box_term = total.coefficient((1,))
     assert box_term == single.coefficient((1,)).scale(3)
+
+
+def test_gamma_apply_integrates_once_per_component(tp12, hirzebruch_weighted, monkeypatch):
+    """gamma_apply remembers the integral of each (f1, component), and on
+    seeded classes its output equals the correspondence computed afresh."""
+    calls = []
+
+    def counting(poly, table, f):
+        calls.append(1)
+        return integrate_base(poly, table, f)
+
+    monkeypatch.setattr("hypertoric.quantum.integrate_base", counting)
+    rng = random.Random(11)
+    for arr in (tp12, hirzebruch_weighted):
+        q = QuantumContext(arr)
+        ctx = q.context
+        keys = set()
+        for _ in range(3):
+            x = CRClass.build(ctx, {
+                box: sum((ctx.u(i) * rng.randint(-2, 2) for i in range(arr.m)), ctx.hbar() * rng.randint(-2, 2))
+                for box in ctx.boxes
+            })
+            for model in q.models:
+                secs = {sec.f: sec for sec in sectors(model.model)}
+                for f1, f2, _ in model.sector_pairs:
+                    comp = x.component(model.box_of_sector(f1))
+                    if comp.is_zero():
+                        expected = CRClass.zero(ctx)
+                    else:
+                        keys.add((id(model), f1, comp))
+                        integrand = model.fiber_dual(model.eliminate_outside(comp))
+                        scalar = integrate_base(integrand, model.table, f1)
+                        sign = (-1) ** (secs[f1].age + secs[f2].age)
+                        out_box = model.box_of_sector(Fraction(0) if f2 == 0 else 1 - f2)
+                        out = model.fiber_dual(fiber_class_expr(model.model, secs[f2].support))
+                        expected = CRClass.build(ctx, {out_box: out * scalar * sign})
+                    assert model.gamma_apply(f1, f2, x) == expected
+        assert keys and len(calls) == len(keys)
+        calls.clear()
 
 
 def test_truncation_guard(q1):
