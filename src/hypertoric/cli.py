@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from hypertoric.arrangement import ArrangementError, StackyArrangement
 from hypertoric.exactalg import ExactAlgError
-from hypertoric.crring import CohomologyContext, CRClass, cr_presentation, ht_presentation, htt_presentation
+from hypertoric.crring import CohomologyContext, CRClass, cr_presentation, ht_presentation
 from hypertoric.examples_data import SCHEMA_VERSION, example_document, example_names
 from hypertoric.lawrence import build_lawrence_fan
 from hypertoric.localize import (
@@ -279,7 +279,7 @@ def payload_cohomology(arr: StackyArrangement, sign: str) -> dict:
     chen_ruan = cr_presentation(ctx, box_square_sign=sign)
     return {
         "torus_presentation": list(ht_presentation(ctx).texts()),
-        "extended_presentation": list(htt_presentation(ctx).texts()),
+        "extended_presentation": [r.text for r in chen_ruan.relations if r.kind == "circuit"],
         "chen_ruan_presentation": list(chen_ruan.texts()),
         "generators": list(chen_ruan.generators),
         "box_square_sign": sign,

@@ -12,11 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from hypertoric.arrangement import ArrangementError, StackyArrangement
 from hypertoric.multifan import (
     BoxElement,
     MultiFan,
+    _alpha_vector,
     box_elements,
     circuits,
 )
@@ -28,22 +30,26 @@ class UnreducedInput(ArrangementError):
 
 
 class CohomologyContext:
-    """Shared environment: variables, cones, circuits, boxes of one arrangement."""
+    """Shared environment: variables, cones, circuits, boxes of one arrangement.
+
+    One cone table, built once, serves the box enumeration and ``is_cone``:
+    a set of indices is a cone exactly when it is independent."""
 
     def __init__(self, arr: StackyArrangement):
         self.arr = arr
         m = arr.m
         names = [f"u{i + 1}" for i in range(m)] + ["hbar"] + [f"lam{i + 1}" for i in range(m)]
         self.ring = PolyRing(names)
+        self._u = [self.ring.var(f"u{i + 1}") for i in range(m)]
         self.fan = MultiFan(arr)
         self.circuits = circuits(arr)
-        self.boxes = box_elements(arr)
-        self._cone_cache: dict = {}
+        self.boxes = box_elements(arr, self.fan)
+        self._cones = frozenset(map(frozenset, self.fan.cones()))
 
     # -- variables -----------------------------------------------------------
 
     def u(self, i: int) -> Poly:
-        return self.ring.var(f"u{i + 1}")
+        return self._u[i]
 
     def hbar(self) -> Poly:
         return self.ring.var("hbar")
@@ -55,10 +61,7 @@ class CohomologyContext:
         return tuple(i for i in range(self.arr.m) if mono[i] > 0)
 
     def is_cone(self, indices) -> bool:
-        key = tuple(sorted(set(indices)))
-        if key not in self._cone_cache:
-            self._cone_cache[key] = self.fan.is_cone(key)
-        return self._cone_cache[key]
+        return frozenset(indices) in self._cones
 
     def trivial_box(self) -> BoxElement:
         for b in self.boxes:
@@ -235,17 +238,12 @@ def _box_pair_product(context, box1, box2, box_square_sign: str):
         a = (-s) % 1
         if a != 0:
             alpha3.append((i, a))
-    v3_free = []
-    for r in range(context.arr.d):
-        total = sum(Fraction(context.arr.b_bar(i)[r]) * a for i, a in alpha3)
-        if total.denominator != 1:
-            raise ArrangementError("closing box coordinates are not integral")
-        v3_free.append(int(total))
+    v3_free = _alpha_vector(context.arr, alpha3)
     orders = context.arr.group_N.torsion_invariants
     t3 = tuple(
         (-(box1.v_torsion[t] + box2.v_torsion[t])) % q for t, q in enumerate(orders)
     )
-    box3 = context.find_box(tuple(v3_free), t3)
+    box3 = context.find_box(v3_free, t3)
     if box3 is None or box3.alphas != tuple(alpha3):
         raise ArrangementError(
             f"no closing box for {box1.label()} * {box2.label()}"
@@ -258,11 +256,7 @@ def _box_pair_product(context, box1, box2, box_square_sign: str):
     set1, set2, set3 = set(box1.sigma), set(box2.sigma), set(box3.sigma)
     I = tuple(i for i in sigma123 if sums[i] == 1 and i in set1 & set2 & set3)
     J = tuple(j for j in sigma123 if j not in set3)
-    poly = context.ring.one()
-    for i in I:
-        poly = poly * context.u(i)
-    for j in J:
-        poly = poly * context.u(j) ** 2
+    poly = prod([context.u(i) for i in I] + [context.u(j) ** 2 for j in J], start=context.ring.one())
     if box3.is_trivial():
         sign = 1 if box_square_sign == "paper" else (-1) ** len(J)
         return CRClass.untwisted(context, poly * sign)
@@ -279,30 +273,31 @@ def cr_presentation(
     "paper" ships the positively-signed square, "literal" the
     (-1)^|J|-signed variant.
     """
-    gens = tuple(f"u{i + 1}" for i in range(context.arr.m)) + ("hbar",)
     nontrivial = [b for b in context.boxes if not b.is_trivial()]
-    gens = gens + tuple(b.label() for b in nontrivial)
+    labels = [b.label() for b in nontrivial]
+    gens = tuple(f"u{i + 1}" for i in range(context.arr.m)) + ("hbar",) + tuple(labels)
     rels = list(htt_presentation(context).relations)
-    for box in nontrivial:
+    zero = CRClass.zero(context)
+    for box, label in zip(nontrivial, labels):
+        sigma = set(box.sigma)
         for i in range(context.arr.m):
-            in_cone = i in box.sigma
-            compatible = context.is_cone(set(box.sigma) | {i})
-            if in_cone or not compatible:
+            if i in sigma or not context.is_cone(sigma | {i}):
                 rels.append(
                     Relation(
                         "box-u",
-                        f"{box.label()}*u{i + 1} = 0",
+                        f"{label}*u{i + 1} = 0",
                         lhs_boxes=(box,),
                         lhs_poly=context.u(i),
-                        rhs=CRClass.zero(context),
+                        rhs=zero,
                     )
                 )
-    for b1, b2 in itertools.combinations_with_replacement(nontrivial, 2):
+    pairs = itertools.combinations_with_replacement(zip(nontrivial, labels), 2)
+    for (b1, label1), (b2, label2) in pairs:
         rhs = _box_pair_product(context, b1, b2, box_square_sign)
         rels.append(
             Relation(
                 "box-box",
-                f"{b1.label()}*{b2.label()} = {rhs}",
+                f"{label1}*{label2} = {rhs}",
                 lhs_boxes=(b1, b2),
                 rhs=rhs,
             )

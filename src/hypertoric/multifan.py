@@ -1,14 +1,17 @@
 """The multi-fan of an arrangement: cones, matroid circuits, box elements.
 
 Circuits carry their canonical two-sided splitting, positive weights and
-curve class; box elements index the twisted sectors and are enumerated
-exactly from Smith normal forms of cone matrices.
+curve class.  Box elements index the twisted sectors; they are enumerated
+in integers from the Smith normal form of each cone matrix, over one
+denominator per cone.  A fan's cone table is built once and shared by the
+box enumeration and the cohomology context.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -31,13 +34,14 @@ class MultiFan:
     arrangement: StackyArrangement
 
     def is_cone(self, indices) -> bool:
-        indices = sorted(set(indices))
-        if not indices:
-            return True
-        cols = [self.arrangement.b_bar(i) for i in indices]
-        return rational_rank(cols) == len(indices)
+        cols = [self.arrangement.b_bar(i) for i in set(indices)]
+        return rational_rank(cols) == len(cols)
 
     def cones(self):
+        return self._cones
+
+    @cached_property
+    def _cones(self):
         arr = self.arrangement
         out = [()]
         for size in range(1, arr.d + 1):
@@ -159,10 +163,7 @@ class BoxElement:
         return not self.sigma and all(x == 0 for x in self.v_torsion)
 
     def alpha_of(self, i: int) -> Fraction:
-        for j, a in self.alphas:
-            if j == i:
-                return a
-        return Fraction(0)
+        return dict(self.alphas).get(i, Fraction(0))
 
     def sort_key(self):
         return (len(self.sigma), self.sigma, self.v_free, self.v_torsion)
@@ -178,52 +179,58 @@ class BoxElement:
 
 
 def _torsion_elements(group):
-    ranges = [range(q) for q in group.torsion_invariants]
-    return [tuple(t) for t in itertools.product(*ranges)] if ranges else [()]
+    return list(itertools.product(*map(range, group.torsion_invariants)))
 
 
-def _cone_boxes(arr: StackyArrangement, sigma) -> list[BoxElement]:
-    """Boxes supported exactly on the cone sigma, via the Smith form of
-    its column matrix."""
-    cols = [arr.b_bar(i) for i in sigma]
-    B = IntMatrix.from_rows(tuple(zip(*cols)))
+def _box_vector(arr: StackyArrangement, indices, numerators, n: int) -> tuple[int, ...]:
+    """The point sum_t (numerators[t] / n) * b̄_{indices[t]}, which is integral
+    for every box (Smith form, inverse or closing box): else a program fault."""
+    cols = [arr.b_bar(i) for i in indices]
+    out = [divmod(sum(a * col[r] for a, col in zip(numerators, cols)), n) for r in range(arr.d)]
+    if any(rem for _, rem in out):
+        raise InvariantError("non-integral box candidate")
+    return tuple(q for q, _ in out)
+
+
+def _alpha_vector(arr: StackyArrangement, alphas) -> tuple[int, ...]:
+    """``_box_vector`` of (index, Fraction) pairs, over their common denominator."""
+    n = lcm(*(a.denominator for _, a in alphas))
+    return _box_vector(arr, [i for i, _ in alphas], [a.numerator * (n // a.denominator) for _, a in alphas], n)
+
+
+def _cone_boxes(arr: StackyArrangement, sigma, torsion) -> list[BoxElement]:
+    """Boxes supported exactly on the cone sigma, in integers.
+
+    With U·B·V = D for the column matrix B of sigma and invariants
+    d_1 | ... | d_k, the box points are V·(r_j / d_j) mod 1 for r_j < d_j.
+    Over n = d_k, alpha_i = a_i / n with a_i = sum_j V[i, j] r_j (n / d_j)
+    mod n, and a zero a_i means a proper face.  Each point's Fractions are
+    built once and shared by its torsion copies.
+    """
     k = len(sigma)
-    _, D, V = smith_normal_form(B)
-    diag = [D[i, i] for i in range(k)]
+    _, D, V = smith_normal_form(IntMatrix.from_rows(tuple(zip(*(arr.b_bar(i) for i in sigma)))))
+    diag = [D[j, j] for j in range(k)]
+    n = diag[-1]
+    steps = [[V[i, j] * (n // diag[j]) for i in range(k)] for j in range(k)]
     out = []
-    for residues in itertools.product(*[range(x) for x in diag]):
-        y = [Fraction(r, d) for r, d in zip(residues, diag)]
-        alpha = [
-            sum(Fraction(V[i, j]) * y[j] for j in range(k)) % 1 for i in range(k)
-        ]
-        if any(a == 0 for a in alpha):
+    for residues in itertools.product(*map(range, diag)):
+        nums = [sum(r * step[i] for r, step in zip(residues, steps)) % n for i in range(k)]
+        if 0 in nums:
             continue  # belongs to a proper face
-        v_free = tuple(sum(cols[t][r] * alpha[t] for t in range(k)) for r in range(arr.d))
-        if any(x.denominator != 1 for x in v_free):
-            # the Smith form guarantees an integral combination
-            raise InvariantError("non-integral box candidate")
-        v_free = tuple(int(x) for x in v_free)
-        for tor in _torsion_elements(arr.group_N):
-            out.append(
-                BoxElement(
-                    v_free=v_free,
-                    v_torsion=tor,
-                    sigma=tuple(sigma),
-                    alphas=tuple(zip(sigma, alpha)),
-                )
-            )
+        v_free = _box_vector(arr, sigma, nums, n)
+        alphas = tuple(zip(sigma, (Fraction(a, n) for a in nums)))
+        out.extend(BoxElement(v_free, tor, sigma, alphas) for tor in torsion)
     return out
 
 
-def box_elements(arr: StackyArrangement) -> tuple[BoxElement, ...]:
-    """All box elements, the trivial one included, deterministically sorted."""
-    fan = MultiFan(arr)
-    out = []
-    for tor in _torsion_elements(arr.group_N):
-        out.append(BoxElement(tuple(0 for _ in range(arr.d)), tor, (), ()))
-    for sigma in fan.cones():
+def box_elements(arr: StackyArrangement, fan: MultiFan | None = None) -> tuple[BoxElement, ...]:
+    """All box elements, the trivial one included, deterministically sorted;
+    ``fan`` lends its cone table when the caller already holds one."""
+    torsion = _torsion_elements(arr.group_N)
+    out = [BoxElement((0,) * arr.d, tor, (), ()) for tor in torsion]
+    for sigma in (fan or MultiFan(arr)).cones():
         if sigma:
-            out.extend(_cone_boxes(arr, sigma))
+            out.extend(_cone_boxes(arr, sigma, torsion))
     out.sort(key=lambda b: b.sort_key())
     return tuple(out)
 
@@ -231,11 +238,7 @@ def box_elements(arr: StackyArrangement) -> tuple[BoxElement, ...]:
 def box_inverse(box: BoxElement, arr: StackyArrangement) -> BoxElement:
     """The inverse box: same cone, fractional coordinates 1 - alpha."""
     alphas = tuple((i, 1 - a) for i, a in box.alphas)
-    v_free = tuple(
-        int(sum(Fraction(arr.b_bar(i)[r]) * a for i, a in alphas))
-        for r in range(arr.d)
-    )
     tor = tuple(
         (-t) % q for t, q in zip(box.v_torsion, arr.group_N.torsion_invariants)
     )
-    return BoxElement(v_free, tor, box.sigma, alphas)
+    return BoxElement(_alpha_vector(arr, alphas), tor, box.sigma, alphas)

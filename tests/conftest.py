@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import json
+import random
+from pathlib import Path
+
 import pytest
 
-from hypertoric.arrangement import StackyArrangement
+from hypertoric.arrangement import StackyArrangement, check_generic
 from hypertoric.examples_data import example_document, example_names
+from hypertoric.exactalg import FgAbelianGroup, GroupHom, IntMatrix, gale_dual
+
+LADDER = Path(__file__).resolve().parent.parent / "bench" / "ladder"
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +40,34 @@ def hirzebruch(shipped):
 @pytest.fixture(scope="session")
 def hirzebruch_weighted(shipped):
     return shipped["hirzebruch-weighted"]
+
+
+@pytest.fixture(scope="session")
+def ladder():
+    """Every rung of the benchmark ladder, probes included, keyed by name."""
+    return {
+        path.stem: StackyArrangement.from_data(json.loads(path.read_text()))
+        for path in sorted(LADDER.glob("*.json"))
+    }
+
+
+@pytest.fixture(scope="session")
+def rank3_family():
+    """Seeded generic rank-3 arrangements with m <= 7, entries in [-3, 3]."""
+    rng = random.Random(7)
+    out = []
+    while len(out) < 8:
+        m = rng.randint(4, 7)
+        cols = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(m)]
+        beta = GroupHom(
+            FgAbelianGroup(m), FgAbelianGroup(3), IntMatrix.from_rows(tuple(zip(*cols)))
+        )
+        psi = tuple(rng.randint(-4, 4) for _ in range(m))
+        try:
+            dual = gale_dual(beta)
+            theta = tuple(-x for x in dual.matrix.apply(psi))
+            if check_generic(dual, theta):
+                out.append(StackyArrangement.build(FgAbelianGroup(3), cols, theta, psi))
+        except ValueError:  # not a valid generic input
+            continue
+    return out

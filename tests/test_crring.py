@@ -1,21 +1,27 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from hypertoric.arrangement import StackyArrangement
+from hypertoric.arrangement import InvariantError, StackyArrangement
+from hypertoric.cli import payload_cohomology
 from hypertoric.crring import (
     CohomologyContext,
     CRClass,
     UnreducedInput,
+    _box_pair_product,
     cr_multiply,
     cr_presentation,
     ht_presentation,
     htt_presentation,
     reduce_poly,
 )
-from hypertoric.exactalg import FgAbelianGroup
+from hypertoric.exactalg import FgAbelianGroup, rational_rank
+from hypertoric.multifan import box_inverse
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +187,41 @@ def test_sector_component_reduction(ctx12):
     cls = CRClass.build(ctx12, {box: ctx12.u(0) + ctx12.hbar()})
     # u1 is annihilated on the half sector, hbar survives
     assert cls.component(box) == ctx12.hbar()
+
+
+def test_is_cone_is_independence(shipped, rank3_family):
+    """The cone table holds exactly the independent subsets."""
+    for arr in [*shipped.values(), *rank3_family]:
+        ctx = CohomologyContext(arr)
+        for size in range(arr.d + 2):
+            for s in itertools.combinations(range(arr.m), size):
+                independent = rational_rank([arr.b_bar(i) for i in s]) == size
+                assert ctx.is_cone(s) == independent
+                assert ctx.is_cone(set(reversed(s))) == independent
+
+
+def test_extended_presentation_reads_the_circuit_relations(shipped):
+    for arr in shipped.values():
+        ctx = CohomologyContext(arr)
+        payload = payload_cohomology(arr, "paper")
+        assert payload["extended_presentation"] == list(htt_presentation(ctx).texts())
+
+
+def _forged(box):
+    """The box with each alpha shifted by 1/(2n), n their common
+    denominator: its vector is no longer a lattice point."""
+    n = lcm(*(a.denominator for _, a in box.alphas))
+    return dataclasses.replace(box, alphas=tuple((i, a + Fraction(1, 2 * n)) for i, a in box.alphas))
+
+
+@pytest.mark.parametrize("name", ["cotangent-p12", "hirzebruch-weighted"])
+def test_non_integral_box_vector_is_internal(shipped, name):
+    """Inverse and closing boxes are integral by construction, so a
+    non-integral vector is a program fault (exit 1), not bad input."""
+    arr = shipped[name]
+    ctx = CohomologyContext(arr)
+    (box,) = [b for b in ctx.boxes if not b.is_trivial()]
+    with pytest.raises(InvariantError, match="non-integral"):
+        box_inverse(_forged(box), arr)
+    with pytest.raises(InvariantError, match="non-integral"):
+        _box_pair_product(ctx, _forged(box), box, "paper")

@@ -2,20 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from hypertoric.arrangement import InvariantError, StackyArrangement, check_generic
+from hypertoric.arrangement import InvariantError
 from hypertoric.cli import payload_qsr
 from hypertoric.exactalg import (
-    FgAbelianGroup,
-    GroupHom,
-    IntMatrix,
-    gale_dual,
     rational_coordinates_in_basis,
     row_reduce,
     solve_rational,
@@ -27,8 +21,6 @@ from hypertoric.lawrence import (
     OutsideSupport,
     build_lawrence_fan,
 )
-
-LADDER = Path(__file__).resolve().parent.parent / "bench" / "ladder"
 
 
 def test_tp1_fan_shape(tp1):
@@ -116,35 +108,10 @@ def scan_locate(fan, point):
     return None
 
 
-def random_rank3_arrangements(count=8, seed=7):
-    """Seeded generic rank-3 arrangements with m <= 7, entries in [-3, 3]."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        m = rng.randint(4, 7)
-        cols = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(m)]
-        beta = GroupHom(
-            FgAbelianGroup(m), FgAbelianGroup(3), IntMatrix.from_rows(tuple(zip(*cols)))
-        )
-        psi = tuple(rng.randint(-4, 4) for _ in range(m))
-        try:
-            dual = gale_dual(beta)
-            theta = tuple(-x for x in dual.matrix.apply(psi))
-            if check_generic(dual, theta):
-                out.append(StackyArrangement.build(FgAbelianGroup(3), cols, theta, psi))
-        except ValueError:  # not a valid generic input
-            continue
-    return out
-
-
 @pytest.fixture(scope="module")
-def wide_fans(shipped):
+def wide_fans(shipped, ladder, rank3_family):
     """Fans of the shipped examples, every ladder rung and a seeded rank-3 family."""
-    ladder = [
-        StackyArrangement.from_data(json.loads(path.read_text()))
-        for path in sorted(LADDER.glob("*.json"))
-    ]
-    return [build_lawrence_fan(arr) for arr in [*shipped.values(), *ladder, *random_rank3_arrangements()]]
+    return [build_lawrence_fan(arr) for arr in [*shipped.values(), *ladder.values(), *rank3_family]]
 
 
 def test_locate_matches_full_cone_scan(wide_fans):

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 
 from hypertoric.arrangement import InvariantError, StackyArrangement
-from hypertoric.exactalg import FgAbelianGroup, kernel_basis, row_reduce
+from hypertoric.exactalg import FgAbelianGroup, IntMatrix, kernel_basis, row_reduce, smith_normal_form
 from hypertoric.multifan import (
+    BoxElement,
     MultiFan,
     box_elements,
     box_inverse,
@@ -202,3 +206,104 @@ def test_multifan_closed_under_faces(hirzebruch):
             face = tuple(i for i in cone if i != drop)
             assert face in cones
     assert () in cones
+
+
+# -- the integer box enumeration against two oracles --------------------------
+
+
+def fraction_cone_boxes(arr, sigma):
+    """Reference: the boxes of sigma enumerated in Fractions.  Each residue
+    vector (r_j / d_j) of the Smith form U*B*V = D is pushed through V and
+    reduced mod 1; a zero coordinate means a proper face."""
+    cols = [arr.b_bar(i) for i in sigma]
+    k = len(sigma)
+    _, D, V = smith_normal_form(IntMatrix.from_rows(tuple(zip(*cols))))
+    diag = [D[i, i] for i in range(k)]
+    torsion = list(itertools.product(*[range(q) for q in arr.group_N.torsion_invariants]))
+    out = []
+    for residues in itertools.product(*[range(x) for x in diag]):
+        y = [Fraction(r, d) for r, d in zip(residues, diag)]
+        alpha = [sum(Fraction(V[i, j]) * y[j] for j in range(k)) % 1 for i in range(k)]
+        if any(a == 0 for a in alpha):
+            continue
+        v_free = tuple(sum(cols[t][r] * alpha[t] for t in range(k)) for r in range(arr.d))
+        assert all(x.denominator == 1 for x in v_free)
+        for tor in torsion:
+            out.append(BoxElement(tuple(int(x) for x in v_free), tor, tuple(sigma), tuple(zip(sigma, alpha))))
+    return out
+
+
+def fraction_box_elements(arr):
+    torsion = itertools.product(*[range(q) for q in arr.group_N.torsion_invariants])
+    out = [BoxElement((0,) * arr.d, tor, (), ()) for tor in torsion]
+    for sigma in MultiFan(arr).cones():
+        if sigma:
+            out.extend(fraction_cone_boxes(arr, sigma))
+    out.sort(key=lambda b: b.sort_key())
+    return tuple(out)
+
+
+def _det(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+def lattice_index(cols, d):
+    """gcd of the maximal minors of the d x k matrix with these columns:
+    the index of their span in its saturation, 0 when they are dependent."""
+    g = 0
+    for rows in itertools.combinations(range(d), len(cols)):
+        g = gcd(g, _det([[col[r] for col in cols] for r in rows]))
+    return g
+
+
+def inclusion_exclusion_counts(arr):
+    """Boxes per cone: |torsion| times the lattice points interior to the
+    half-open parallelotope of sigma, sum over faces tau of
+    (-1)^(|sigma| - |tau|) * index(tau)."""
+    torsion = prod(arr.group_N.torsion_invariants)
+    index = {}
+    out = {}
+    for size in range(arr.d + 1):
+        for sigma in itertools.combinations(range(arr.m), size):
+            g = lattice_index([arr.b_bar(i) for i in sigma], arr.d)
+            if g == 0:
+                continue  # dependent: not a cone
+            index[sigma] = g
+            interior = sum(
+                (-1) ** (size - k) * index[tau]
+                for k in range(size + 1)
+                for tau in itertools.combinations(sigma, k)
+            )
+            if interior:
+                out[sigma] = interior * torsion
+    return out
+
+
+@pytest.fixture(scope="module")
+def wide(shipped, ladder, rank3_family):
+    """The shipped examples, every ladder rung and the seeded rank-3 family."""
+    return [*shipped.values(), *ladder.values(), *rank3_family]
+
+
+def test_box_elements_match_fraction_enumeration(wide):
+    for arr in wide:
+        got = box_elements(arr)
+        assert got == fraction_box_elements(arr)
+        assert all(type(a) is Fraction for b in got for _, a in b.alphas)
+
+
+def test_box_counts_by_inclusion_exclusion(wide):
+    for arr in wide:
+        assert Counter(b.sigma for b in box_elements(arr)) == inclusion_exclusion_counts(arr)
+
+
+def test_box_elements_reuse_a_given_fan(hirzebruch_weighted):
+    fan = MultiFan(hirzebruch_weighted)
+    assert fan.cones() is fan.cones()
+    assert box_elements(hirzebruch_weighted, fan) == box_elements(hirzebruch_weighted)
