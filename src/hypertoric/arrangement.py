@@ -1,8 +1,11 @@
-"""Stacky hyperplane arrangements: genericity, lifting, chambers, core.
+"""Stacky hyperplane arrangements: genericity, lifting, bases, chambers, core.
 
-The combinatorial geometry is done with exact rational arithmetic.  A
-generic stability vector makes the arrangement simple: every vertex lies
-on exactly d hyperplanes, with independent normals.  The bounded chambers
+The arrangement owns its matroid: ``bases`` holds one integer inverse per
+basis of the normals, and the independent sets (cones) are their faces;
+circuits, boxes, vertices and the Lawrence charts all read this table.
+The geometry is done with exact rational arithmetic.  A generic
+stability vector makes the arrangement simple: every vertex lies on
+exactly d hyperplanes, with independent normals.  The bounded chambers
 come from a walk over the vertex graph, solved once per arrangement: the
 2d edges at a vertex run along the columns of the inverse of its tight
 normals and end at the nearest hyperplane they cross, and a chamber is
@@ -15,16 +18,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from hypertoric.exactalg import (
     FgAbelianGroup,
     GroupHom,
     IntMatrix,
     gale_dual,
+    integer_inverse,
     primitive_vector,
     rational_coordinates_in_basis,
-    rational_inverse,
     solve_integer,
 )
 
@@ -217,6 +219,33 @@ class StackyArrangement:
     def hyperplanes(self) -> tuple[Hyperplane, ...]:
         return tuple(Hyperplane(b, p) for b, p in zip(self._normals, self.psi))
 
+    # -- the matroid ---------------------------------------------------------
+
+    @cached_property
+    def bases(self) -> dict:
+        """Each basis, in lexicographic order, with ``integer_inverse`` of its normals as rows."""
+        subsets = itertools.combinations(range(self.m), self.d)
+        inverses = ((s, integer_inverse([self._normals[i] for i in s])) for s in subsets)
+        return {s: inverse for s, inverse in inverses if inverse is not None}
+
+    @cached_property
+    def cones(self) -> tuple[tuple[int, ...], ...]:
+        """The faces of the bases by (size, subset): as the normals span Q^d
+        (the Gale dual checks it), exactly the independent sets."""
+        level, out = set(self.bases), []
+        for _ in range(self.d + 1):
+            out[:0] = sorted(level)
+            level = {c[:k] + c[k + 1 :] for c in level for k in range(len(c))}
+        return tuple(out)
+
+    @cached_property
+    def _cone_sets(self) -> frozenset:
+        return frozenset(map(frozenset, self.cones))
+
+    def is_cone(self, indices) -> bool:
+        """Whether the normals at ``indices`` are independent."""
+        return frozenset(indices) in self._cone_sets
+
     # -- chambers ------------------------------------------------------------
 
     @cached_property
@@ -224,19 +253,14 @@ class StackyArrangement:
         """Every vertex, keyed by its tight set and in the order of the
         points, with the far ends of its edges.
 
-        Values are scaled by a positive common denominator of the inverse,
-        so the ratio test runs on integers.  A further hyperplane through a
-        vertex, or a tie in the ratio test, means the arrangement is not
-        simple, which a generic theta rules out.
+        Values are scaled by the positive denominator of the basis's
+        integer inverse, so the ratio test runs on integers.  A further
+        hyperplane through a vertex, or a tie in the ratio test, means the
+        arrangement is not simple, which a generic theta rules out.
         """
         normals, psi, m = self._normals, self.psi, self.m
         graph = {}
-        for tight in itertools.combinations(range(m), self.d):
-            inverse = rational_inverse([normals[i] for i in tight])
-            if inverse is None:
-                continue
-            scale = lcm(*(x.denominator for row in inverse for x in row))
-            inverse = [[x.numerator * (scale // x.denominator) for x in row] for row in inverse]
+        for tight, (inverse, scale) in self.bases.items():
             point = [-sum(a * psi[i] for a, i in zip(row, tight)) for row in inverse]
             values = [sum(a * x for a, x in zip(b, point)) + p * scale for b, p in zip(normals, psi)]
             others = [j for j in range(m) if j not in tight]

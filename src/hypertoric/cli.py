@@ -598,7 +598,7 @@ def run(argv) -> int:
             + "\n"
         )
         return 2
-    except (ArrangementError, LocalizeError, ExactAlgError) as e:
+    except (ArrangementError, LocalizeError) as e:
         sys.stdout.write(
             json.dumps(
                 {"error": {"message": str(e), "path": "(input data)"}}, sort_keys=True

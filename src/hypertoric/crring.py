@@ -17,7 +17,6 @@ from math import prod
 from hypertoric.arrangement import ArrangementError, StackyArrangement
 from hypertoric.multifan import (
     BoxElement,
-    MultiFan,
     _alpha_vector,
     box_elements,
     circuits,
@@ -30,10 +29,8 @@ class UnreducedInput(ArrangementError):
 
 
 class CohomologyContext:
-    """Shared environment: variables, cones, circuits, boxes of one arrangement.
-
-    One cone table, built once, serves the box enumeration and ``is_cone``:
-    a set of indices is a cone exactly when it is independent."""
+    """Shared environment: variables, circuits, boxes of one arrangement;
+    cones are the arrangement's own (``arr.is_cone``)."""
 
     def __init__(self, arr: StackyArrangement):
         self.arr = arr
@@ -41,10 +38,8 @@ class CohomologyContext:
         names = [f"u{i + 1}" for i in range(m)] + ["hbar"] + [f"lam{i + 1}" for i in range(m)]
         self.ring = PolyRing(names)
         self._u = [self.ring.var(f"u{i + 1}") for i in range(m)]
-        self.fan = MultiFan(arr)
         self.circuits = circuits(arr)
-        self.boxes = box_elements(arr, self.fan)
-        self._cones = frozenset(map(frozenset, self.fan.cones()))
+        self.boxes = box_elements(arr)
 
     # -- variables -----------------------------------------------------------
 
@@ -59,9 +54,6 @@ class CohomologyContext:
 
     def u_support(self, mono) -> tuple[int, ...]:
         return tuple(i for i in range(self.arr.m) if mono[i] > 0)
-
-    def is_cone(self, indices) -> bool:
-        return frozenset(indices) in self._cones
 
     def trivial_box(self) -> BoxElement:
         for b in self.boxes:
@@ -86,7 +78,7 @@ class CohomologyContext:
             supp = self.u_support(mono)
             if sigma & set(supp):
                 return None
-            if not self.is_cone(sigma | set(supp)):
+            if not self.arr.is_cone(sigma | set(supp)):
                 return None
             return coeff
 
@@ -227,7 +219,7 @@ def htt_presentation(context: CohomologyContext) -> RingPresentation:
 def _box_pair_product(context, box1, box2, box_square_sign: str):
     """The orbifold product of two nontrivial sector units, as a CRClass."""
     union = sorted(set(box1.sigma) | set(box2.sigma))
-    if not context.is_cone(union):
+    if not context.arr.is_cone(union):
         return CRClass.zero(context)
     # The closing box is determined coordinatewise on the union cone: its
     # fractional coordinates complete each pair sum to the next integer, so
@@ -281,7 +273,7 @@ def cr_presentation(
     for box, label in zip(nontrivial, labels):
         sigma = set(box.sigma)
         for i in range(context.arr.m):
-            if i in sigma or not context.is_cone(sigma | {i}):
+            if i in sigma or not context.arr.is_cone(sigma | {i}):
                 rels.append(
                     Relation(
                         "box-u",

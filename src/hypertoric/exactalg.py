@@ -10,7 +10,8 @@ across runs and platforms.
 Lattice problems (Smith and Hermite forms, integer solutions) work on
 integer matrices.  Field problems over the rationals (rank, solving,
 inverses, coordinates in a basis) all go through ``row_reduce``, one
-fraction-free Gauss-Jordan kernel, and thin wrappers around it.
+fraction-free Gauss-Jordan kernel, and thin wrappers around it; an
+inverse comes back as integer rows over one positive denominator.
 """
 
 from __future__ import annotations
@@ -346,11 +347,6 @@ def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v)
 
 
-def smith_diagonal(A: IntMatrix) -> tuple[int, ...]:
-    _, d, _ = smith_normal_form(A)
-    return tuple(d[i, i] for i in range(min(d.nrows, d.ncols)))
-
-
 def hermite_row_basis(rows) -> tuple[tuple[int, ...], ...]:
     """Row Hermite normal form of the lattice spanned by ``rows``.
 
@@ -520,13 +516,15 @@ def solve_rational_system(rows, rhs):
     return _solve(rows, rhs, len(rows[0]))[1] if rows else ()
 
 
-def rational_inverse(rows):
-    """Rows of the inverse of a square rational matrix; None if singular."""
+def integer_inverse(rows):
+    """``(A, s)`` with integer rows A, s > 0 and A / s the inverse of a square
+    rational matrix (s = |det| for integers); None if singular."""
     n = len(rows)
     pivots, m, d = row_reduce(rows, [[int(i == j) for j in range(n)] for i in range(n)])
     if len(pivots) < n:
         return None
-    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in m)
+    sign = 1 if d > 0 else -1
+    return tuple(tuple(sign * x for x in row[n:]) for row in m), sign * d
 
 
 def vector_content(vec) -> int:

@@ -2,11 +2,12 @@
 
 Rays come in mirror pairs (z-side and w-side); maximal cones are the
 complements of the sign patterns of the stability vector over all bases
-of the dual configuration.  A point is located in closed form: a cone's
-coordinates come from the inverse of the d x d basis of the arrangement
-behind it, in integers.  The l-pairing measures the failure of two
-lattice points to share a cone and projects to a curve degree on the
-canonical kernel basis of the lifted map.
+of the dual configuration; by Gale duality a cone's two-sided indices
+form a basis of the arrangement.  Its chart reads that basis's integer
+inverse from ``StackyArrangement.bases``: points are located in closed
+form and the lattice index is the inverse's denominator.  The l-pairing
+measures the failure of two lattice points to share a cone and projects
+to a curve degree on the canonical kernel basis of the lifted map.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import lcm
 
 from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
-from hypertoric.exactalg import IntMatrix, kernel_basis, row_reduce, smith_diagonal, solve_rational
+from hypertoric.exactalg import IntMatrix, kernel_basis, row_reduce, solve_rational
 
 
 class NonGeneric(ArrangementError):
@@ -96,7 +97,7 @@ class LawrenceFan:
         a = [x.numerator * (scale // x.denominator) for x in point[:d]]
         c = [x.numerator * (scale // x.denominator) for x in point[d:]]
         if all(x >= 0 for x in c):
-            for cone, inner, z_side, adjugate, det in self._charts:
+            for cone, (inner, z_side, adjugate, det) in self._charts.items():
                 rhs = list(a)
                 for i in z_side:
                     for t in range(d):
@@ -113,24 +114,20 @@ class LawrenceFan:
 
     @cached_property
     def _charts(self):
-        """Per maximal cone with independent rays, in order: the cone, its
-        two-sided indices I, its one-sided z indices, and the adjugate of
-        b_I with b_I's determinant, signed positive, from one reduction."""
-        m, d = self.m, len(self.rays[0]) - self.m
-        charts = []
+        """Per maximal cone, in order: its two-sided indices I (a basis), its
+        one-sided z indices, and the adjugate of the column matrix b_I with
+        |det b_I|.  The basis table holds (A, s) with A / s the inverse of
+        b_I^T, so A^T is that adjugate and s that determinant."""
+        m, bases = self.m, self.arrangement.bases
+        charts = {}
         for cone in self.max_cones:
-            inner = [i for i in range(m) if i in cone and m + i in cone]
+            inner = tuple(i for i in range(m) if i in cone and m + i in cone)
             z_side = [i for i in range(m) if i in cone and m + i not in cone]
-            n = len(inner)
-            rows = [[self.rays[i][t] for i in inner] for t in range(d)]
-            identity = [[int(i == j) for j in range(n)] for i in range(n)]
-            pivots, reduced, det = row_reduce(rows, identity)
-            if len(pivots) < n:
-                continue  # dependent rays: no point has coordinates here
-            sign = 1 if det > 0 else -1
-            adjugate = tuple(tuple(sign * x for x in row[n:]) for row in reduced)
-            charts.append((cone, inner, z_side, adjugate, sign * det))
-        return tuple(charts)
+            if inner not in bases:
+                raise InvariantError(f"maximal cone {cone} has dependent two-sided rays {inner}")
+            inverse, det = bases[inner]
+            charts[cone] = (inner, z_side, tuple(zip(*inverse)), det)
+        return charts
 
     def _locate_once(self, point) -> ConeCoordinates:
         key = tuple(point)
@@ -189,13 +186,12 @@ class LawrenceFan:
         return min((x for x in self._nonfacial_degrees() if sum(x) > 0), key=sum, default=None)
 
     def cone_index(self, cone) -> int:
-        """Lattice index of the sublattice spanned by the cone's rays
-        (1 means unimodular), read off the Smith form of the ray matrix."""
-        mat = IntMatrix.from_rows(tuple(zip(*[self.rays[r] for r in cone])))
-        diagonal = smith_diagonal(mat)
-        if 0 in diagonal:
-            raise ArrangementError("cone rays are dependent")
-        return prod(diagonal)
+        """Lattice index of the sublattice spanned by a maximal cone's rays
+        (1 means unimodular): |det b_I|, held in its chart."""
+        chart = self._charts.get(tuple(cone))
+        if chart is None:
+            raise InvariantError(f"{tuple(cone)} is not a maximal cone of the fan")
+        return chart[3]
 
 
 def lawrence_rays(arr: StackyArrangement):

@@ -1,17 +1,16 @@
-"""The multi-fan of an arrangement: cones, matroid circuits, box elements.
+"""Matroid circuits and box elements of an arrangement.
 
-Circuits carry their canonical two-sided splitting, positive weights and
-curve class.  Box elements index the twisted sectors; they are enumerated
-in integers from the Smith normal form of each cone matrix, over one
-denominator per cone.  A fan's cone table is built once and shared by the
-box enumeration and the cohomology context.
+Both read the arrangement's basis table: circuits are the minimal
+non-faces of its cones, with their canonical two-sided splitting,
+positive weights and curve class.  Box elements index the twisted
+sectors; they are enumerated over its cones, in integers from the Smith
+normal form of each cone matrix, over one denominator per cone.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -21,39 +20,9 @@ from hypertoric.exactalg import (
     coordinates_in_basis,
     kernel_basis,
     primitive_vector,
-    rational_rank,
     row_reduce,
     smith_normal_form,
 )
-
-
-@dataclass(frozen=True)
-class MultiFan:
-    """All cones spanned by linearly independent subsets of the b-vectors."""
-
-    arrangement: StackyArrangement
-
-    def is_cone(self, indices) -> bool:
-        cols = [self.arrangement.b_bar(i) for i in set(indices)]
-        return rational_rank(cols) == len(cols)
-
-    def cones(self):
-        return self._cones
-
-    @cached_property
-    def _cones(self):
-        arr = self.arrangement
-        out = [()]
-        for size in range(1, arr.d + 1):
-            for subset in itertools.combinations(range(arr.m), size):
-                if self.is_cone(subset):
-                    out.append(subset)
-        return tuple(out)
-
-    def top_cones(self):
-        arr = self.arrangement
-        top_rank = rational_rank([arr.b_bar(i) for i in range(arr.m)])
-        return tuple(c for c in self.cones() if len(c) == top_rank)
 
 
 @dataclass(frozen=True)
@@ -83,36 +52,39 @@ class Circuit:
 def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
     """All circuits, oriented by the halfspace emptiness test.
 
-    One fraction-free reduction of a subset's columns gives its rank, its
-    kernel vector and so its minimality (no zero entry).  The weight vector
-    w is the primitive kernel vector of a circuit; of its two signings
-    exactly one makes the mixed halfspace intersection empty (side 'G' of
-    the positive hyperplanes, side 'F' of the negative ones), and that
-    signing is the canonical split.  Since
-    sum w_i b_i = 0, sum w_i (<b_i, v> + psi_i) = sum w_i psi_i at every v,
-    while each term is <= 0 on the mixed intersection; so the empty
-    signing is the one that pairs positively with psi.  A zero pairing
-    puts theta on a wall, which genericity rules out.
+    A circuit is a minimal non-face of the arrangement's cones: a subset
+    that is not a cone while each of its facets is.  One fraction-free
+    reduction of its columns then gives its kernel, a line whose vector
+    has no zero entry by minimality.  The weight vector w is the
+    primitive kernel vector; of its two signings exactly one makes the
+    mixed halfspace intersection empty (side 'G' of the positive
+    hyperplanes, side 'F' of the negative ones), and that signing is the
+    canonical split.  Since sum w_i b_i = 0,
+    sum w_i (<b_i, v> + psi_i) = sum w_i psi_i at every v, while each
+    term is <= 0 on the mixed intersection; so the empty signing is the
+    one that pairs positively with psi.  A zero pairing puts theta on a
+    wall, which genericity rules out.
     """
     kb = kernel_basis(arr.beta.free_part())
     out = []
     for size in range(2, arr.d + 2):
         for subset in itertools.combinations(range(arr.m), size):
+            facets = (subset[:k] + subset[k + 1 :] for k in range(size))
+            if arr.is_cone(subset) or not all(map(arr.is_cone, facets)):
+                continue
             cols = [arr.b_bar(i) for i in subset]
             pivots, reduced, last = row_reduce(list(zip(*cols)))
             if len(pivots) != size - 1:
-                continue  # independent, or its kernel holds a smaller circuit
+                raise InvariantError(f"circuit kernel of {subset} is not one-dimensional")
             # the kernel is spanned by the vector with `last` at the free
             # column and minus that column of the reduced rows at the pivots
             (free,) = set(range(size)) - set(pivots)
             w = [last] * size
             for k, row in zip(pivots, reduced):
                 w[k] = -row[free]
-            if 0 in w:
-                continue  # not minimal: the kernel vector lives on a subset
-            if any(sum(x * col[r] for x, col in zip(w, cols)) for r in range(arr.d)):
-                # the reduction reported rank size - 1 for a vector it does not annihilate
-                raise InvariantError("circuit kernel is not one-dimensional")
+            if 0 in w or any(sum(x * col[r] for x, col in zip(w, cols)) for r in range(arr.d)):
+                # a minimal dependent set has a kernel line with full support
+                raise InvariantError(f"circuit kernel of {subset} is not one-dimensional with full support")
             w = primitive_vector(w)
             pairing = sum(x * arr.psi[i] for i, x in zip(subset, w))
             if pairing == 0:
@@ -138,7 +110,6 @@ def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
                     root_hyperplane=tuple(i for i in range(arr.m) if i not in subset),
                 )
             )
-    out.sort(key=lambda c: (len(c.support), c.support))
     return tuple(out)
 
 
@@ -223,14 +194,12 @@ def _cone_boxes(arr: StackyArrangement, sigma, torsion) -> list[BoxElement]:
     return out
 
 
-def box_elements(arr: StackyArrangement, fan: MultiFan | None = None) -> tuple[BoxElement, ...]:
-    """All box elements, the trivial one included, deterministically sorted;
-    ``fan`` lends its cone table when the caller already holds one."""
+def box_elements(arr: StackyArrangement) -> tuple[BoxElement, ...]:
+    """All box elements, the trivial one included, deterministically sorted."""
     torsion = _torsion_elements(arr.group_N)
     out = [BoxElement((0,) * arr.d, tor, (), ()) for tor in torsion]
-    for sigma in (fan or MultiFan(arr)).cones():
-        if sigma:
-            out.extend(_cone_boxes(arr, sigma, torsion))
+    for sigma in arr.cones[1:]:  # the empty cone's boxes are the trivial ones
+        out.extend(_cone_boxes(arr, sigma, torsion))
     out.sort(key=lambda b: b.sort_key())
     return tuple(out)
 

@@ -327,6 +327,23 @@ def test_quantum_program_faults_exit_1(capsys, tmp_path, beta, psi, theta, argv,
     assert captured.err == f"internal error: {message}\n"
 
 
+def test_exact_algebra_error_after_the_build_is_internal(capsys, write_examples, monkeypatch):
+    """Input-side exact-algebra errors are raised while the arrangement is
+    built; one raised later is a program fault, exit 1."""
+    import hypertoric.cli as cli
+    from hypertoric.exactalg import ExactAlgError
+
+    def broken(arr):
+        raise ExactAlgError("dimension mismatch in matrix product")
+
+    monkeypatch.setattr(cli, "payload_circuits", broken)
+    code = run(["circuits", "--input", write_examples["hirzebruch"]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "internal error: dimension mismatch in matrix product\n"
+
+
 def test_truncation_too_small_is_input_error(capsys, write_examples):
     code, out = invoke(
         capsys, [*QUANTUM, "--input", write_examples["cotangent-p1"], "--max-q-order", "0"]

@@ -196,8 +196,8 @@ def test_is_cone_is_independence(shipped, rank3_family):
         for size in range(arr.d + 2):
             for s in itertools.combinations(range(arr.m), size):
                 independent = rational_rank([arr.b_bar(i) for i in s]) == size
-                assert ctx.is_cone(s) == independent
-                assert ctx.is_cone(set(reversed(s))) == independent
+                assert ctx.arr.is_cone(s) == independent
+                assert ctx.arr.is_cone(set(reversed(s))) == independent
 
 
 def test_extended_presentation_reads_the_circuit_relations(shipped):

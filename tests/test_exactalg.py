@@ -17,9 +17,9 @@ from hypertoric.exactalg import (
     coordinates_in_basis,
     gale_dual,
     hermite_row_basis,
+    integer_inverse,
     kernel_basis,
     rational_coordinates_in_basis,
-    rational_inverse,
     rational_rank,
     smith_normal_form,
     solve_integer,
@@ -263,12 +263,14 @@ def test_rational_kernel_matches_sympy():
             if S.det() == 0:
                 counts["singular"] += 1
                 assert solve_rational(square, rhs_k) is None
-                assert rational_inverse(square) is None
+                assert integer_inverse(square) is None
             else:
                 want = S.LUsolve(sympy.Matrix(k, 1, rhs_k))
                 assert solve_rational(square, rhs_k) == tuple(_sympy_fraction(v) for v in want)
                 inv = S.inv()
-                assert rational_inverse(square) == tuple(
+                got, s = integer_inverse(square)
+                assert s > 0 and all(type(x) is int for row in got for x in row)
+                assert tuple(tuple(Fraction(x, s) for x in row) for row in got) == tuple(
                     tuple(_sympy_fraction(inv[i, j]) for j in range(k)) for i in range(k)
                 )
 

@@ -277,3 +277,18 @@ def test_l_vector_is_ray_relation(tp12):
         for t in range(dim):
             total[t] += vec[r] * fan.ray_vector(r)[t]
     assert all(x == 0 for x in total)
+
+
+def test_maximal_cone_off_the_bases_is_internal(hirzebruch):
+    """The two-sided set of a maximal cone is a basis by Gale duality; a
+    cone on the parallel pair (1, 2) is a fault of the program."""
+    fan = build_lawrence_fan(hirzebruch)
+    m = hirzebruch.m
+    forged = (0, 1, 2, 3, m + 1, m + 2)  # every z-ray, the w-rays of 1 and 2
+    broken = dataclasses.replace(fan, max_cones=fan.max_cones + (forged,))
+    with pytest.raises(InvariantError, match="dependent two-sided rays"):
+        broken.locate(fan.rays[0])
+    with pytest.raises(InvariantError, match="dependent two-sided rays"):
+        broken.cone_index(fan.max_cones[0])
+    with pytest.raises(InvariantError, match="not a maximal cone"):
+        fan.cone_index(forged)

@@ -11,7 +11,6 @@ from hypertoric.arrangement import InvariantError, StackyArrangement
 from hypertoric.exactalg import FgAbelianGroup, IntMatrix, kernel_basis, row_reduce, smith_normal_form
 from hypertoric.multifan import (
     BoxElement,
-    MultiFan,
     box_elements,
     box_inverse,
     circuits,
@@ -78,6 +77,27 @@ def test_circuit_kernel_of_wrong_dimension_is_internal(hirzebruch, monkeypatch):
         circuits(hirzebruch)
 
 
+def test_circuit_reduction_that_disagrees_with_the_cones_is_internal(hirzebruch, monkeypatch):
+    """The cone table makes every candidate a minimal dependent set, whose
+    kernel is a line with full support; a reduction that reports another
+    rank or a zero kernel entry is a program fault."""
+
+    def full_rank(rows):
+        pivots, reduced, last = row_reduce(rows)
+        return list(range(len(rows[0]))), reduced, last
+
+    def zero_entry(rows):
+        pivots, reduced, last = row_reduce(rows)
+        free = next(k for k in range(len(rows[0])) if k not in pivots)
+        reduced[0][free] = 0
+        return pivots, reduced, last
+
+    for fake in (full_rank, zero_entry):
+        monkeypatch.setattr("hypertoric.multifan.row_reduce", fake)
+        with pytest.raises(InvariantError, match="circuit kernel"):
+            circuits(hirzebruch)
+
+
 def test_curve_class_outside_kernel_lattice_is_internal(hirzebruch, monkeypatch):
     monkeypatch.setattr("hypertoric.multifan.coordinates_in_basis", lambda basis, vec: None)
     with pytest.raises(InvariantError, match="kernel lattice"):
@@ -100,9 +120,8 @@ def test_circuit_weight_relation(shipped):
             # kernel membership of the curve class
             assert all(x == 0 for x in arr.beta.free_part().apply(c.beta_S))
             # minimality: removing any index leaves an independent family
-            fan = MultiFan(arr)
             for drop in c.support:
-                assert fan.is_cone(tuple(i for i in c.support if i != drop))
+                assert arr.is_cone(tuple(i for i in c.support if i != drop))
 
 
 def test_no_circuits_for_independent_columns():
@@ -192,15 +211,14 @@ def test_torsion_boxes():
 
 
 def test_top_cone_counts(tp1, tp12, hirzebruch, hirzebruch_weighted):
-    assert len(MultiFan(tp1).top_cones()) == 2
-    assert len(MultiFan(tp12).top_cones()) == 2
-    assert len(MultiFan(hirzebruch).top_cones()) == 5
-    assert len(MultiFan(hirzebruch_weighted).top_cones()) == 5
+    assert len(tp1.bases) == 2
+    assert len(tp12.bases) == 2
+    assert len(hirzebruch.bases) == 5
+    assert len(hirzebruch_weighted.bases) == 5
 
 
 def test_multifan_closed_under_faces(hirzebruch):
-    fan = MultiFan(hirzebruch)
-    cones = set(fan.cones())
+    cones = set(hirzebruch.cones)
     for cone in cones:
         for drop in cone:
             face = tuple(i for i in cone if i != drop)
@@ -236,7 +254,7 @@ def fraction_cone_boxes(arr, sigma):
 def fraction_box_elements(arr):
     torsion = itertools.product(*[range(q) for q in arr.group_N.torsion_invariants])
     out = [BoxElement((0,) * arr.d, tor, (), ()) for tor in torsion]
-    for sigma in MultiFan(arr).cones():
+    for sigma in arr.cones:
         if sigma:
             out.extend(fraction_cone_boxes(arr, sigma))
     out.sort(key=lambda b: b.sort_key())
@@ -303,7 +321,9 @@ def test_box_counts_by_inclusion_exclusion(wide):
         assert Counter(b.sigma for b in box_elements(arr)) == inclusion_exclusion_counts(arr)
 
 
-def test_box_elements_reuse_a_given_fan(hirzebruch_weighted):
-    fan = MultiFan(hirzebruch_weighted)
-    assert fan.cones() is fan.cones()
-    assert box_elements(hirzebruch_weighted, fan) == box_elements(hirzebruch_weighted)
+def test_box_elements_read_the_cached_cone_table(hirzebruch_weighted):
+    """The cone table is built once per arrangement, and reading it from
+    the cache leaves the boxes as a fresh arrangement enumerates them."""
+    arr = hirzebruch_weighted
+    assert arr.cones is arr.cones
+    assert box_elements(arr) == box_elements(StackyArrangement.from_data(arr.to_data()))
