@@ -9,11 +9,17 @@ for fixed input and flags; wall time is only included when explicitly
 requested.
 
 Exit codes: 0 success, 2 input validation failure, 1 internal error.
+An internal error prints one ``internal error: ...`` line on stderr, and
+with ``--debug`` its traceback after it.
+
+The argument parser is built on the first ``run`` and reused by every
+later ``run`` in the process; each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -464,6 +470,7 @@ def render_text(command: str, payload: dict) -> str:
 # Driver
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hypertoric")
     sub = p.add_subparsers(dest="command", required=True)
@@ -473,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--input", required=True)
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--timing", action="store_true")
+        sp.add_argument("--debug", action="store_true")
 
     common(sub.add_parser("gale"))
     common(sub.add_parser("circuits"))
@@ -514,8 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
         if args.command == "examples":
@@ -608,6 +615,10 @@ def run(argv) -> int:
         return 2
     except Exception as e:  # internal error
         sys.stderr.write(f"internal error: {e}\n")
+        if args.debug:
+            import traceback
+
+            traceback.print_exc()
         return 1
 
 

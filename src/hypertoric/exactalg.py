@@ -616,6 +616,28 @@ def rational_coordinates_in_basis(basis_rows, vec):
     return x if rank == n else None
 
 
+def basis_projection(basis_rows):
+    """The coordinate map of a basis B of independent integer rows, set up
+    once by one reduction of [B | I].  With P the pivot columns and d the
+    last pivot, the right block M has M B_P = d I, so an integer vector
+    v = c B has d c = v_P M.  Returns ``project(vec)``: the integer vector
+    d c and d, or None when ``vec`` is outside the span of B."""
+    n = len(basis_rows)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    pivots, reduced, d = row_reduce(basis_rows, identity)
+    if len(pivots) != n:
+        raise ExactAlgError("basis rows are dependent")
+    columns = tuple(zip(*(row[-n:] for row in reduced)))
+
+    def project(vec):
+        coords = [sum(a * vec[p] for a, p in zip(col, pivots)) for col in columns]
+        if any(sum(c * b[i] for c, b in zip(coords, basis_rows)) != d * x for i, x in enumerate(vec)):
+            return None
+        return coords, d
+
+    return project
+
+
 def coordinates_in_basis(basis_rows, vec):
     """Integer coordinates of ``vec`` in the given lattice basis, else None."""
     x = rational_coordinates_in_basis(basis_rows, vec)

@@ -20,7 +20,7 @@ from functools import cached_property
 from math import lcm
 
 from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
-from hypertoric.exactalg import IntMatrix, kernel_basis, row_reduce, solve_rational
+from hypertoric.exactalg import IntMatrix, basis_projection, kernel_basis, solve_rational
 
 
 class NonGeneric(ArrangementError):
@@ -148,22 +148,15 @@ class LawrenceFan:
         for coeffs, sign in zip(located, (1, 1, -1)):
             for r, x in coeffs.items():
                 vec[r] += sign * x.numerator * (den // x.denominator)
-        pivots, rows, last = self._h2_projection
-        coords = [sum(a * vec[p] for a, p in zip(row, pivots)) for row in rows]
-        if any(sum(c * b[i] for c, b in zip(coords, self.h2_basis)) != last * x for i, x in enumerate(vec)):
+        projected = self._h2_coordinates(vec)
+        if projected is None:
             raise InvariantError("l-pairing vector is outside the curve lattice")
+        coords, last = projected
         return tuple(Fraction(x, den) for x in vec), tuple(Fraction(x, last * den) for x in coords)
 
     @cached_property
-    def _h2_projection(self):
-        """Pivot coordinates P of ``h2_basis`` B, the integer projection and
-        its denominator d, from one reduction of [B | I]: the right block
-        is d E with E B_P = I, and a vector v = c B has c = v_P E, so the
-        projection's rows are the right block's columns."""
-        n = len(self.h2_basis)
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        pivots, reduced, d = row_reduce(self.h2_basis, identity)
-        return tuple(pivots), tuple(zip(*(row[-n:] for row in reduced))), d
+    def _h2_coordinates(self):
+        return basis_projection(self.h2_basis)
 
     def nonfacial_ray_pairs(self):
         """Ray pairs contained in no common maximal cone."""

@@ -17,7 +17,7 @@ from math import lcm
 from hypertoric.arrangement import InvariantError, StackyArrangement
 from hypertoric.exactalg import (
     IntMatrix,
-    coordinates_in_basis,
+    basis_projection,
     kernel_basis,
     primitive_vector,
     row_reduce,
@@ -63,9 +63,11 @@ def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
     sum w_i (<b_i, v> + psi_i) = sum w_i psi_i at every v, while each
     term is <= 0 on the mixed intersection; so the empty signing is the
     one that pairs positively with psi.  A zero pairing puts theta on a
-    wall, which genericity rules out.
+    wall, which genericity rules out.  The curve class is the signed
+    vector's integer coordinates in the kernel basis, read through one
+    projection of that basis set up before the enumeration.
     """
-    kb = kernel_basis(arr.beta.free_part())
+    curve_class = basis_projection(kernel_basis(arr.beta.free_part()))
     out = []
     for size in range(2, arr.d + 2):
         for subset in itertools.combinations(range(arr.m), size):
@@ -95,9 +97,10 @@ def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
             beta_s = [0] * arr.m
             for i, x in zip(subset, signed):
                 beta_s[i] = x
-            h2 = coordinates_in_basis(kb, tuple(beta_s))
-            if h2 is None:
+            projected = curve_class(beta_s)
+            if projected is None or any(x % projected[1] for x in projected[0]):
                 raise InvariantError("curve class is not in the kernel lattice")
+            h2 = tuple(x // projected[1] for x in projected[0])
             out.append(
                 Circuit(
                     support=tuple(subset),

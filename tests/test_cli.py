@@ -344,6 +344,101 @@ def test_exact_algebra_error_after_the_build_is_internal(capsys, write_examples,
     assert captured.err == "internal error: dimension mismatch in matrix product\n"
 
 
+def _call(capsys, argv):
+    """Exit code, stdout and stderr of one ``run``; argparse exits itself."""
+    try:
+        code = run(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_debug_prints_the_traceback_of_an_internal_error(capsys, write_examples, monkeypatch):
+    """--debug adds the traceback after the one-line report of an internal
+    error; without it stderr is that line alone, and on success the flag
+    changes nothing."""
+    import hypertoric.cli as cli
+    from hypertoric.exactalg import ExactAlgError
+
+    argv = ["circuits", "--input", write_examples["hirzebruch"]]
+    assert _call(capsys, [*argv, "--debug"]) == _call(capsys, argv)
+
+    def broken(arr):
+        raise ExactAlgError("dimension mismatch in matrix product")
+
+    monkeypatch.setattr(cli, "payload_circuits", broken)
+    line = "internal error: dimension mismatch in matrix product\n"
+    assert _call(capsys, argv) == (1, "", line)
+    code, out, err = _call(capsys, [*argv, "--debug"])
+    assert (code, out) == (1, "")
+    assert err.startswith(line + "Traceback (most recent call last):\n")
+    assert "in broken" in err
+    assert err.endswith("ExactAlgError: dimension mismatch in matrix product\n")
+
+
+def test_one_parser_serves_every_run(capsys, write_examples, monkeypatch):
+    """The parser is built on first use and then reused: twenty runs build
+    one parser tree, the top parser and one per subcommand."""
+    import argparse
+
+    from hypertoric.cli import build_parser
+
+    assert build_parser() is build_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    build_parser.cache_clear()
+    for k in range(20):
+        argv = ["gale", "--input", write_examples["cotangent-p12"]] if k % 2 else ["examples", "--list"]
+        assert _call(capsys, argv)[0] == 0
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert built[0] is parser
+    assert len(built) == 1 + len(sub.choices) == 12
+
+
+def test_reused_parser_leaks_no_state(capsys, write_examples, tmp_path):
+    """Each call in one process prints what the same call prints on a
+    fresh parser: no option of an earlier call carries over."""
+    from hypertoric.cli import build_parser
+
+    p12, hirz = write_examples["cotangent-p12"], write_examples["hirzebruch-weighted"]
+    svg = str(tmp_path / "core.svg")
+    calls = [
+        ["qsr", "--input", p12, "--max-q-order", "3"],
+        ["qsr", "--input", p12],
+        ["core", "--input", hirz, "--svg", svg],
+        ["core", "--input", hirz],
+        ["localize", "--input", p12, "--convention", "paper"],
+        ["localize", "--input", p12],
+        ["cohomology", "--input", p12, "--convention", "literal"],
+        ["cohomology", "--input", p12],
+        ["gale", "--input", p12, "--format", "text"],
+        ["gale", "--input", p12],
+        ["core"],
+        ["gale", "--input", p12],
+    ]
+    reused = [_call(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_call(capsys, argv))
+    assert [r[:2] for r in reused] == [f[:2] for f in fresh]
+    assert [r[0] for r in reused] == [0] * 10 + [2, 0]
+    assert json.loads(reused[1][1])["flags"]["max_q_order"] == 6
+    assert "svg" not in json.loads(reused[3][1])["payload"]
+    assert json.loads(reused[5][1])["flags"]["convention"] == "standard"
+    assert json.loads(reused[7][1])["flags"]["convention"] == "paper"
+    assert json.loads(reused[9][1])["flags"]["format"] == "json"
+    assert "the following arguments are required: --input" in reused[10][2]
+
+
 def test_truncation_too_small_is_input_error(capsys, write_examples):
     code, out = invoke(
         capsys, [*QUANTUM, "--input", write_examples["cotangent-p1"], "--max-q-order", "0"]

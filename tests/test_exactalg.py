@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertoric.exactalg import (
+    ExactAlgError,
     FgAbelianGroup,
     GroupHom,
     InfiniteCokernel,
     IntMatrix,
     NotInImage,
     TorsionColumn,
+    basis_projection,
     coordinates_in_basis,
     gale_dual,
     hermite_row_basis,
@@ -295,3 +297,49 @@ def test_rational_kernel_matches_sympy():
         counts["non_integral"] += not integral
         assert coordinates_in_basis(basis, vec) == (want if integral else None)
     assert all(n >= 20 for n in counts.values()), counts
+
+
+def test_basis_projection_matches_rational_coordinates():
+    """The coordinate map set up once per basis agrees with a fresh solve
+    per vector: None outside the span, else d c and d with c the rational
+    coordinates; a dependent basis is refused."""
+    rng = random.Random(11)
+    counts = {"dependent": 0, "outside": 0, "integral": 0, "non_integral": 0}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        ncols = rng.randint(n, 6)
+        basis = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(n)]
+        if rng.random() < 0.2:
+            coeffs = [rng.randint(-2, 2) for _ in basis[:-1]]
+            basis[-1] = [sum(c * r[j] for c, r in zip(coeffs, basis)) for j in range(ncols)]
+        if rational_rank(basis) < n:
+            with pytest.raises(ExactAlgError):
+                basis_projection(basis)
+            counts["dependent"] += 1
+            continue
+        project = basis_projection(basis)
+        for _ in range(5):
+            coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in basis]
+            vec = [sum((c * r[j] for c, r in zip(coeffs, basis)), Fraction(0)) for j in range(ncols)]
+            if any(x.denominator != 1 for x in vec):
+                vec = [2 * x for x in vec] if rng.random() < 0.5 else vec
+            if any(x.denominator != 1 for x in vec):
+                continue
+            vec = [int(x) for x in vec]
+            if rng.random() < 0.3:
+                vec[rng.randrange(ncols)] += 1
+            want = rational_coordinates_in_basis(basis, vec)
+            got = project(vec)
+            if want is None:
+                assert got is None
+                counts["outside"] += 1
+                continue
+            coords, d = got
+            assert all(type(x) is int for x in coords) and d != 0
+            assert tuple(Fraction(x, d) for x in coords) == want
+            integral = all(x % d == 0 for x in coords)
+            counts["integral" if integral else "non_integral"] += 1
+            assert coordinates_in_basis(basis, vec) == (
+                tuple(x // d for x in coords) if integral else None
+            )
+    assert all(k >= 20 for k in counts.values()), counts

@@ -206,7 +206,7 @@ def test_l_pairing_outside_curve_lattice_is_internal(tp1, monkeypatch):
         pivots, reduced, d = real(rows, right)
         return pivots, reduced, 2 * d
 
-    monkeypatch.setattr("hypertoric.lawrence.row_reduce", wrong_last_pivot)
+    monkeypatch.setattr("hypertoric.exactalg.row_reduce", wrong_last_pivot)
     fresh = dataclasses.replace(fan)  # no projection cached yet
     with pytest.raises(InvariantError, match="curve lattice"):
         fresh.l_pairing(fan.ray_vector(pair[0]), fan.ray_vector(pair[1]))

@@ -8,7 +8,15 @@ from math import gcd, prod
 import pytest
 
 from hypertoric.arrangement import InvariantError, StackyArrangement
-from hypertoric.exactalg import FgAbelianGroup, IntMatrix, kernel_basis, row_reduce, smith_normal_form
+from hypertoric.exactalg import (
+    FgAbelianGroup,
+    IntMatrix,
+    basis_projection,
+    coordinates_in_basis,
+    kernel_basis,
+    row_reduce,
+    smith_normal_form,
+)
 from hypertoric.multifan import (
     BoxElement,
     box_elements,
@@ -99,9 +107,27 @@ def test_circuit_reduction_that_disagrees_with_the_cones_is_internal(hirzebruch,
 
 
 def test_curve_class_outside_kernel_lattice_is_internal(hirzebruch, monkeypatch):
-    monkeypatch.setattr("hypertoric.multifan.coordinates_in_basis", lambda basis, vec: None)
-    with pytest.raises(InvariantError, match="kernel lattice"):
-        circuits(hirzebruch)
+    """A curve class outside the span of the kernel basis, or with
+    non-integral coordinates in it (read against the basis doubled), is a
+    fault of the program."""
+    outside = lambda basis: lambda vec: None  # noqa: E731
+    doubled = lambda basis: basis_projection([[2 * x for x in b] for b in basis])  # noqa: E731
+    for fake in (outside, doubled):
+        monkeypatch.setattr("hypertoric.multifan.basis_projection", fake)
+        with pytest.raises(InvariantError, match="kernel lattice"):
+            circuits(hirzebruch)
+
+
+def test_curve_classes_match_coordinates_in_basis(shipped, ladder, rank3_family):
+    """The one projection gives each circuit the integer coordinates of its
+    signed vector in the kernel basis, as a fresh solve per circuit does."""
+    checked = 0
+    for arr in [*shipped.values(), *ladder.values(), *rank3_family]:
+        kb = kernel_basis(arr.beta.free_part())
+        for c in circuits(arr):
+            assert c.h2_class == coordinates_in_basis(kb, c.beta_S)
+            checked += 1
+    assert checked > 500
 
 
 def test_circuit_weight_relation(shipped):
