@@ -3,6 +3,8 @@
 The arrangement owns its matroid: ``bases`` holds one integer inverse per
 basis of the normals, and the independent sets (cones) are their faces;
 circuits, boxes, vertices and the Lawrence charts all read this table.
+``vertex_values`` adds each basis's vertex and the hyperplane values
+there, from which ``build`` decides genericity and the Lawrence fan its cones.
 The geometry is done with exact rational arithmetic.  A generic
 stability vector makes the arrangement simple: every vertex lies on
 exactly d hyperplanes, with independent normals.  The bounded chambers
@@ -185,8 +187,8 @@ class StackyArrangement:
         beta = GroupHom(FgAbelianGroup(m), group_N, matrix)
         beta_dual = gale_dual(beta)
         theta = tuple(int(x) for x in theta)
-        if not check_generic(beta_dual, theta):
-            raise NonGenericTheta(f"theta={theta} is not generic")
+        if len(theta) != beta_dual.target.generator_count:
+            raise ArrangementError("theta length does not match the dual group")
         if psi is None:
             psi = lift_theta(beta_dual, theta)
         psi = tuple(int(x) for x in psi)
@@ -196,7 +198,10 @@ class StackyArrangement:
         expect = beta_dual.target.reduce_vector(tuple(-t for t in theta))
         if image != expect:
             raise ArrangementError("psi is not a lifting: theta != -beta_dual(psi)")
-        return StackyArrangement(group_N, beta, theta, psi, beta_dual)
+        arr = StackyArrangement(group_N, beta, theta, psi, beta_dual)
+        if not arr.is_generic():
+            raise NonGenericTheta(f"theta={theta} is not generic")
+        return arr
 
     # -- basic views ---------------------------------------------------------
 
@@ -246,23 +251,40 @@ class StackyArrangement:
         """Whether the normals at ``indices`` are independent."""
         return frozenset(indices) in self._cone_sets
 
+    @cached_property
+    def vertex_values(self) -> dict:
+        """Per basis B: its vertex v and the value <b_j, v> + psi_j of every
+        hyperplane j (0 on B), scaled by the denominator s of B's inverse.
+        As beta_dual takes the values to -s theta, those off B are -s times
+        the coefficients of theta in the complementary dual basis."""
+        normals, psi = self._normals, self.psi
+        table = {}
+        for tight, (inverse, scale) in self.bases.items():
+            point = tuple(-sum(a * psi[i] for a, i in zip(row, tight)) for row in inverse)
+            values = [sum(a * x for a, x in zip(b, point)) + p * scale for b, p in zip(normals, psi)]
+            table[tight] = point, values
+        return table
+
+    def is_generic(self) -> bool:
+        """Whether theta is on no wall (by Gale duality, no vertex lies on a
+        further hyperplane) and, as in ``check_generic``, is not zero."""
+        if self.theta and not any(self.theta):
+            return False
+        return all(values.count(0) == len(tight) for tight, (_, values) in self.vertex_values.items())
+
     # -- chambers ------------------------------------------------------------
 
     @cached_property
     def _vertex_graph(self) -> dict:
         """Every vertex, keyed by its tight set and in the order of the
-        points, with the far ends of its edges.
-
-        Values are scaled by the positive denominator of the basis's
-        integer inverse, so the ratio test runs on integers.  A further
-        hyperplane through a vertex, or a tie in the ratio test, means the
-        arrangement is not simple, which a generic theta rules out.
-        """
-        normals, psi, m = self._normals, self.psi, self.m
+        points, with the far ends of its edges.  The ratio test runs on the
+        scaled integer values.  A further hyperplane through a vertex (which
+        ``build`` rejects) or a tie in the ratio test means the arrangement
+        is not simple, which a generic theta rules out."""
+        normals, m = self._normals, self.m
         graph = {}
-        for tight, (inverse, scale) in self.bases.items():
-            point = [-sum(a * psi[i] for a, i in zip(row, tight)) for row in inverse]
-            values = [sum(a * x for a, x in zip(b, point)) + p * scale for b, p in zip(normals, psi)]
+        for tight, (point, values) in self.vertex_values.items():
+            inverse, scale = self.bases[tight]
             others = [j for j in range(m) if j not in tight]
             if any(values[j] == 0 for j in others):
                 raise InvariantError(

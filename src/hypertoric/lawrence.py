@@ -1,9 +1,9 @@
 """The Lawrence fan of an arrangement, point location, and the l-pairing.
 
-Rays come in mirror pairs (z-side and w-side); maximal cones are the
-complements of the sign patterns of the stability vector over all bases
-of the dual configuration; by Gale duality a cone's two-sided indices
-form a basis of the arrangement.  Its chart reads that basis's integer
+Rays come in mirror pairs (z-side and w-side); each basis of the
+arrangement gives one maximal cone, read off the signs of the other
+hyperplanes at its vertex (by Gale duality, those of the stability vector
+in the complementary dual basis).  Its chart reads that basis's integer
 inverse from ``StackyArrangement.bases``: points are located in closed
 form and the lattice index is the inverse's denominator.  The l-pairing
 measures the failure of two lattice points to share a cone and projects
@@ -20,11 +20,7 @@ from functools import cached_property
 from math import lcm
 
 from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
-from hypertoric.exactalg import IntMatrix, basis_projection, kernel_basis, solve_rational
-
-
-class NonGeneric(ArrangementError):
-    """The stability vector lies on a wall: some basis coefficient is zero."""
+from hypertoric.exactalg import IntMatrix, basis_projection, kernel_basis
 
 
 class OutsideSupport(ArrangementError):
@@ -194,38 +190,19 @@ def lawrence_rays(arr: StackyArrangement):
     return z_rays + tuple((0,) * arr.d + e for e in units)
 
 
-def build_lawrence_fan(arr: StackyArrangement, theta=None) -> LawrenceFan:
-    """Construct the fan by enumerating all bases of the dual configuration.
-
-    Raises NonGeneric when some basis solves the stability vector with a
-    zero coefficient (a wall-crossing position).
-    """
-    beta_dual = arr.beta_dual
-    if theta is None:
-        theta = arr.theta
-    theta = tuple(int(x) for x in theta)
-    f = beta_dual.target.rank
-    theta_free = theta[:f]
+def build_lawrence_fan(arr: StackyArrangement) -> LawrenceFan:
+    """The fan of ``arr.vertex_values``: the cone of a basis B omits z_j for
+    each j outside B with a negative value and w_j for each with a positive
+    one (``build`` rejects a zero), and the omitted rays make its irrelevant monomial."""
     m = arr.m
-    cols = [beta_dual.free_part().col(j) for j in range(m)]
-    sigma_sets = []
-    monomials = []
-    for subset in itertools.combinations(range(m), f):
-        lam = solve_rational(list(zip(*(cols[i] for i in subset))), theta_free)
-        if lam is None:
-            continue
-        if any(x == 0 for x in lam):
-            raise NonGeneric(f"basis {subset} solves theta with a zero coefficient")
-        sigma = [i if coeff > 0 else m + i for i, coeff in zip(subset, lam)]  # z- or w-ray
-        sigma_sets.append(frozenset(sigma))
-        monomials.append(tuple(sorted(f"z{r + 1}" if r < m else f"w{r - m + 1}" for r in sigma)))
-    max_cones = sorted(
-        set(tuple(sorted(set(range(2 * m)) - s)) for s in sigma_sets)
-    )
-    irrelevant = tuple(sorted(set(monomials)))
+    max_cones, monomials = [], []
+    for tight, (_, values) in arr.vertex_values.items():
+        omitted = {j if values[j] < 0 else m + j for j in range(m) if j not in tight}
+        max_cones.append(tuple(r for r in range(2 * m) if r not in omitted))
+        monomials.append(tuple(sorted(f"z{r + 1}" if r < m else f"w{r - m + 1}" for r in omitted)))
     rays = lawrence_rays(arr)
     basis = kernel_basis(IntMatrix.from_rows(tuple(zip(*rays))))  # of the lifted map
-    fan = LawrenceFan(arr, rays, tuple(max_cones), irrelevant, basis)
+    fan = LawrenceFan(arr, rays, tuple(sorted(max_cones)), tuple(sorted(monomials)), basis)
     return _orient_h2_basis(fan)
 
 
@@ -246,6 +223,6 @@ def _orient_h2_basis(fan: LawrenceFan) -> LawrenceFan:
 
 
 def lawrence_fan(arr: StackyArrangement) -> LawrenceFan:
-    """``build_lawrence_fan`` at the arrangement's own theta; only the
-    acceptance tests still import this name."""
+    """Another name for ``build_lawrence_fan``; only the acceptance tests
+    still import it."""
     return build_lawrence_fan(arr)

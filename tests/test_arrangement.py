@@ -55,6 +55,11 @@ def test_generic_rejects_wall():
 
 
 def test_generic_invariant_under_unimodular_change():
+    """``check_generic`` is unchanged by a unimodular change of the dual
+    basis, and ``build`` rejects theta exactly where it does: on seeded
+    inputs with d <= 3, m <= d + 4 and torsion Z/2 or Z/3, with thetas
+    drawn at random or on a wall (an integer combination of f - 1 dual
+    columns), and on the zero theta of a torsion-only dual group."""
     dual = dual_of([(1, 0), (0, -1), (0, 1), (-1, -1)], 2)
     rng = random.Random(3)
     thetas = [(-2, -1), (1, 3), (5, 2), (1, 1), (0, 1)]
@@ -72,6 +77,41 @@ def test_generic_invariant_under_unimodular_change():
             assert check_generic(dual, theta) == check_generic(
                 changed, M.apply(theta)
             )
+
+    def decided(group, cols, theta):
+        try:
+            StackyArrangement.build(group, cols, theta)
+        except NonGenericTheta:
+            return False
+        return True
+
+    # Z/3 dual group, no hyperplane off the one basis
+    assert not decided(FgAbelianGroup(2), [(-2, -1), (1, -1)], (0,))
+    assert not check_generic(dual_of([(-2, -1), (1, -1)], 2), (0,))
+    counts = {True: 0, False: 0}
+    torsion_walls = 0
+    for _ in range(600):
+        d = rng.randint(1, 3)
+        group = FgAbelianGroup(d, rng.choice(((), (2,), (3,))))
+        cols = [
+            tuple(rng.randint(-2, 2) for _ in range(group.generator_count))
+            for _ in range(rng.randint(d, d + 4))
+        ]
+        beta = GroupHom(FgAbelianGroup(len(cols)), group, IntMatrix.from_rows(tuple(zip(*cols))))
+        try:
+            dual = gale_dual(beta)
+        except ExactAlgError:
+            continue  # a torsion column or an infinite cokernel
+        # theta = -beta_dual(psi) is in the image; psi on f - 1 indices puts it on a wall
+        m, f = len(cols), dual.target.rank
+        support = rng.sample(range(m), f - 1) if f and rng.random() < 0.5 else range(m)
+        psi = [rng.randint(-3, 3) if j in support else 0 for j in range(m)]
+        theta = dual.target.reduce_vector(tuple(-x for x in dual.matrix.apply(psi)))
+        generic = check_generic(dual, theta)
+        assert decided(group, cols, theta) == generic, (group, cols, theta)
+        counts[generic] += 1
+        torsion_walls += not generic and bool(group.torsion_invariants)
+    assert min(counts.values()) >= 150 and torsion_walls >= 50, (counts, torsion_walls)
 
 
 def test_lift_theta_examples():
@@ -431,7 +471,7 @@ def test_zero_circuit_pairing_is_an_internal_error():
 
 def test_cli_reports_zero_circuit_pairing_as_internal(tmp_path, monkeypatch, capsys):
     # theta = 0 is on a wall; with the genericity gate off it reaches circuits
-    monkeypatch.setattr("hypertoric.arrangement.check_generic", lambda *args: True)
+    monkeypatch.setattr(StackyArrangement, "is_generic", lambda self: True)
     path = tmp_path / "wall.json"
     path.write_text(
         '{"schema_version": "hypertoric-arrangement/1", "rank": 1, "torsion": [],'

@@ -105,6 +105,19 @@ def test_nongeneric_theta_exit_code(capsys, tmp_path):
     assert err["error"]["path"] == "theta"
 
 
+def test_psi_errors_come_before_genericity(capsys, tmp_path):
+    """A psi of the wrong length is reported before a theta on a wall."""
+    p = tmp_path / "ng.json"
+    doc = example_document("cotangent-p1")
+    doc["theta"] = [0]
+    doc["psi"] = [0, 0, 0]
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = invoke(capsys, ["gale", "--input", str(p)])
+    assert code == 2
+    err = json.loads(out)
+    assert "psi length" in err["error"]["message"]
+
+
 def test_missing_file(capsys):
     code, out = invoke(capsys, ["gale", "--input", "/nonexistent.json"])
     assert code == 2

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from hypertoric.arrangement import InvariantError
+from hypertoric.arrangement import InvariantError, NonGenericTheta, StackyArrangement
 from hypertoric.cli import payload_qsr
+from hypertoric.examples_data import example_document
 from hypertoric.exactalg import (
     rational_coordinates_in_basis,
     row_reduce,
@@ -17,7 +18,6 @@ from hypertoric.exactalg import (
 from hypertoric.lawrence import (
     ConeCoordinates,
     LawrenceFan,
-    NonGeneric,
     OutsideSupport,
     build_lawrence_fan,
 )
@@ -52,9 +52,12 @@ def test_hirzebruch_fan_counts(hirzebruch):
         assert mat.rank() == hirzebruch.m + hirzebruch.d
 
 
-def test_nongeneric_on_wall(tp1):
-    with pytest.raises(NonGeneric):
-        build_lawrence_fan(tp1, theta=(0,))
+def test_nongeneric_on_wall():
+    doc = example_document("cotangent-p1")
+    doc["theta"] = [0]
+    del doc["psi"]
+    with pytest.raises(NonGenericTheta):
+        StackyArrangement.from_data(doc)
 
 
 def test_locate_rays_and_sums(tp1):
@@ -112,6 +115,34 @@ def scan_locate(fan, point):
 def wide_fans(shipped, ladder, rank3_family):
     """Fans of the shipped examples, every ladder rung and a seeded rank-3 family."""
     return [build_lawrence_fan(arr) for arr in [*shipped.values(), *ladder.values(), *rank3_family]]
+
+
+def solve_cones(arr):
+    """Reference: the maximal cones and irrelevant monomials from the sign
+    patterns of theta in each basis of the dual configuration, one rational
+    solve per (m - d)-subset of the dual columns; None on a wall."""
+    f = arr.beta_dual.target.rank
+    m = arr.m
+    cols = [arr.beta_dual.free_part().col(j) for j in range(m)]
+    cones, monomials = set(), set()
+    for subset in itertools.combinations(range(m), f):
+        lam = solve_rational(list(zip(*(cols[i] for i in subset))), arr.theta[:f])
+        if lam is None:
+            continue
+        if any(x == 0 for x in lam):
+            return None
+        sigma = {i if coeff > 0 else m + i for i, coeff in zip(subset, lam)}  # z- or w-ray
+        cones.add(tuple(r for r in range(2 * m) if r not in sigma))
+        monomials.add(tuple(sorted(f"z{r + 1}" if r < m else f"w{r - m + 1}" for r in sigma)))
+    return tuple(sorted(cones)), tuple(sorted(monomials))
+
+
+def test_cones_match_the_dual_basis_solves(wide_fans):
+    """The cones read off the vertex values equal those of the rational
+    solves of theta in every dual basis, on the shipped examples, every
+    ladder rung and the rank-3 family."""
+    for fan in wide_fans:
+        assert (fan.max_cones, fan.irrelevant_monomials) == solve_cones(fan.arrangement)
 
 
 def test_locate_matches_full_cone_scan(wide_fans):
