@@ -25,6 +25,7 @@ from hypertoric.exactalg import (
     FgAbelianGroup,
     GroupHom,
     IntMatrix,
+    NotInImage,
     gale_dual,
     integer_inverse,
     primitive_vector,
@@ -39,6 +40,10 @@ class ArrangementError(ValueError):
 
 class NonGenericTheta(ArrangementError):
     """The stability vector lies on a wall of the secondary arrangement."""
+
+
+class NoIntegralLift(ArrangementError):
+    """Theta is not -beta_dual(psi) for any integral psi."""
 
 
 class DimensionTooLarge(ArrangementError):
@@ -158,7 +163,14 @@ def lift_theta(beta_dual: GroupHom, theta) -> tuple[int, ...]:
         rhs.append(-theta[f + j])
     if not rows:
         return tuple(0 for _ in range(m))
-    sol = solve_integer(IntMatrix.from_rows(rows), rhs)
+    try:
+        sol = solve_integer(IntMatrix.from_rows(rows), rhs)
+    except NotInImage:
+        group = ([f"Z^{f}"] if f else []) + [f"Z/{q}" for q in orders]
+        raise NoIntegralLift(
+            f"theta={theta} has no integral lift: -theta is not in the image of "
+            f"beta_dual in the dual group {' x '.join(group)}"
+        ) from None
     return tuple(sol[:m])
 
 

@@ -26,7 +26,12 @@ import sys
 import time
 from fractions import Fraction
 
-from hypertoric.arrangement import ArrangementError, StackyArrangement
+from hypertoric.arrangement import (
+    ArrangementError,
+    NoIntegralLift,
+    NonGenericTheta,
+    StackyArrangement,
+)
 from hypertoric.exactalg import ExactAlgError
 from hypertoric.crring import CohomologyContext, CRClass, cr_presentation, ht_presentation
 from hypertoric.examples_data import SCHEMA_VERSION, example_document, example_names
@@ -170,7 +175,8 @@ def build_arrangement(doc: dict) -> StackyArrangement:
     try:
         return StackyArrangement.from_data(doc)
     except (ArrangementError, ExactAlgError) as e:
-        raise InputError(str(e), path="theta" if "generic" in str(e) else "(document)")
+        theta_fault = isinstance(e, (NonGenericTheta, NoIntegralLift))
+        raise InputError(str(e), path="theta" if theta_fault else "(document)")
 
 
 def document_hash(doc: dict) -> str:

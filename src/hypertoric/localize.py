@@ -273,7 +273,7 @@ def integrate_base(
                 raise ZeroEuler("vanishing tangent Euler factor")
             lead = t.terms[max(t.terms)]
             scalar *= lead
-            forms[t * (1 / lead)] += 1
+            forms[t * (Fraction(1) / lead)] += 1
         denominators.append((scalar, forms))
         common |= forms
     numerator = poly.ring.zero()

@@ -3,13 +3,28 @@
 A tiny dedicated implementation rather than a CAS dependency: the
 cohomology rings only ever need ring arithmetic plus reduction by
 monomial ideals, and golden tests require a bit-stable canonical form
-(graded lexicographic term order, Fraction coefficients).
+(graded lexicographic term order, exact coefficients).
+
+A coefficient is an int when integral, else a Fraction: nearly all
+coefficients are integers, and int arithmetic runs in C.  Printing reads
+only ``numerator``, ``denominator`` and comparisons, which both types
+have, and ``1 == Fraction(1)`` with equal hashes, so term dicts compare
+alike either way.  A product of Fractions may be an integral Fraction;
+it prints and compares as the int would.  Division by a coefficient
+starts from ``Fraction(1)``, since int / int is a float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
+
+
+def _exact(c):
+    """``Fraction(c)``, returned as an int when it is integral."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class PolyRing:
@@ -38,7 +53,7 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c) -> "Poly":
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return self.zero()
         return Poly(self, {self._zero_mono: c})
@@ -46,13 +61,13 @@ class PolyRing:
     def var(self, name: str) -> "Poly":
         mono = list(self._zero_mono)
         mono[self.index[name]] = 1
-        return Poly(self, {tuple(mono): Fraction(1)})
+        return Poly(self, {tuple(mono): 1})
 
     def monomial(self, exps, coeff=1) -> "Poly":
         exps = tuple(int(e) for e in exps)
         if len(exps) != len(self.names):
             raise ValueError("exponent tuple has wrong length")
-        c = Fraction(coeff)
+        c = _exact(coeff)
         return Poly(self, {exps: c} if c else {})
 
 
@@ -67,7 +82,7 @@ class Poly:
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {m: c for m, c in self.terms.items() if c != 0}
+        clean = {m: c for m, c in self.terms.items() if c}
         object.__setattr__(self, "terms", clean)
 
     # -- predicates ---------------------------------------------------------
@@ -78,10 +93,10 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms.get(self.ring._zero_mono, Fraction(0))
+        return self.terms.get(self.ring._zero_mono, 0)
 
     def total_degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
@@ -98,7 +113,7 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out[m] + c if m in out else c
         return Poly(self.ring, out)
 
     __radd__ = __add__
@@ -116,14 +131,14 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = Fraction(other)
+            c = _exact(other)
             return Poly(self.ring, {m: v * c for m, v in self.terms.items()})
         self._check(other)
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                m = tuple(map(add, m1, m2))
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
         return Poly(self.ring, out)
 
     __rmul__ = __mul__
@@ -189,7 +204,7 @@ class Poly:
         for m, c in self.terms.items():
             v = fn(m, c)
             if v:
-                out[m] = out.get(m, Fraction(0)) + v
+                out[m] = v
         return Poly(self.ring, out)
 
     # -- printing -----------------------------------------------------------
@@ -225,7 +240,7 @@ class Poly:
         return f"Poly({self})"
 
 
-def _fmt_coeff(c: Fraction, lead: bool) -> str:
+def _fmt_coeff(c: int | Fraction, lead: bool) -> str:
     s = str(c) if c.denominator != 1 else str(c.numerator)
     if lead:
         return s
@@ -248,7 +263,7 @@ def divide_linear(p: Poly, form: Poly) -> tuple[Poly, Poly]:
     ring = p.ring
     v = min(form.support())
     unit = tuple(1 if i == v else 0 for i in range(len(ring.names)))
-    inv = 1 / form.terms[unit]
+    inv = Fraction(1) / form.terms[unit]
     rest = form - ring.monomial(unit, form.terms[unit])
     slices: dict = {}
     for m, c in p.terms.items():

@@ -105,6 +105,27 @@ def test_nongeneric_theta_exit_code(capsys, tmp_path):
     assert err["error"]["path"] == "theta"
 
 
+def test_theta_without_integral_lift_names_theta_and_dual_group(capsys, tmp_path):
+    """Over Z x Z/2 the free part of beta_dual(psi) is even, so theta = (1, 1)
+    has no integral lift: bad input at path theta, not a bare solver error."""
+    p = tmp_path / "nolift.json"
+    doc = {
+        "schema_version": example_document("cotangent-p1")["schema_version"],
+        "rank": 1,
+        "torsion": [2],
+        "beta": [[-2, 2], [-2, 1]],
+        "theta": [1, 1],
+    }
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = invoke(capsys, ["gale", "--input", str(p)])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "message": "theta=(1, 1) has no integral lift: -theta is not in the image "
+        "of beta_dual in the dual group Z^1 x Z/2",
+        "path": "theta",
+    }
+
+
 def test_psi_errors_come_before_genericity(capsys, tmp_path):
     """A psi of the wrong length is reported before a theta on a wall."""
     p = tmp_path / "ng.json"

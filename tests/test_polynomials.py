@@ -82,3 +82,151 @@ def test_sympy_str_examples():
     assert sympy_str(1 - hbar * u1) == "-hbar*u1 + 1"
     assert sympy_str(lam2 + lam10) == "lam10 + lam2"
     assert sympy_str(Fraction(-3, 2) * u1 * hbar ** 2 + Fraction(1, 3)) == "-3*hbar**2*u1/2 + 1/3"
+
+
+# The Fraction-accumulating kernel that int coefficients replaced, on bare
+# term dicts: the reference the kernel is checked against below.
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _ref_scale(a, c):
+    c = Fraction(c)
+    return {m: v * c for m, v in a.items()} if c else {}
+
+
+def _ref_pow(a, n, zero_mono):
+    out = {zero_mono: Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_substitute(a, subs, zero_mono):
+    """``subs`` maps a variable index to a term dict."""
+    out = {}
+    for m, c in a.items():
+        term = {zero_mono: Fraction(c)}
+        for i, e in enumerate(m):
+            if i in subs:
+                factor = _ref_pow(subs[i], e, zero_mono)
+            else:
+                factor = {tuple(e if j == i else 0 for j in range(len(m))): Fraction(1)}
+            term = _ref_mul(term, factor)
+        out = _ref_add(out, term)
+    return out
+
+
+def _mixed_coeff(rng):
+    """An int, a proper Fraction or an integral Fraction such as 4/2."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-6, 6)
+    if kind == 1:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return Fraction(2 * rng.randint(-3, 3), 2)
+
+
+def _mixed_poly(rng, ring, terms, degree):
+    out = {}
+    for _ in range(terms):
+        exps = [0] * len(ring.names)
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(len(ring.names))] += 1
+        out[tuple(exps)] = _mixed_coeff(rng)
+    return Poly(ring, out)
+
+
+def _assert_exact(p):
+    kinds = {type(c) for c in p.terms.values()}
+    assert kinds <= {int, Fraction}, p.terms
+
+
+def test_kernel_matches_sympy_and_fraction_reference():
+    """Ring operations on mixed int/Fraction coefficients agree with sympy's
+    expansion and with the Fraction-accumulating reference kernel, and no
+    result holds a float (int / int would make one)."""
+    import sympy
+
+    rng = random.Random(1212)
+    ring = PolyRing(["x", "y", "z"])
+    zero = ring._zero_mono
+    syms = [sympy.Symbol(n) for n in ring.names]
+    S = poly_to_sympy
+
+    def check(result, expected_expr, expected_terms):
+        _assert_exact(result)
+        assert sympy.expand(S(result) - expected_expr) == 0, result
+        assert result.terms == expected_terms, result
+
+    seen = {"integral fraction": 0, "fraction result": 0, "nonzero remainder": 0}
+    for _ in range(60):
+        a = _mixed_poly(rng, ring, rng.randint(0, 4), 3)
+        b = _mixed_poly(rng, ring, rng.randint(0, 4), 3)
+        c = _mixed_coeff(rng)
+        n = rng.randint(0, 3)
+        seen["integral fraction"] += any(
+            type(v) is Fraction and v.denominator == 1 for v in (*a.terms.values(), c)
+        )
+        check(a + b, S(a) + S(b), _ref_add(a.terms, b.terms))
+        check(a - b, S(a) - S(b), _ref_add(a.terms, _ref_scale(b.terms, -1)))
+        check(a * b, S(a) * S(b), _ref_mul(a.terms, b.terms))
+        check(a**n, S(a) ** n, _ref_pow(a.terms, n, zero))
+        check(a * c, S(a) * sympy.Rational(c), _ref_scale(a.terms, c))
+        check(c * a, S(a) * sympy.Rational(c), _ref_scale(a.terms, c))
+        check(a + c, S(a) + sympy.Rational(c), _ref_add(a.terms, _ref_scale({zero: 1}, c)))
+
+        i = rng.randrange(3)
+        value = b if rng.random() < 0.7 else c
+        sub = a.substitute({ring.names[i]: value})
+        sub_terms = value.terms if isinstance(value, Poly) else _ref_scale({zero: 1}, value)
+        check(
+            sub,
+            S(a).xreplace({syms[i]: S(value) if isinstance(value, Poly) else sympy.Rational(value)}),
+            _ref_substitute(a.terms, {i: sub_terms}, zero),
+        )
+
+        def halve_odd(mono, coeff):
+            return None if mono[i] == 1 else (coeff * Fraction(1, 2) if mono[i] % 2 else coeff)
+
+        mapped = a.map_terms(halve_odd)
+        kept = {m: v for m, v in a.terms.items() if m[i] != 1}
+        check(
+            mapped,
+            sum((S(Poly(ring, {m: halve_odd(m, v)})) for m, v in kept.items()), sympy.Integer(0)),
+            {m: halve_odd(m, v) for m, v in kept.items()},
+        )
+        seen["fraction result"] += any(type(v) is Fraction for v in (a * b).terms.values())
+
+        # a linear form whose pivot coefficient is an int, an integral
+        # Fraction or a proper one; p = q * form + r with r free of the pivot
+        pivot = rng.randrange(3)
+        lead = rng.choice((rng.choice((-3, -2, 2, 3)), Fraction(-4, 2), Fraction(2, 3)))
+        form = ring.monomial(tuple(int(j == pivot) for j in range(3)), lead)
+        for j in range(pivot + 1, 3):
+            form = form + ring.monomial(tuple(int(k == j) for k in range(3)), _mixed_coeff(rng))
+        form = form + rng.choice((0, 1, Fraction(-1, 3)))
+        q, r = divide_linear(a, form)
+        _assert_exact(q)
+        _assert_exact(r)
+        assert pivot not in r.support()
+        assert _ref_add(_ref_mul(q.terms, form.terms), r.terms) == a.terms
+        gens = [syms[pivot]] + [s for j, s in enumerate(syms) if j != pivot]
+        sq, sr = sympy.div(S(a), S(form), *gens)
+        assert sympy.expand(S(q) - sq) == 0 and sympy.expand(S(r) - sr) == 0
+        seen["nonzero remainder"] += not r.is_zero()
+    assert min(seen.values()) >= 10, seen
