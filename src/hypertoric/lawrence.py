@@ -220,9 +220,3 @@ def _orient_h2_basis(fan: LawrenceFan) -> LawrenceFan:
     # cone coordinates do not depend on the basis: keep what is located
     oriented._located.update(fan._located)
     return oriented
-
-
-def lawrence_fan(arr: StackyArrangement) -> LawrenceFan:
-    """Another name for ``build_lawrence_fan``; only the acceptance tests
-    still import it."""
-    return build_lawrence_fan(arr)

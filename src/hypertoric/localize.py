@@ -8,10 +8,9 @@ quoted identities verbatim; those identities overdetermine any
 single self-consistent table, so it stores exactly the stated values
 and nothing more.
 
-Tables hold exact ``Poly`` linear forms, and the compact sector integrals
-that the quantum product reads are exact polynomial arithmetic.  sympy is
-imported only where a rational function is the result: ``integrate`` and
-the hard-coded convention's operator.
+Tables hold exact ``Poly`` linear forms, and every integral is exact
+polynomial arithmetic: a compact sector integral is a ``Poly``, and an
+integral over the whole cotangent sector a ``RationalFunction``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from fractions import Fraction
 from math import prod
 
 from hypertoric.exactalg import rational_rank
-from hypertoric.polynomials import Poly, PolyRing, divide_linear, poly_to_sympy
+from hypertoric.polynomials import Poly, PolyRing, RationalFunction, divide_linear
 
 
 class LocalizeError(ValueError):
@@ -81,17 +80,6 @@ class WeightedModel:
 
     def u_form(self, i: int) -> Poly:
         return self.ring.var(self.u_names[i])
-
-    # sympy views, for the rational functions of ``integrate``
-
-    def lam(self, k: int):
-        return poly_to_sympy(self.lam_forms[k])
-
-    @property
-    def hbar(self):
-        import sympy
-
-        return sympy.Symbol("hbar")
 
 
 @dataclass(frozen=True)
@@ -235,58 +223,62 @@ def restrict_expr(poly: Poly, point: FixedPoint) -> Poly:
     return poly.substitute(point.restrictions)
 
 
-def integrate(expr, table: FixedPointTable, sector_class: Fraction = Fraction(0)):
-    """Localized integral over the cotangent sector of a sympy expression in
-    the model's variables: sum of multiplicity times restriction over the
-    full normal Euler factor, as a cancelled sympy rational function."""
-    import sympy
+def _localize(poly: Poly, points, euler_forms) -> tuple[Poly, Counter]:
+    """The localization sum of ``poly`` over ``points``, each point's Euler
+    factor the product of its linear forms in ``euler_forms``: put over the
+    product of the distinct monic forms (proportional ones counted once),
+    the numerator is divided exactly by each form that divides it.  Returns
+    the numerator and a Counter of the forms left in the denominator."""
+    denominators = []  # per point: (scalar, Counter of monic forms)
+    common: Counter = Counter()
+    for forms in euler_forms:
+        scalar, monic = Fraction(1), Counter()
+        for t in forms:
+            if t.is_zero():
+                raise ZeroEuler("vanishing Euler factor")
+            lead = t.terms[max(t.terms)]
+            scalar *= lead
+            monic[t * (Fraction(1) / lead)] += 1
+        denominators.append((scalar, monic))
+        common |= monic
+    numerator = poly.ring.zero()
+    for pt, (scalar, monic) in zip(points, denominators):
+        term = restrict_expr(poly, pt) * (pt.multiplicity / scalar)
+        for form, power in (common - monic).items():
+            term = term * form**power
+        numerator = numerator + term
+    left: Counter = Counter()
+    for form, power in common.items():
+        for k in range(power):
+            quotient, remainder = divide_linear(numerator, form)
+            if not remainder.is_zero():
+                left[form] = power - k
+                break
+            numerator = quotient
+    return numerator, left
 
-    total = sympy.Integer(0)
-    for pt in table.sector_points(sector_class):
-        euler = pt.euler
-        if euler.is_zero():
-            raise ZeroEuler("vanishing Euler factor")
-        subs = {sympy.Symbol(k): poly_to_sympy(v) for k, v in pt.restrictions.items()}
-        restricted = sympy.expand(sympy.sympify(expr).subs(subs))
-        total += sympy.Rational(pt.multiplicity) * restricted / poly_to_sympy(euler)
-    return sympy.cancel(sympy.together(total))
+
+def integrate(
+    poly: Poly, table: FixedPointTable, sector_class: Fraction = Fraction(0)
+) -> RationalFunction:
+    """Integral over the cotangent sector: Euler factors are the tangent and
+    fiber weights, and the value is a rational function in lowest terms."""
+    points = table.sector_points(sector_class)
+    forms = [pt.tangent_weights + pt.fiber_weights for pt in points]
+    numerator, left = _localize(poly, points, forms)
+    return RationalFunction(numerator, prod((f**k for f, k in left.items()), start=poly.ring.one()))
 
 
 def integrate_base(
     poly: Poly, table: FixedPointTable, sector_class: Fraction = Fraction(0)
 ) -> Poly:
     """Integral over the compact zero section of a sector: Euler factors are
-    the base tangent weights only.
-
-    The localization sum is put over one common denominator, the product of
-    the distinct tangent forms (proportional forms counted once), and the
-    numerator is divided exactly by each form.  A polynomial class
-    integrates to a polynomial; a nonzero remainder raises NotPolynomial.
-    """
+    the base tangent weights only.  A polynomial class integrates to a
+    polynomial; a denominator left over raises NotPolynomial."""
     points = table.sector_points(sector_class)
-    denominators = []  # per point: (scalar, Counter of monic tangent forms)
-    common: Counter = Counter()
-    for pt in points:
-        scalar, forms = Fraction(1), Counter()
-        for t in pt.tangent_weights:
-            if t.is_zero():
-                raise ZeroEuler("vanishing tangent Euler factor")
-            lead = t.terms[max(t.terms)]
-            scalar *= lead
-            forms[t * (Fraction(1) / lead)] += 1
-        denominators.append((scalar, forms))
-        common |= forms
-    numerator = poly.ring.zero()
-    for pt, (scalar, forms) in zip(points, denominators):
-        term = restrict_expr(poly, pt) * (pt.multiplicity / scalar)
-        for form, power in (common - forms).items():
-            term = term * form**power
-        numerator = numerator + term
-    for form, power in common.items():
-        for _ in range(power):
-            numerator, remainder = divide_linear(numerator, form)
-            if not remainder.is_zero():
-                raise NotPolynomial("sector integral is not polynomial")
+    numerator, left = _localize(poly, points, [pt.tangent_weights for pt in points])
+    if left:
+        raise NotPolynomial("sector integral is not polynomial")
     return numerator
 
 
@@ -345,30 +337,11 @@ class SteinbergOperator:
 
 
 class PaperSteinbergOperator(SteinbergOperator):
-    """The hard-coded convention: entries are sympy rational functions."""
-
-    def _sympy_matrix(self):
-        import sympy
-
-        return sympy.Matrix([list(row) for row in self.matrix])
+    """The hard-coded convention: the 2x2 matrix holds rational functions."""
 
     def is_injective(self) -> bool:
-        import sympy
-
-        return sympy.simplify(self._sympy_matrix().det()) != 0
-
-    def compose(self, other: "SteinbergOperator"):
-        return self._sympy_matrix() * other._sympy_matrix()
-
-    def is_identity_matrix(self, mat) -> bool:
-        import sympy
-
-        n = mat.shape[0]
-        return all(
-            sympy.simplify(mat[i, j] - (1 if i == j else 0)) == 0
-            for i in range(n)
-            for j in range(n)
-        )
+        (a, b), (c, d) = self.matrix
+        return a * d != b * c
 
 
 def _sector_inverse(f: Fraction) -> Fraction:
@@ -396,8 +369,7 @@ def steinberg_operator(
     if table.convention == "paper":
         return _paper_steinberg(model, table, direction, order)
     idx = {f: i for i, f in enumerate(order)}
-    size = len(order)
-    rows = [[Fraction(0) for _ in range(size)] for _ in range(size)]
+    rows = [[Fraction(0)] * len(order) for _ in order]
     for s_in in secs:
         # pairing of the sector basis class against the correspondence:
         # integrate it over the compact zero section of the input factor
@@ -411,32 +383,20 @@ def steinberg_operator(
 
 
 def _paper_steinberg(model, table, direction, order):
-    import sympy
-
-    lam1, lam2, hbar = model.lam(0), model.lam(1), model.hbar
-    half = sympy.Rational(1, 2)
-    e0 = "fiber"  # hbar - u1 - u2
-    et = "box"  # the half sector unit
-    I = integrate((hbar - lam1 - lam2) ** 2, table, Fraction(0))
-    if direction == "forward":
-        # matrix on the (fiber class, box unit) basis; the one entry the
-        # quoted values leave unstated is completed by the compact
-        # base integral of the fiber class.
-        std = standard_table(model)
-        mixed = integrate_base(fiber_class_expr(model), std, Fraction(0))
-        matrix = ((I, half), (poly_to_sympy(mixed), half))
-        images = {
-            "u1": {e0: half, et: half},
-            "u2": {e0: sympy.Integer(1), et: half},
-            "box": {e0: half, et: half},
-        }
-    else:
-        matrix = ((I, half), (I, half))
-        images = {
-            "fiber": {e0: I, et: I},
-            "box": {e0: half, et: half},
-        }
-    return PaperSteinbergOperator(order, matrix, images)
+    """The quoted values, on the basis of the fiber class hbar - u1 - u2 and
+    the unit of the half sector ("box")."""
+    lam1, lam2 = model.lam_forms
+    half = Fraction(1, 2)
+    halves = {"fiber": half, "box": half}
+    I = integrate((model.hbar_form() - lam1 - lam2) ** 2, table, Fraction(0))
+    if direction == "inverse":
+        images = {"fiber": {"fiber": I, "box": I}, "box": halves}
+        return PaperSteinbergOperator(order, ((I, half), (I, half)), images)
+    # the one matrix entry the quoted values leave unstated is completed by
+    # the compact base integral of the fiber class
+    mixed = integrate_base(fiber_class_expr(model), standard_table(model)).constant_value()
+    images = {"u1": halves, "u2": {"fiber": 1, "box": half}, "box": halves}
+    return PaperSteinbergOperator(order, ((I, half), (mixed, half)), images)
 
 
 def orbifold_degrees(model: WeightedModel):
@@ -445,19 +405,10 @@ def orbifold_degrees(model: WeightedModel):
     Components are indexed by ordered sector pairs, plus one diagonal
     component per sector order.
     """
-    n = model.n
     secs = sectors(model)
-    out = []
-    for s1 in secs:
-        for s2 in secs:
-            a1 = len(s1.support)
-            a2 = len(s2.support)
-            deg = (a1 - 1) + (a2 - 1) + s1.age + s2.age
-            out.append((("pair", s1.f, s2.f), deg))
-    for s in secs:
-        a = len(s.support)
-        out.append((("diagonal", s.f), 2 * (a - 1) + 2 * s.age))
-    return tuple(out)
+    half = {s.f: len(s.support) - 1 + s.age for s in secs}  # each factor's share
+    pairs = [(("pair", s1.f, s2.f), half[s1.f] + half[s2.f]) for s1 in secs for s2 in secs]
+    return tuple(pairs + [(("diagonal", s.f), 2 * half[s.f]) for s in secs])
 
 
 def box_square_sign_oracle(model: WeightedModel) -> str:
@@ -473,9 +424,6 @@ def box_square_sign_oracle(model: WeightedModel) -> str:
     for sec in sectors(model):
         if sec.f == 0 or _sector_inverse(sec.f) != sec.f:
             continue
-        self_pairing = sum(
-            Fraction(pt.multiplicity) for pt in table.sector_points(sec.f)
-        )
-        if self_pairing <= 0:
+        if sum(pt.multiplicity for pt in table.sector_points(sec.f)) <= 0:
             return "literal"
     return "paper"

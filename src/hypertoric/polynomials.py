@@ -3,7 +3,9 @@
 A tiny dedicated implementation rather than a CAS dependency: the
 cohomology rings only ever need ring arithmetic plus reduction by
 monomial ideals, and golden tests require a bit-stable canonical form
-(graded lexicographic term order, exact coefficients).
+(graded lexicographic term order, exact coefficients).  The one rational
+function the library prints, a localized integral, is a
+``RationalFunction`` of two polynomials.
 
 A coefficient is an int when integral, else a Fraction: nearly all
 coefficients are integers, and int arithmetic runs in C.  Printing reads
@@ -11,18 +13,23 @@ only ``numerator``, ``denominator`` and comparisons, which both types
 have, and ``1 == Fraction(1)`` with equal hashes, so term dicts compare
 alike either way.  A product of Fractions may be an integral Fraction;
 it prints and compares as the int would.  Division by a coefficient
-starts from ``Fraction(1)``, since int / int is a float.
+starts from ``Fraction(1)``, since int / int is a float.  A float is
+refused: its exact binary value is rarely the number meant.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 
 
 def _exact(c):
     """``Fraction(c)``, returned as an int when it is integral."""
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}")
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -167,14 +174,8 @@ class Poly:
 
     def support(self, indices=None):
         """Variable indices occurring in some term (optionally filtered)."""
-        out = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    out.add(i)
-        if indices is not None:
-            out &= set(indices)
-        return out
+        out = {i for m in self.terms for i, e in enumerate(m) if e}
+        return out if indices is None else out & set(indices)
 
     def substitute(self, assignment: dict) -> "Poly":
         """Substitute polynomials or scalars for named variables."""
@@ -310,13 +311,57 @@ def sympy_str(p: Poly) -> str:
     return " ".join(parts) or "0"
 
 
-def poly_to_sympy(p: Poly):
-    """Convert to a sympy expression in the plain symbols of the ring's names."""
-    import sympy
+def _gen_rank(name: str):
+    """sympy's order of polynomial generators (``polyutils._sort_gens``):
+    single-letter stems x..z, p..w, a..o first, each stem by integer suffix."""
+    stem, index = re.fullmatch(r"(.*?)(\d*)", name).groups()
+    letters = "xyzpqrstuvwabcdefghijklmno"
+    return (letters.index(stem) if len(stem) == 1 and stem in letters else 26, stem, int(index or 0))
 
-    symbols = [sympy.Symbol(name) for name in p.ring.names]
-    terms = []
-    for m, c in p.terms.items():
-        powers = [x ** e for x, e in zip(symbols, m) if e]
-        terms.append(sympy.Mul(sympy.Rational(c.numerator, c.denominator), *powers))
-    return sympy.Add(*terms)
+
+class RationalFunction:
+    """A quotient of two polynomials of one ring, compared by
+    cross-multiplication.  Arithmetic does not cancel; a value in lowest
+    terms prints as sympy's ``str(cancel(...))`` of it, save 1/x**k for
+    k > 1, which sympy writes x**(-k) and no localized integral is."""
+
+    def __init__(self, numerator: Poly, denominator: Poly):
+        self.numerator, self.denominator = numerator, denominator
+
+    @staticmethod
+    def _parts(x):
+        return (x.numerator, x.denominator) if isinstance(x, RationalFunction) else (x, 1)
+
+    def __add__(self, other):
+        n, d = self._parts(other)
+        return RationalFunction(self.numerator * d + self.denominator * n, self.denominator * d)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        n, d = self._parts(other)
+        return RationalFunction(self.numerator * n, self.denominator * d)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        n, d = self._parts(other)
+        return self.numerator * d == self.denominator * n
+
+    def __str__(self):
+        # sympy's cancel keeps integer sides without common content, the
+        # denominator's leading coefficient in generator order positive,
+        # and divides the numerator by a constant denominator
+        num, den = self.numerator, self.denominator
+        if den.is_constant():
+            return sympy_str(num * (Fraction(1) / den.constant_value()))
+        coeffs = [*num.terms.values(), *den.terms.values()]
+        scale = lcm(*(c.denominator for c in coeffs))
+        scale = Fraction(scale, gcd(*(c.numerator * scale // c.denominator for c in coeffs)))
+        order = sorted(range(len(den.ring.names)), key=lambda i: _gen_rank(den.ring.names[i]))
+        if max(den.terms.items(), key=lambda mc: [mc[0][i] for i in order])[1] < 0:
+            scale = -scale
+        top, bottom = sympy_str(num * scale), sympy_str(den * scale)
+        if len(den.terms) > 1 or "*" in bottom.replace("**", ""):
+            bottom = f"({bottom})"
+        return (f"({top})" if len(num.terms) > 1 else top) + "/" + bottom

@@ -1,0 +1,21 @@
+"""The tests' bridge from the library's exact values to sympy, the oracle
+they are checked against.  The library itself never imports sympy."""
+
+from __future__ import annotations
+
+import sympy
+
+
+def poly_to_sympy(p):
+    """A ``Poly`` as a sympy expression in the plain symbols of its ring's names."""
+    symbols = [sympy.Symbol(name) for name in p.ring.names]
+    terms = []
+    for m, c in p.terms.items():
+        powers = [x**e for x, e in zip(symbols, m) if e]
+        terms.append(sympy.Mul(sympy.Rational(c.numerator, c.denominator), *powers))
+    return sympy.Add(*terms)
+
+
+def rational_to_sympy(value):
+    """A ``RationalFunction`` as a sympy quotient."""
+    return poly_to_sympy(value.numerator) / poly_to_sympy(value.denominator)

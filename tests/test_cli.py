@@ -496,17 +496,18 @@ for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         code = hypertoric.cli.run([argv[0], "--input", doc, *argv[1:]])
     loaded[argv[0]] = (code, [m for m in heavy if m in sys.modules])
-with contextlib.redirect_stdout(io.StringIO()):
-    code = hypertoric.cli.run(["localize", "--input", p12, "--convention", "paper"])
-loaded["localize --convention paper"] = (code, [m for m in heavy if m in sys.modules])
+for cmd in ("localize", "steinberg"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = hypertoric.cli.run([cmd, "--input", p12, "--convention", "paper"])
+    loaded[cmd + " --convention paper"] = (code, [m for m in heavy if m in sys.modules])
 print(json.dumps(loaded))
 """
 
 
 def test_commands_do_not_import_sympy():
-    """sympy is loaded only for the paper convention's steinberg and for
-    integrate, and jsonschema never: the CLI import and the other commands
-    load neither."""
+    """Neither sympy nor jsonschema is ever loaded: not by the CLI import,
+    and not by any command, the paper convention's localize and steinberg
+    included."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hypertoric.__file__)))
     root = os.path.join(os.path.dirname(__file__), "..", "arrangements")
     docs = [os.path.join(root, f"{name}.json") for name in ("hirzebruch", "cotangent-p12")]
@@ -522,6 +523,7 @@ def test_commands_do_not_import_sympy():
         for cmd in (
             "gale", "circuits", "box", "core", "fan", "cohomology", "quantum-divisor", "qsr",
             "localize", "steinberg", "localize --convention paper",
+            "steinberg --convention paper",
         )
     }
 
@@ -623,7 +625,7 @@ def test_localize_prints_as_sympy(monkeypatch):
     """Every localize payload of the shipped examples, in both conventions,
     is the one printed through sympy."""
     from hypertoric import cli
-    from hypertoric.polynomials import poly_to_sympy
+    from sympy_bridge import poly_to_sympy
 
     cases = []
     for name in example_names():

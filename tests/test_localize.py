@@ -22,13 +22,13 @@ from hypertoric.localize import (
     standard_table,
     steinberg_operator,
 )
-from hypertoric.polynomials import Poly, divide_linear, poly_to_sympy
+from hypertoric.polynomials import Poly, divide_linear
+from sympy_bridge import poly_to_sympy, rational_to_sympy
 
-# sympy symbols, for the rational functions of ``integrate``
-U1, U2 = sympy.Symbol("u1"), sympy.Symbol("u2")
+# sympy symbols, for the oracle values of ``integrate``
 LAM1, LAM2, HBAR = sympy.Symbol("lam1"), sympy.Symbol("lam2"), sympy.Symbol("hbar")
 
-# the same variables as table polynomials, in the ring of every two-slot model
+# the table polynomials, in the ring of every two-slot model
 RING2 = WeightedModel((1, 2)).ring
 P_U1, P_U2, P_HBAR, P_LAM1, P_LAM2 = (RING2.var(n) for n in ("u1", "u2", "hbar", "lam1", "lam2"))
 
@@ -75,31 +75,34 @@ def test_paper_table_identities():
     for p in pts:
         assert p.multiplicity == Fraction(1, 2)
         assert restrict_expr(P_U1 + P_U2, p) == P_LAM1 + P_LAM2
-    val = integrate((HBAR - U1 - U2) ** 2, table, Fraction(0))
+    val = integrate((P_HBAR - P_U1 - P_U2) ** 2, table, Fraction(0))
     expected = sympy.Rational(1, 2) * (
         (HBAR - LAM2) / LAM1 + (HBAR - LAM1) / LAM2 - 2
     )
-    assert sympy.simplify(val - expected) == 0
+    assert sympy.simplify(rational_to_sympy(val) - expected) == 0
 
 
 def test_integrate_is_linear():
     table = standard_table(WeightedModel((1, 2)))
-    a = integrate(U1, table)
-    b = integrate(U2, table)
-    ab = integrate(U1 + U2, table)
-    assert sympy.simplify(ab - a - b) == 0
-    assert sympy.simplify(integrate(3 * U1, table) - 3 * a) == 0
+    a = integrate(P_U1, table)
+    b = integrate(P_U2, table)
+    ab = integrate(P_U1 + P_U2, table)
+    S = rational_to_sympy
+    assert sympy.simplify(S(ab) - S(a) - S(b)) == 0
+    assert sympy.simplify(S(integrate(3 * P_U1, table)) - 3 * S(a)) == 0
+    assert ab == a + b and integrate(3 * P_U1, table) == 3 * a
 
 
 def test_point_class_delta_property():
     # the class supported at one fixed point integrates to its multiplicity
     table = standard_table(WeightedModel((1, 1)))
-    point_class = U1 * (HBAR - U1)  # restriction is the Euler factor at P2
+    point_class = P_U1 * (P_HBAR - P_U1)  # restriction is the Euler factor at P2
     val = integrate(point_class, table)
-    assert sympy.simplify(val - 1) == 0
+    assert sympy.simplify(rational_to_sympy(val) - 1) == 0
     table12 = standard_table(WeightedModel((1, 2)))
-    val12 = integrate(U1 * (HBAR - U1), table12)
-    assert sympy.simplify(val12 - sympy.Rational(1, 2)) == 0
+    val12 = integrate(P_U1 * (P_HBAR - P_U1), table12)
+    assert sympy.simplify(rational_to_sympy(val12) - sympy.Rational(1, 2)) == 0
+    assert val == 1 and val12 == Fraction(1, 2)
 
 
 def test_euler_characteristic_count():
@@ -157,17 +160,18 @@ def test_steinberg_paper_values():
     model = WeightedModel((1, 2))
     table = paper_table_p12()
     L = steinberg_operator(model, table, "forward")
-    half = sympy.Rational(1, 2)
+    half = Fraction(1, 2)
     assert L.apply_generator("u1") == {"fiber": half, "box": half}
     assert L.apply_generator("u2") == {"fiber": 1, "box": half}
     assert L.apply_generator("box") == {"fiber": half, "box": half}
     Linv = steinberg_operator(model, table, "inverse")
     assert Linv.apply_generator("box") == {"fiber": half, "box": half}
-    I = integrate((HBAR - U1 - U2) ** 2, table, Fraction(0))
+    I = integrate((P_HBAR - P_U1 - P_U2) ** 2, table, Fraction(0))
     img = Linv.apply_generator("fiber")
-    assert sympy.simplify(img["fiber"] - I) == 0
-    assert sympy.simplify(img["box"] - I) == 0
+    assert sympy.simplify(rational_to_sympy(img["fiber"]) - rational_to_sympy(I)) == 0
+    assert sympy.simplify(rational_to_sympy(img["box"]) - rational_to_sympy(I)) == 0
     assert L.is_injective()
+    assert not Linv.is_injective()  # two equal rows: its determinant vanishes
     assert not L.is_identity_matrix(Linv.compose(L))
 
 
@@ -257,6 +261,52 @@ def test_integrate_base_matches_sympy_localization():
                 assert sympy.expand(poly_to_sympy(value) - expected) == 0, (weights, sec.f, cls)
                 checked += 1
     assert checked > 50
+
+
+def _sympy_integrate(cls, table, f):
+    """The cotangent sector integral of ``cls`` as sympy computes it from the
+    table: multiplicity times restriction over the full Euler factor, summed
+    over the sector's points, then ``cancel(together(...))``."""
+    total = sympy.Integer(0)
+    for pt in table.sector_points(f):
+        subs = {sympy.Symbol(k): poly_to_sympy(v) for k, v in pt.restrictions.items()}
+        restricted = sympy.expand(poly_to_sympy(cls).subs(subs))
+        total += sympy.Rational(pt.multiplicity) * restricted / poly_to_sympy(pt.euler)
+    return sympy.cancel(sympy.together(total))
+
+
+def test_integrate_matches_sympy_value_and_string():
+    """Differential check of the rational-function integral against sympy,
+    on standard tables over seeded weights, every sector and random classes
+    with rational coefficients, and on the hard-coded table: the values
+    agree, and the value prints as sympy's string."""
+    rng = random.Random(20152)
+    cases = [(paper_table_p12(), Fraction(0), (P_HBAR - P_LAM1 - P_LAM2) ** 2)]
+    for _ in range(40):  # three slots cost sympy about 1 s each, so fewer of them
+        slots = 3 if rng.random() < 0.15 else 2
+        model = WeightedModel(tuple(rng.randint(1, 3) for _ in range(slots)))
+        for sec in sectors(model):
+            cases.append((standard_table(model), sec.f, None))
+    for _ in range(30):
+        cases.append((paper_table_p12(), rng.choice((Fraction(0), Fraction(1, 2))), None))
+    seen = {"polynomial": 0, "fraction": 0, "paper": 0, "three slots": 0}
+    for table, f, cls in cases:
+        ring = table.model.ring
+        if cls is None:
+            cls = ring.zero()
+            for _ in range(rng.randint(1, 3)):
+                exps = [0] * len(ring.names)
+                for _ in range(rng.randint(0, 3)):
+                    exps[rng.randrange(len(ring.names))] += 1
+                cls = cls + ring.monomial(exps, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        value = integrate(cls, table, f)
+        expected = _sympy_integrate(cls, table, f)
+        assert sympy.cancel(rational_to_sympy(value) - expected) == 0, (table.model.weights, f, cls)
+        assert str(value) == str(expected), (table.model.weights, f, cls)
+        seen["polynomial" if value.denominator.is_constant() else "fraction"] += 1
+        seen["paper"] += table.convention == "paper"
+        seen["three slots"] += len(table.model.weights) == 3
+    assert len(cases) > 100 and min(seen.values()) >= 5, seen
 
 
 def test_integrate_base_rejects_non_polynomial_integrand():

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from hypertoric.polynomials import Poly, PolyRing, divide_linear, poly_to_sympy, sympy_str
+from hypertoric.polynomials import Poly, PolyRing, RationalFunction, divide_linear, sympy_str
+from sympy_bridge import poly_to_sympy
 
 
 def _random_poly(rng, ring, terms, degree):
@@ -230,3 +231,69 @@ def test_kernel_matches_sympy_and_fraction_reference():
         assert sympy.expand(S(q) - sq) == 0 and sympy.expand(S(r) - sr) == 0
         seen["nonzero remainder"] += not r.is_zero()
     assert min(seen.values()) >= 10, seen
+
+
+def test_float_coefficients_are_refused():
+    """A float's exact binary value is rarely the number meant, so every
+    way a scalar enters a polynomial refuses one."""
+    ring = PolyRing(["x", "y"])
+    p = ring.var("x") + 1
+    for make in (
+        lambda: ring.const(0.5),
+        lambda: p * 0.5,
+        lambda: 0.5 * p,
+        lambda: p + 0.5,
+        lambda: p - 1 / 3,
+        lambda: ring.monomial((1, 0), 0.5),
+    ):
+        with pytest.raises(TypeError):
+            make()
+    assert ring.const(Fraction(1, 2)).constant_value() == Fraction(1, 2)
+
+
+def test_rational_function_prints_and_compares_as_sympy():
+    """Values in lowest terms print as sympy's str of their cancelled
+    quotient: integer sides without common content, the leading
+    denominator coefficient positive in sympy's generator order (x before
+    hbar, lam2 before lam10), a constant denominator divided in.  Equality
+    is cross-multiplication."""
+    import sympy
+
+    from sympy_bridge import rational_to_sympy
+
+    ring = PolyRing(["x", "y", "hbar", "lam10", "lam2"])
+    x, y, hbar, lam10, lam2 = (ring.var(n) for n in ring.names)
+    one = ring.one()
+    half = Fraction(1, 2)
+    cases = [
+        (x * Fraction(3, 2) + Fraction(3, 2), x),
+        (3 * x, 2 * y),
+        (x + 1, x - 2 * y),
+        (x + 1, 2 * y - x),
+        (-one, x * y),
+        (2 * one, 3 * x),
+        (x + 1, x**2),
+        (-one, x**2),
+        (one, x),
+        (one, x + 1),
+        (-x - 1, 2 * y),
+        (half * (hbar - x), x * y),
+        (Fraction(1, 3) * x + Fraction(1, 2) * hbar, Fraction(-2, 5) * lam10 + lam2),
+        (1 - hbar, x),
+        (x**2 * y, 2 * hbar),
+        (6 * x + 6, 4 * x + 8 * y),
+        (x + y, 3 * one),
+        (Fraction(-3, 2) * x, 2 * one),
+        (ring.zero(), one),
+    ]
+    for num, den in cases:
+        value = RationalFunction(num, den)
+        expected = sympy.cancel(sympy.together(rational_to_sympy(value)))
+        assert str(value) == str(expected), (num, den)
+    a = RationalFunction(x + 1, 2 * y)
+    b = RationalFunction(3 * x + 3, 6 * y)
+    assert a == b and a != RationalFunction(x, 2 * y)
+    assert a * 2 == RationalFunction(x + 1, y) == 2 * a
+    assert a + a == 2 * a and Fraction(0) + a == a and a + a * -1 == 0
+    assert a * a == RationalFunction((x + 1) ** 2, 4 * y**2)
+    assert RationalFunction(2 * y, 2 * y) == 1 and RationalFunction(x, x) + half == 3 * half
