@@ -34,6 +34,16 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _exponent(e) -> int:
+    """``e`` as an int; a float, a negative or a non-integral exponent raises."""
+    if isinstance(e, float):
+        raise TypeError(f"inexact exponent {e!r}")
+    n = int(e)
+    if n != e or n < 0:
+        raise ValueError(f"exponent {e!r} is not a nonnegative integer")
+    return n
+
+
 class PolyRing:
     """A fixed, ordered tuple of variable names."""
 
@@ -71,7 +81,7 @@ class PolyRing:
         return Poly(self, {tuple(mono): 1})
 
     def monomial(self, exps, coeff=1) -> "Poly":
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(map(_exponent, exps))
         if len(exps) != len(self.names):
             raise ValueError("exponent tuple has wrong length")
         c = _exact(coeff)

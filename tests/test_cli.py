@@ -640,3 +640,94 @@ def test_localize_prints_as_sympy(monkeypatch):
     for arr, index, convention, payload in cases:
         assert payload == cli.payload_localize(arr, index, convention)
     assert sum(c[2] == "paper" for c in cases) >= 1 and len(cases) >= 8
+
+
+def _random_json(rng, depth):
+    """A nested value of the kinds an envelope holds: str-keyed dicts, lists,
+    tuples, str, int, bool and None, with the strings json must escape."""
+    alphabet = ["a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+                "é", "ß", "∂", " ", "😀", "\ud800"]
+
+    def text():
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+
+    kind = rng.randrange(9 if depth else 5)
+    if kind == 0:
+        return text()
+    if kind == 1:
+        return rng.choice([0, 1, -1, 10**30, -(10**40) - 7, rng.randint(-10**6, 10**6)])
+    if kind == 2:
+        return rng.choice([True, False, 1, 0])
+    if kind == 3:
+        return None
+    if kind == 4:
+        return rng.choice([[], {}, ()])
+    if kind in (5, 6):
+        items = [_random_json(rng, depth - 1) for _ in range(rng.randint(0, 5))]
+        return items if kind == 5 else tuple(items)
+    if kind == 7:
+        return [rng.choice([True, 1, 0, False, None, text(), -(2**70)]) for _ in range(rng.randint(1, 6))]
+    return {text(): _random_json(rng, depth - 1) for _ in range(rng.randint(0, 5))}
+
+
+def test_to_json_is_indented_sorted_json_dumps():
+    """The envelope writer gives json.dumps(x, indent=2, sort_keys=True) byte
+    for byte: escapes, non-ASCII and surrogates, empty containers, tuples,
+    True/1/0/False side by side, large negative ints, nesting."""
+    from hypertoric.cli import _to_json
+
+    rng = random.Random(14)
+    values = [_random_json(rng, rng.randint(0, 5)) for _ in range(600)]
+    values += [[True, 1, 0, False], {"b": [1, True], "a": (0, False)}, [[], {}, ()], {"": {"": []}}]
+    for x in values:
+        assert _to_json(x) == json.dumps(x, indent=2, sort_keys=True), x
+    assert sum(isinstance(x, dict) and len(x) > 1 for x in values) > 20
+
+
+def test_to_json_refuses_other_values():
+    """A float, a Fraction, a set or a non-str key is a program fault, not
+    something to print."""
+    from fractions import Fraction
+
+    from hypertoric.cli import _to_json
+
+    for x in (0.5, 1.0, Fraction(1, 2), {1, 2}, {1: "a"}, {"a": [1, 2.0]}, [(0, Fraction(1))],
+              {"a": 1, 2: "b"}, {None: 0}, {True: 0}):
+        with pytest.raises(TypeError):
+            _to_json(x)
+
+
+LAYOUT_COMMANDS = (
+    ["gale"], ["circuits"], ["box"], ["core"], ["fan"], ["cohomology"],
+    ["cohomology", "--convention", "literal"], ["localize"], ["steinberg"],
+    ["quantum-divisor", "--divisor", "1", "--with", "2"],
+    ["quantum-divisor", "--divisor", "1", "--with", "2", "--sign-convention", "all"],
+    ["qsr"], ["qsr", "--max-q-order", "3"],
+)
+
+
+@pytest.mark.parametrize("name", ["cotangent-p12", "hirzebruch"])
+def test_envelopes_are_indented_sorted_json(capsys, write_examples, name):
+    """Every subcommand prints its envelope as json.dumps(..., indent=2,
+    sort_keys=True) would."""
+    argvs = [[*argv, "--input", write_examples[name]] for argv in LAYOUT_COMMANDS]
+    argvs += [["examples", "--list"], ["examples", "--show", name]]
+    for argv in argvs:
+        code, out = invoke(capsys, argv)
+        assert code == 0, argv
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+
+
+def test_examples_write_dir_writes_indented_sorted_json(capsys, tmp_path):
+    """The written examples are the repository's files, byte for byte."""
+    from pathlib import Path
+
+    code, out = invoke(capsys, ["examples", "--write-dir", str(tmp_path)])
+    assert code == 0
+    written = json.loads(out)["payload"]["written"]
+    assert [Path(p).name for p in written] == [f"{name}.json" for name in example_names()]
+    root = Path(__file__).resolve().parent.parent / "arrangements"
+    for name in example_names():
+        text = (tmp_path / f"{name}.json").read_text(encoding="utf-8")
+        assert text == json.dumps(example_document(name), indent=2, sort_keys=True) + "\n"
+        assert text == (root / f"{name}.json").read_text(encoding="utf-8")

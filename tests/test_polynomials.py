@@ -251,6 +251,22 @@ def test_float_coefficients_are_refused():
     assert ring.const(Fraction(1, 2)).constant_value() == Fraction(1, 2)
 
 
+def test_monomial_refuses_negative_and_non_integral_exponents():
+    """An exponent is a nonnegative integer: a float is refused as a float
+    coefficient is, and a negative or fractional one is refused rather than
+    truncated or stored for the printers to misread."""
+    ring = PolyRing(["x", "y"])
+    with pytest.raises(TypeError):
+        ring.monomial((1.5, 0))
+    with pytest.raises(TypeError):
+        ring.monomial((1.0, 0))
+    for exps in ((-1, 2), (0, Fraction(1, 2)), (Fraction(-2), 0)):
+        with pytest.raises(ValueError):
+            ring.monomial(exps)
+    assert ring.monomial((Fraction(2), True)) == ring.var("x") ** 2 * ring.var("y")
+    assert str(ring.monomial((0, 2), 3)) == "3*y^2"
+
+
 def test_rational_function_prints_and_compares_as_sympy():
     """Values in lowest terms print as sympy's str of their cancelled
     quotient: integer sides without common content, the leading
