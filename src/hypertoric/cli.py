@@ -3,12 +3,13 @@
 Every subcommand reads an arrangement document, validates it against the
 declared schema (unknown fields are rejected), and prints a result
 envelope on stdout.  The schema check is our own: it reads
-``ARRANGEMENT_SCHEMA`` and reports what a JSON Schema 2020-12 validator
-reports, so the schema stays the one contract.  Output is deterministic
-for fixed input and flags; wall time is only included when explicitly
-requested.  An envelope is written by ``_to_json``: the bytes of
-``json.dumps`` with an indent of 2 and sorted keys, without the
-pure-Python encoder that json runs whenever it indents.
+``ARRANGEMENT_SCHEMA``, loaded from the package's ``arrangement.schema.json``,
+and reports what a JSON Schema 2020-12 validator reports, so the schema
+stays the one contract.  Output is deterministic for fixed input and
+flags; wall time is only included when explicitly requested.  An
+envelope is written by ``_to_json``: the bytes of ``json.dumps`` with an
+indent of 2 and sorted keys, without the pure-Python encoder that json
+runs whenever it indents.
 
 Exit codes: 0 success, 2 input validation failure, 1 internal error.
 An internal error prints one ``internal error: ...`` line on stderr, and
@@ -24,6 +25,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -57,24 +59,10 @@ from hypertoric.quantum import (
 )
 from hypertoric.svg import UnsupportedDimension, emit_svg
 
-ARRANGEMENT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "schema_version": {"type": "string", "const": SCHEMA_VERSION},
-        "name": {"type": "string"},
-        "rank": {"type": "integer", "minimum": 0},
-        "torsion": {"type": "array", "items": {"type": "integer", "minimum": 2}},
-        "beta": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "array", "items": {"type": "integer"}},
-        },
-        "theta": {"type": "array", "items": {"type": "integer"}},
-        "psi": {"type": "array", "items": {"type": "integer"}},
-    },
-    "required": ["schema_version", "rank", "beta", "theta"],
-    "additionalProperties": False,
-}
+# The one copy of the schema, shipped as package data.  Its keywords keep the
+# order in which jsonschema meets them, and so does ``schema_errors``.
+with open(os.path.join(os.path.dirname(__file__), "arrangement.schema.json"), encoding="utf-8") as fh:
+    ARRANGEMENT_SCHEMA = json.load(fh)
 
 
 class InputError(Exception):
@@ -385,10 +373,11 @@ def _series_payload(series) -> list:
 
 
 def payload_quantum(arr: StackyArrangement, i: int, j: int, order: int, convention: str) -> dict:
+    for index, flag in ((i, "--divisor"), (j, "--with")):
+        if not 1 <= index <= arr.m:
+            raise InputError("divisor indices must be in 1..m", path=flag)
     qctx = QuantumContext(arr)
     ctx = qctx.context
-    if not (1 <= i <= arr.m and 1 <= j <= arr.m):
-        raise InputError("divisor indices must be in 1..m", path="--divisor")
     x = CRClass.untwisted(ctx, ctx.u(j - 1))
     payload = {
         "divisor": i,
@@ -541,8 +530,6 @@ def run(argv) -> int:
                 except KeyError as e:
                     raise InputError(str(e), path="--show")
             elif args.write_dir:
-                import os
-
                 os.makedirs(args.write_dir, exist_ok=True)
                 written = []
                 for name in example_names():

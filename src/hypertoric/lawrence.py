@@ -7,7 +7,8 @@ in the complementary dual basis).  Its chart reads that basis's integer
 inverse from ``StackyArrangement.bases``: points are located in closed
 form and the lattice index is the inverse's denominator.  The l-pairing
 measures the failure of two lattice points to share a cone and projects
-to a curve degree on the canonical kernel basis of the lifted map.
+to a curve degree on the kernel basis of the lifted map, which is the
+canonical kernel basis of the normals, each vector k written as (k, -k).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cached_property
 from math import lcm
 
 from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
-from hypertoric.exactalg import IntMatrix, basis_projection, kernel_basis
+from hypertoric.exactalg import basis_projection, kernel_basis
 
 
 class OutsideSupport(ArrangementError):
@@ -43,9 +44,10 @@ class LawrenceFan:
     """Rays, maximal cones and irrelevant monomials of the Lawrence lift.
 
     Ray ids: 0..m-1 are the z-side rays (b_i, e_i), m..2m-1 the w-side
-    rays (0, e_i).  ``h2_basis`` is the canonical kernel basis of the
-    lifted map, sign-fixed so that pairs of rays sharing no cone pair
-    nonnegatively (the effective orientation).
+    rays (0, e_i).  ``h2_basis`` is a kernel basis of the lifted map:
+    (k, -k) for each k of the canonical kernel basis of the normals,
+    sign-fixed so that pairs of rays sharing no cone pair nonnegatively
+    (the effective orientation).
 
     Each maximal cone's integer location data is built once per fan, and
     the fan remembers the cone coordinates of each point the l-pairing has
@@ -193,16 +195,18 @@ def lawrence_rays(arr: StackyArrangement):
 def build_lawrence_fan(arr: StackyArrangement) -> LawrenceFan:
     """The fan of ``arr.vertex_values``: the cone of a basis B omits z_j for
     each j outside B with a negative value and w_j for each with a positive
-    one (``build`` rejects a zero), and the omitted rays make its irrelevant monomial."""
+    one (``build`` rejects a zero), and the omitted rays make its irrelevant
+    monomial.  The lifted map sends (a, c) to (sum a_i b_i, a + c), so its
+    kernel is {(x, -x) : x in ker b}, and the curve basis is (k, -k) for
+    each k of the canonical kernel basis of b, oriented as below."""
     m = arr.m
     max_cones, monomials = [], []
     for tight, (_, values) in arr.vertex_values.items():
         omitted = {j if values[j] < 0 else m + j for j in range(m) if j not in tight}
         max_cones.append(tuple(r for r in range(2 * m) if r not in omitted))
         monomials.append(tuple(sorted(f"z{r + 1}" if r < m else f"w{r - m + 1}" for r in omitted)))
-    rays = lawrence_rays(arr)
-    basis = kernel_basis(IntMatrix.from_rows(tuple(zip(*rays))))  # of the lifted map
-    fan = LawrenceFan(arr, rays, tuple(sorted(max_cones)), tuple(sorted(monomials)), basis)
+    basis = tuple((*k, *(-x for x in k)) for k in kernel_basis(arr.beta.free_part()))
+    fan = LawrenceFan(arr, lawrence_rays(arr), tuple(sorted(max_cones)), tuple(sorted(monomials)), basis)
     return _orient_h2_basis(fan)
 
 

@@ -1,10 +1,11 @@
 """Matroid circuits and box elements of an arrangement.
 
-Both read the arrangement's basis table: circuits are the minimal
-non-faces of its cones, with their canonical two-sided splitting,
-positive weights and curve class.  Box elements index the twisted
-sectors; they are enumerated over its cones, in integers from the Smith
-normal form of each cone matrix, over one denominator per cone.
+Both read the arrangement's basis table.  Circuits (the minimal non-faces
+of its cones) are read off it as fundamental circuits, one per basis and
+element outside it, with their canonical two-sided splitting, positive
+weights and curve class.  Box elements index the twisted sectors; they
+are enumerated over its cones, in integers from the Smith normal form of
+each cone matrix, over one denominator per cone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from hypertoric.exactalg import (
     basis_projection,
     kernel_basis,
     primitive_vector,
-    row_reduce,
     smith_normal_form,
 )
 
@@ -52,67 +52,67 @@ class Circuit:
 def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
     """All circuits, oriented by the halfspace emptiness test.
 
-    A circuit is a minimal non-face of the arrangement's cones: a subset
-    that is not a cone while each of its facets is.  One fraction-free
-    reduction of its columns then gives its kernel, a line whose vector
-    has no zero entry by minimality.  The weight vector w is the
-    primitive kernel vector; of its two signings exactly one makes the
-    mixed halfspace intersection empty (side 'G' of the positive
-    hyperplanes, side 'F' of the negative ones), and that signing is the
-    canonical split.  Since sum w_i b_i = 0,
-    sum w_i (<b_i, v> + psi_i) = sum w_i psi_i at every v, while each
-    term is <= 0 on the mixed intersection; so the empty signing is the
-    one that pairs positively with psi.  A zero pairing puts theta on a
-    wall, which genericity rules out.  The curve class is the signed
-    vector's integer coordinates in the kernel basis, read through one
-    projection of that basis set up before the enumeration.
+    Every circuit C is the fundamental circuit of some basis: C minus one
+    of its elements c is independent and extends to a basis B that
+    excludes c.  So each basis B, with (A, s) from the basis table, and
+    each j outside B give one: with x_k = sum_r b_j[r] A[r][k],
+    s b_j = sum_k x_k b_{B_k}, and the support is j with the B_k where
+    x_k is not zero.  The weight vector w is the primitive vector with x
+    on B and -s at j; a support met again from another basis spans the
+    same kernel line, so the first vector found is kept.  Of its two
+    signings exactly one makes the mixed halfspace intersection empty
+    (side 'G' of the positive hyperplanes, side 'F' of the negative
+    ones), and that signing is the canonical split.  Since
+    sum w_i b_i = 0, sum w_i (<b_i, v> + psi_i) = sum w_i psi_i at every
+    v, while each term is <= 0 on the mixed intersection; so the empty
+    signing is the one that pairs positively with psi.  A zero pairing
+    puts theta on a wall, which genericity rules out.  The curve class is
+    the signed vector's integer coordinates in the kernel basis, read
+    through one projection of that basis.
     """
     curve_class = basis_projection(kernel_basis(arr.beta.free_part()))
-    out = []
-    for size in range(2, arr.d + 2):
-        for subset in itertools.combinations(range(arr.m), size):
-            facets = (subset[:k] + subset[k + 1 :] for k in range(size))
-            if arr.is_cone(subset) or not all(map(arr.is_cone, facets)):
+    normals = [arr.b_bar(i) for i in range(arr.m)]
+    kernels = {}
+    for basis, (inverse, scale) in arr.bases.items():
+        columns = tuple(zip(*inverse))
+        for j in range(arr.m):
+            if j in basis:
                 continue
-            cols = [arr.b_bar(i) for i in subset]
-            pivots, reduced, last = row_reduce(list(zip(*cols)))
-            if len(pivots) != size - 1:
-                raise InvariantError(f"circuit kernel of {subset} is not one-dimensional")
-            # the kernel is spanned by the vector with `last` at the free
-            # column and minus that column of the reduced rows at the pivots
-            (free,) = set(range(size)) - set(pivots)
-            w = [last] * size
-            for k, row in zip(pivots, reduced):
-                w[k] = -row[free]
-            if 0 in w or any(sum(x * col[r] for x, col in zip(w, cols)) for r in range(arr.d)):
-                # a minimal dependent set has a kernel line with full support
-                raise InvariantError(f"circuit kernel of {subset} is not one-dimensional with full support")
-            w = primitive_vector(w)
-            pairing = sum(x * arr.psi[i] for i, x in zip(subset, w))
-            if pairing == 0:
-                raise InvariantError(f"circuit {subset} pairs to zero with psi: theta is on a wall")
-            signed = [x if pairing > 0 else -x for x in w]
-            pos = tuple(i for i, x in zip(subset, signed) if x > 0)
-            neg = tuple(i for i, x in zip(subset, signed) if x < 0)
-            beta_s = [0] * arr.m
-            for i, x in zip(subset, signed):
-                beta_s[i] = x
-            projected = curve_class(beta_s)
-            if projected is None or any(x % projected[1] for x in projected[0]):
-                raise InvariantError("curve class is not in the kernel lattice")
-            h2 = tuple(x // projected[1] for x in projected[0])
-            out.append(
-                Circuit(
-                    support=tuple(subset),
-                    positive=pos,
-                    negative=neg,
-                    weights=tuple(abs(x) for x in signed),
-                    beta_S=tuple(beta_s),
-                    h2_class=h2,
-                    lcm_w=lcm(*[abs(x) for x in signed]),
-                    root_hyperplane=tuple(i for i in range(arr.m) if i not in subset),
-                )
+            coeffs = dict(zip(basis, (sum(a * b for a, b in zip(normals[j], col)) for col in columns)))
+            coeffs[j] = -scale
+            support = tuple(sorted(i for i, x in coeffs.items() if x))
+            if support not in kernels:
+                kernels[support] = primitive_vector([coeffs[i] for i in support])
+    out = []
+    for support in sorted(kernels, key=lambda s: (len(s), s)):
+        w = kernels[support]
+        if any(sum(x * normals[i][r] for i, x in zip(support, w)) for r in range(arr.d)):
+            raise InvariantError(f"circuit {support} is not a dependency of its normals")
+        pairing = sum(x * arr.psi[i] for i, x in zip(support, w))
+        if pairing == 0:
+            raise InvariantError(f"circuit {support} pairs to zero with psi: theta is on a wall")
+        signed = [x if pairing > 0 else -x for x in w]
+        pos = tuple(i for i, x in zip(support, signed) if x > 0)
+        neg = tuple(i for i, x in zip(support, signed) if x < 0)
+        beta_s = [0] * arr.m
+        for i, x in zip(support, signed):
+            beta_s[i] = x
+        projected = curve_class(beta_s)
+        if projected is None or any(x % projected[1] for x in projected[0]):
+            raise InvariantError("curve class is not in the kernel lattice")
+        h2 = tuple(x // projected[1] for x in projected[0])
+        out.append(
+            Circuit(
+                support=support,
+                positive=pos,
+                negative=neg,
+                weights=tuple(abs(x) for x in signed),
+                beta_S=tuple(beta_s),
+                h2_class=h2,
+                lcm_w=lcm(*[abs(x) for x in signed]),
+                root_hyperplane=tuple(i for i in range(arr.m) if i not in support),
             )
+        )
     return tuple(out)
 
 

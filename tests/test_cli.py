@@ -144,15 +144,23 @@ def test_missing_file(capsys):
     assert code == 2
 
 
-def test_repository_schema_matches_code():
+def test_repository_schema_matches_code(capsys, tmp_path):
+    """The package ships one schema file, which the CLI loads as written:
+    the keywords keep jsonschema's order (not sorted), so with both a
+    missing and an unknown property the missing one is reported first."""
     from hypertoric.cli import ARRANGEMENT_SCHEMA
+    from hypertoric.examples_data import SCHEMA_VERSION
     from pathlib import Path
 
-    published = json.loads(
-        (Path(__file__).resolve().parent.parent / "schema" / "arrangement.schema.json")
-        .read_text(encoding="utf-8")
-    )
-    assert published == ARRANGEMENT_SCHEMA
+    text = (Path(hypertoric.__file__).parent / "arrangement.schema.json").read_text(encoding="utf-8")
+    assert text == json.dumps(ARRANGEMENT_SCHEMA, indent=2) + "\n"
+    assert list(ARRANGEMENT_SCHEMA) == ["type", "properties", "required", "additionalProperties"]
+    assert ARRANGEMENT_SCHEMA["properties"]["schema_version"]["const"] == SCHEMA_VERSION
+    p = tmp_path / "extra.json"
+    p.write_text(json.dumps({"rank": 1, "beta": [[1]], "theta": [], "x": 1}), encoding="utf-8")
+    code, out = invoke(capsys, ["gale", "--input", str(p)])
+    assert code == 2
+    assert json.loads(out)["error"] == {"message": "'schema_version' is a required property", "path": "(document)"}
 
 
 def test_repository_example_files_match_catalog():
@@ -321,6 +329,26 @@ def test_quantum_all_conventions(capsys, write_examples):
     report = env["payload"]["differential_sign_report"]
     zero_residue = [e for e in report if e["residue"] == 0][0]
     assert zero_residue["first_divergence_from_calibrated"]["eq-5.2-literal"] == 4
+
+
+@pytest.mark.parametrize(
+    "divisor, with_, path",
+    [("9", "2", "--divisor"), ("0", "2", "--divisor"), ("1", "9", "--with"), ("1", "0", "--with")],
+)
+def test_quantum_divisor_index_out_of_range_names_its_flag(
+    capsys, monkeypatch, write_examples, divisor, with_, path
+):
+    """Each divisor index is checked against m before the quantum context is
+    built, and a bad one is reported at its own flag."""
+
+    def unbuilt(arr):
+        raise AssertionError("QuantumContext built before the indices were checked")
+
+    monkeypatch.setattr("hypertoric.cli.QuantumContext", unbuilt)
+    argv = ["quantum-divisor", "--input", write_examples["cotangent-p1"], "--divisor", divisor, "--with", with_]
+    code, out = invoke(capsys, argv)
+    assert code == 2
+    assert json.loads(out)["error"] == {"message": "divisor indices must be in 1..m", "path": path}
 
 
 QUANTUM = ["quantum-divisor", "--divisor", "1", "--with", "2"]
@@ -731,3 +759,26 @@ def test_examples_write_dir_writes_indented_sorted_json(capsys, tmp_path):
         text = (tmp_path / f"{name}.json").read_text(encoding="utf-8")
         assert text == json.dumps(example_document(name), indent=2, sort_keys=True) + "\n"
         assert text == (root / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_structure_outputs_match_bench_digests(capsys):
+    """The stdout of gale, circuits, box, fan and cohomology on the shipped
+    examples and the non-probe ladder rungs hashes to the benchmark's
+    recorded digest (key "<command> @ <document>"), byte for byte."""
+    import hashlib
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    digests = json.loads((root / "bench" / "digests.json").read_text(encoding="utf-8"))
+    docs = {name: root / "arrangements" / f"{name}.json" for name in example_names()}
+    for path in sorted((root / "bench" / "ladder").glob("*.json")):
+        if not path.stem.startswith("probe-"):
+            docs[path.stem] = path
+    checked = 0
+    for name, path in docs.items():
+        for command in ("gale", "circuits", "box", "fan", "cohomology"):
+            run([command, "--input", str(path)])
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digests[f"{command} @ {name}"], (command, name)
+            checked += 1
+    assert checked == 75

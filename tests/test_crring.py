@@ -3,7 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
@@ -20,7 +20,7 @@ from hypertoric.crring import (
     htt_presentation,
     reduce_poly,
 )
-from hypertoric.exactalg import FgAbelianGroup, rational_rank
+from hypertoric.exactalg import FgAbelianGroup, rational_rank, solve_rational
 from hypertoric.multifan import box_inverse
 
 
@@ -225,3 +225,80 @@ def test_non_integral_box_vector_is_internal(shipped, name):
         box_inverse(_forged(box), arr)
     with pytest.raises(InvariantError, match="non-integral"):
         _box_pair_product(ctx, _forged(box), box, "paper")
+
+
+# -- Hausel-Sturmfels: the untwisted ring counts the bases --------------------
+
+
+def _product_of_forms(forms, n):
+    """The product of linear forms (dicts variable -> coefficient) in n
+    variables, as a dict exponent tuple -> coefficient."""
+    poly = {(0,) * n: Fraction(1)}
+    for form in forms:
+        out = {}
+        for mono, c in poly.items():
+            for v, a in form.items():
+                key = mono[:v] + (mono[v] + 1,) + mono[v + 1 :]
+                out[key] = out.get(key, 0) + c * a
+        poly = {k: c for k, c in out.items() if c}
+    return poly
+
+
+def _monomials(k, n):
+    """Exponent tuples of the monomials of degree k in n variables."""
+    return [tuple(combo.count(v) for v in range(n)) for combo in itertools.combinations_with_replacement(range(n), k)]
+
+
+def hilbert_function(arr, supports, top):
+    """Dimensions over Q of degrees 0..top of Q[u_1..u_m] modulo the
+    squarefree monomials on ``supports`` and the d forms sum_i b_i[r] u_i.
+    The forms eliminate the variables of one basis B: u_{B_k} is
+    -sum_j y_j[k] u_j over j outside B, where b_B y_j = b_j.  What is left
+    is Q[u_j : j outside B] modulo the images of the monomials, whose
+    degree-k part is spanned by their multiples of degree k."""
+    basis = next(iter(arr.bases))
+    free = [j for j in range(arr.m) if j not in basis]
+    n = len(free)
+    rows = [list(r) for r in zip(*(arr.b_bar(i) for i in basis))]
+    solved = [solve_rational(rows, arr.b_bar(j)) for j in free]
+    forms = {j: {t: Fraction(1)} for t, j in enumerate(free)}
+    for k, i in enumerate(basis):
+        forms[i] = {t: -y[k] for t, y in enumerate(solved) if y[k]}
+    images = [(len(s), _product_of_forms([forms[i] for i in s], n)) for s in supports]
+    out = []
+    for k in range(top + 1):
+        index = {mono: c for c, mono in enumerate(_monomials(k, n))}
+        spans = []
+        for size, image in images:
+            for mult in _monomials(k - size, n) if size <= k else ():
+                row = [0] * len(index)
+                for mono, c in image.items():
+                    row[index[tuple(a + b for a, b in zip(mono, mult))]] += c
+                spans.append(row)
+        out.append(len(index) - (rational_rank(spans) if spans else 0))
+    return out
+
+
+def h_vector(arr):
+    """h_k = sum_i (-1)^(k-i) C(d-i, k-i) f_i, with f_i the cones of size i."""
+    f = [sum(len(c) == i for c in arr.cones) for i in range(arr.d + 1)]
+    return [sum((-1) ** (k - i) * comb(arr.d - i, k - i) * f[i] for i in range(k + 1)) for k in range(arr.d + 1)]
+
+
+def test_untwisted_ring_has_the_h_vector_of_the_cones(shipped, ladder, rank3_family):
+    """Hausel-Sturmfels: the ring of ht_presentation at lam = hbar = 0,
+    divided by the d linear forms, is the Stanley-Reisner ring of the
+    independence complex modulo a linear system of parameters.  Its
+    Hilbert function is the h-vector of arr.cones, zero above degree d,
+    and that h-vector sums to the number of bases.  On the shipped
+    examples, every ladder rung and the rank-3 family."""
+    for arr in [*shipped.values(), *ladder.values(), *rank3_family]:
+        ctx = CohomologyContext(arr)
+        supports = []
+        for relation in ht_presentation(ctx).relations:
+            ((mono, coeff),) = relation.lhs_poly.terms.items()
+            assert coeff == 1 and max(mono) == 1
+            supports.append(ctx.u_support(mono))
+        h = h_vector(arr)
+        assert hilbert_function(arr, supports, arr.d + 1) == h + [0]
+        assert sum(h) == len(arr.bases)

@@ -11,6 +11,8 @@ from hypertoric.arrangement import InvariantError, NonGenericTheta, StackyArrang
 from hypertoric.cli import payload_qsr
 from hypertoric.examples_data import example_document
 from hypertoric.exactalg import (
+    IntMatrix,
+    kernel_basis,
     rational_coordinates_in_basis,
     row_reduce,
     solve_rational,
@@ -19,6 +21,7 @@ from hypertoric.lawrence import (
     ConeCoordinates,
     LawrenceFan,
     OutsideSupport,
+    _orient_h2_basis,
     build_lawrence_fan,
 )
 
@@ -45,8 +48,6 @@ def test_hirzebruch_fan_counts(hirzebruch):
     for cone in fan.max_cones:
         assert len(cone) == hirzebruch.m + hirzebruch.d
     # every max cone is simplicial of full rank with a finite index
-    from hypertoric.exactalg import IntMatrix
-
     for cone in fan.max_cones:
         mat = IntMatrix.from_rows(tuple(zip(*[fan.ray_vector(r) for r in cone])))
         assert mat.rank() == hirzebruch.m + hirzebruch.d
@@ -143,6 +144,18 @@ def test_cones_match_the_dual_basis_solves(wide_fans):
     ladder rung and the rank-3 family."""
     for fan in wide_fans:
         assert (fan.max_cones, fan.irrelevant_monomials) == solve_cones(fan.arrangement)
+
+
+def test_curve_basis_matches_the_lifted_kernel(wide_fans):
+    """The curve basis, (k, -k) over the kernel basis of the normals, equals
+    the canonical kernel basis of the (d+m) x 2m lifted ray matrix given
+    the same sign flips, on the shipped examples, every ladder rung and the
+    rank-3 family."""
+    for fan in wide_fans:
+        lifted = kernel_basis(IntMatrix.from_rows(tuple(zip(*fan.rays))))
+        reference = _orient_h2_basis(dataclasses.replace(fan, h2_basis=lifted))
+        assert fan.h2_basis == reference.h2_basis
+        assert len(lifted) == fan.m - fan.arrangement.d
 
 
 def test_locate_matches_full_cone_scan(wide_fans):

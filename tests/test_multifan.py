@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -14,11 +14,13 @@ from hypertoric.exactalg import (
     basis_projection,
     coordinates_in_basis,
     kernel_basis,
+    primitive_vector,
     row_reduce,
     smith_normal_form,
 )
 from hypertoric.multifan import (
     BoxElement,
+    Circuit,
     box_elements,
     box_inverse,
     circuits,
@@ -75,35 +77,43 @@ def test_curve_classes_in_canonical_basis(hirzebruch, hirzebruch_weighted):
             assert tuple(total) == c.beta_S
 
 
-def test_circuit_kernel_of_wrong_dimension_is_internal(hirzebruch, monkeypatch):
-    def skewed(rows):  # a reduction whose kernel vector misses the kernel
-        pivots, reduced, last = row_reduce(rows)
-        return pivots, reduced, 2 * last
+def with_corrupted_inverse(arr, corrupt):
+    """A copy of ``arr`` whose basis table holds ``corrupt(A)`` in place of
+    the inverse A of its first basis, which is first for the supports of its
+    fundamental circuits."""
+    copy = StackyArrangement.from_data(arr.to_data())
+    table = dict(arr.bases)
+    first = next(iter(table))
+    inverse, scale = table[first]
+    table[first] = tuple(map(tuple, corrupt([list(row) for row in inverse]))), scale
+    copy.__dict__["bases"] = table
+    return copy
 
-    monkeypatch.setattr("hypertoric.multifan.row_reduce", skewed)
-    with pytest.raises(InvariantError, match="not one-dimensional"):
-        circuits(hirzebruch)
+
+def test_circuit_kernel_of_wrong_dimension_is_internal(hirzebruch):
+    """An inverse scaled without its denominator gives kernel vectors that
+    miss the kernel: a program fault, caught by the check that each
+    circuit's weights are a dependency of its normals."""
+    broken = with_corrupted_inverse(hirzebruch, lambda rows: [[2 * x for x in row] for row in rows])
+    with pytest.raises(InvariantError, match="not a dependency"):
+        circuits(broken)
+    assert circuits(hirzebruch) == circuits(StackyArrangement.from_data(hirzebruch.to_data()))
 
 
-def test_circuit_reduction_that_disagrees_with_the_cones_is_internal(hirzebruch, monkeypatch):
-    """The cone table makes every candidate a minimal dependent set, whose
-    kernel is a line with full support; a reduction that reports another
-    rank or a zero kernel entry is a program fault."""
+def test_circuit_reduction_that_disagrees_with_the_cones_is_internal(hirzebruch):
+    """An inverse with swapped rows or a zeroed entry disagrees with the
+    normals of its basis; the circuits read off it are a program fault."""
 
-    def full_rank(rows):
-        pivots, reduced, last = row_reduce(rows)
-        return list(range(len(rows[0]))), reduced, last
+    def swapped(rows):
+        return rows[::-1]
 
     def zero_entry(rows):
-        pivots, reduced, last = row_reduce(rows)
-        free = next(k for k in range(len(rows[0])) if k not in pivots)
-        reduced[0][free] = 0
-        return pivots, reduced, last
+        rows[0][0] = 0
+        return rows
 
-    for fake in (full_rank, zero_entry):
-        monkeypatch.setattr("hypertoric.multifan.row_reduce", fake)
-        with pytest.raises(InvariantError, match="circuit kernel"):
-            circuits(hirzebruch)
+    for corrupt in (swapped, zero_entry):
+        with pytest.raises(InvariantError, match="not a dependency"):
+            circuits(with_corrupted_inverse(hirzebruch, corrupt))
 
 
 def test_curve_class_outside_kernel_lattice_is_internal(hirzebruch, monkeypatch):
@@ -353,3 +363,61 @@ def test_box_elements_read_the_cached_cone_table(hirzebruch_weighted):
     arr = hirzebruch_weighted
     assert arr.cones is arr.cones
     assert box_elements(arr) == box_elements(StackyArrangement.from_data(arr.to_data()))
+
+
+# -- circuits against the minimal non-faces of the cones ----------------------
+
+
+def minimal_non_face_circuits(arr):
+    """Reference: every subset of size 2..d+1 that is not a cone while each
+    of its facets is, with the kernel line of one fraction-free reduction
+    of its columns, oriented by psi and projected onto the kernel basis."""
+    curve_class = basis_projection(kernel_basis(arr.beta.free_part()))
+    out = []
+    for size in range(2, arr.d + 2):
+        for subset in itertools.combinations(range(arr.m), size):
+            facets = (subset[:k] + subset[k + 1 :] for k in range(size))
+            if arr.is_cone(subset) or not all(map(arr.is_cone, facets)):
+                continue
+            cols = [arr.b_bar(i) for i in subset]
+            pivots, reduced, last = row_reduce(list(zip(*cols)))
+            assert len(pivots) == size - 1
+            (free,) = set(range(size)) - set(pivots)
+            w = [last] * size
+            for k, row in zip(pivots, reduced):
+                w[k] = -row[free]
+            assert 0 not in w
+            w = primitive_vector(w)
+            pairing = sum(x * arr.psi[i] for i, x in zip(subset, w))
+            assert pairing != 0
+            signed = [x if pairing > 0 else -x for x in w]
+            beta_s = [0] * arr.m
+            for i, x in zip(subset, signed):
+                beta_s[i] = x
+            coords, scale = curve_class(beta_s)
+            assert not any(x % scale for x in coords)
+            out.append(
+                Circuit(
+                    support=subset,
+                    positive=tuple(i for i, x in zip(subset, signed) if x > 0),
+                    negative=tuple(i for i, x in zip(subset, signed) if x < 0),
+                    weights=tuple(abs(x) for x in signed),
+                    beta_S=tuple(beta_s),
+                    h2_class=tuple(x // scale for x in coords),
+                    lcm_w=lcm(*[abs(x) for x in signed]),
+                    root_hyperplane=tuple(i for i in range(arr.m) if i not in subset),
+                )
+            )
+    return tuple(out)
+
+
+def test_circuits_match_minimal_non_face_enumeration(wide):
+    """The fundamental circuits of the basis table are the minimal non-faces
+    of the cones, with the same kernel vectors, signs, classes and order,
+    on the shipped examples, every ladder rung and the rank-3 family."""
+    total = 0
+    for arr in wide:
+        got = circuits(arr)
+        assert got == minimal_non_face_circuits(arr)
+        total += len(got)
+    assert total > 500
