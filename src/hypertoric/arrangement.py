@@ -29,7 +29,7 @@ from hypertoric.exactalg import (
     gale_dual,
     integer_inverse,
     primitive_vector,
-    rational_coordinates_in_basis,
+    rational_rank,
     solve_integer,
 )
 
@@ -61,18 +61,6 @@ MAX_HYPERPLANES = 16
 
 # ---------------------------------------------------------------------------
 # Arrangement data
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """{ v : <normal, v> + offset = 0 }, cooriented by the >= 0 side."""
-
-    normal: tuple[int, ...]
-    offset: int
-
-    def __post_init__(self):
-        if all(x == 0 for x in self.normal):
-            raise ArrangementError("hyperplane normal must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -138,9 +126,9 @@ def check_generic(beta_dual: GroupHom, theta) -> bool:
     cols = [beta_dual.free_part().col(j) for j in range(beta_dual.matrix.ncols)]
     if all(x == 0 for x in theta_free):
         return False
-    for subset in itertools.combinations(range(len(cols)), f - 1):
+    for subset in itertools.combinations(cols, f - 1):
         # a wall: f - 1 independent columns whose span holds theta
-        if rational_coordinates_in_basis([cols[i] for i in subset], theta_free) is not None:
+        if rational_rank(subset) == f - 1 == rational_rank(subset + (theta_free,)):
             return False
     return True
 
@@ -232,9 +220,6 @@ class StackyArrangement:
 
     def b_bar(self, i: int) -> tuple[int, ...]:
         return self._normals[i]
-
-    def hyperplanes(self) -> tuple[Hyperplane, ...]:
-        return tuple(Hyperplane(b, p) for b, p in zip(self._normals, self.psi))
 
     # -- the matroid ---------------------------------------------------------
 
@@ -387,15 +372,6 @@ class StackyArrangement:
         return tuple(out)
 
     # -- serialization -------------------------------------------------------
-
-    def to_data(self) -> dict:
-        return {
-            "rank": self.group_N.rank,
-            "torsion": list(self.group_N.torsion_invariants),
-            "beta": [list(self.beta.column(j)) for j in range(self.m)],
-            "theta": list(self.theta),
-            "psi": list(self.psi),
-        }
 
     @staticmethod
     def from_data(data: dict) -> "StackyArrangement":

@@ -51,6 +51,7 @@ from hypertoric.multifan import box_elements, circuits
 from hypertoric.polynomials import sympy_str
 from hypertoric.quantum import (
     QuantumContext,
+    TruncationTooSmall,
     differential_sign_report,
     minimal_curve_unit,
     qsr_circuit_relation_defect,
@@ -530,13 +531,16 @@ def run(argv) -> int:
                 except KeyError as e:
                     raise InputError(str(e), path="--show")
             elif args.write_dir:
-                os.makedirs(args.write_dir, exist_ok=True)
                 written = []
-                for name in example_names():
-                    target = os.path.join(args.write_dir, f"{name}.json")
-                    with open(target, "w", encoding="utf-8") as fh:
-                        fh.write(_to_json(example_document(name)) + "\n")
-                    written.append(target)
+                try:
+                    os.makedirs(args.write_dir, exist_ok=True)
+                    for name in example_names():
+                        target = os.path.join(args.write_dir, f"{name}.json")
+                        with open(target, "w", encoding="utf-8") as fh:
+                            fh.write(_to_json(example_document(name)) + "\n")
+                        written.append(target)
+                except OSError as e:
+                    raise InputError(str(e), path="--write-dir")
                 payload = {"written": written}
             else:
                 payload = {"examples": list(example_names())}
@@ -559,7 +563,7 @@ def run(argv) -> int:
             if args.svg:
                 try:
                     emit_svg(arr, args.svg)
-                except UnsupportedDimension as e:
+                except (UnsupportedDimension, OSError) as e:
                     raise InputError(str(e), path="--svg")
                 payload["svg"] = args.svg
                 flags["svg"] = args.svg
@@ -591,6 +595,8 @@ def run(argv) -> int:
         env = envelope(args.command, doc, flags, payload, timing)
         _print(env, args)
         return 0
+    except TruncationTooSmall as e:
+        return _print_error(InputError(str(e), path="--max-q-order"))
     except (InputError, ArrangementError, LocalizeError) as e:
         return _print_error(e)
     except Exception as e:  # internal error

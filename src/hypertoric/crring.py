@@ -324,7 +324,3 @@ def cr_multiply(
                 out = out + prod.scale_poly(p1 * p2)
     return out
 
-
-def reduce_poly(context: CohomologyContext, poly: Poly) -> Poly:
-    """Untwisted normal form: kill monomials with dependent u-support."""
-    return context.reduce_in_sector(poly, context.trivial_box())

@@ -7,11 +7,13 @@ value with row-major tie-breaking, and kernel bases are canonicalized by
 row Hermite normal form, so every downstream basis choice is stable
 across runs and platforms.
 
-Lattice problems (Smith and Hermite forms, integer solutions) work on
-integer matrices.  Field problems over the rationals (rank, solving,
-inverses, coordinates in a basis) all go through ``row_reduce``, one
-fraction-free Gauss-Jordan kernel, and thin wrappers around it; an
-inverse comes back as integer rows over one positive denominator.
+Lattice problems (Smith and Hermite forms, integer kernels and
+solutions) work on integer matrices.  Over the rationals each question
+has one routine, and each is a thin wrapper around ``row_reduce``, the
+one fraction-free Gauss-Jordan kernel: ``rational_rank`` for a rank,
+``solve_rational_system`` for a solution, ``integer_inverse`` for an
+inverse (integer rows over one positive denominator) and
+``basis_projection`` for coordinates in a basis.
 """
 
 from __future__ import annotations
@@ -112,33 +114,6 @@ class IntMatrix:
         if len(vec) != self.ncols:
             raise ExactAlgError("dimension mismatch in matrix-vector product")
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
-
-    def rank(self) -> int:
-        return rational_rank(self.entries)
-
-    def det(self) -> int:
-        if self.nrows != self.ncols:
-            raise ExactAlgError("determinant of non-square matrix")
-        # Fraction-free Gaussian elimination (Bareiss).
-        n = self.nrows
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1] if n else 1
 
 
 @dataclass(frozen=True)
@@ -488,32 +463,19 @@ def rational_rank(rows) -> int:
     return len(row_reduce(rows)[0])
 
 
-def _solve(rows, rhs, ncols):
-    """The rank of ``rows`` and one solution of rows.x = rhs with its free
-    variables set to zero, or None for the solution when inconsistent."""
+def solve_rational_system(rows, rhs):
+    """One rational solution of rows.x = rhs, of any shape, with its free
+    variables set to zero; None when the system is inconsistent."""
+    if not rows:
+        return ()
+    ncols = len(rows[0])
     pivots, m, d = row_reduce(rows, [[b] for b in rhs])
     if any(row[ncols] for row in m[len(pivots):]):
-        return len(pivots), None
+        return None
     x = [Fraction(0)] * ncols
     for c, row in zip(pivots, m):
         x[c] = Fraction(row[ncols], d)
-    return len(pivots), tuple(x)
-
-
-def solve_rational(rows, rhs):
-    """Solve a square rational linear system exactly; None if singular.
-
-    ``rows`` is a list of coefficient sequences, ``rhs`` the right-hand
-    side; entries may be ints or Fractions.
-    """
-    rank, x = _solve(rows, rhs, len(rows))
-    return x if rank == len(rows) else None
-
-
-def solve_rational_system(rows, rhs):
-    """One rational solution of a general (possibly non-square) system,
-    with free variables set to zero; None when inconsistent."""
-    return _solve(rows, rhs, len(rows[0]))[1] if rows else ()
+    return tuple(x)
 
 
 def integer_inverse(rows):
@@ -527,15 +489,10 @@ def integer_inverse(rows):
     return tuple(tuple(sign * x for x in row[n:]) for row in m), sign * d
 
 
-def vector_content(vec) -> int:
+def primitive_vector(vec) -> tuple[int, ...]:
     g = 0
     for x in vec:
         g = gcd(g, abs(int(x)))
-    return g
-
-
-def primitive_vector(vec) -> tuple[int, ...]:
-    g = vector_content(vec)
     if g == 0:
         return tuple(int(x) for x in vec)
     return tuple(int(x) // g for x in vec)
@@ -559,25 +516,6 @@ def _presentation_matrix(group: FgAbelianGroup, hom_matrix: IntMatrix) -> IntMat
     return IntMatrix.from_rows(rows)
 
 
-def cokernel_data(M: IntMatrix):
-    """Cokernel of M as (free_projection_rows, torsion_rows, torsion_orders).
-
-    The free projection is the Hermite-canonical kernel of M viewed as
-    functionals on the target of M^T; the torsion quotient comes from
-    the Smith normal form of M^T.
-    """
-    mt = M.transpose()
-    u, d, _ = smith_normal_form(mt)
-    free_rows = kernel_basis(M)
-    torsion_rows = []
-    torsion_orders = []
-    for i in range(min(d.nrows, d.ncols)):
-        if d[i, i] >= 2:
-            torsion_rows.append(tuple(u.row(i)))
-            torsion_orders.append(d[i, i])
-    return free_rows, tuple(torsion_rows), tuple(torsion_orders)
-
-
 def gale_dual(beta: GroupHom) -> GroupHom:
     """The Gale dual map from the source of ``beta`` onto its dual group.
 
@@ -594,26 +532,23 @@ def gale_dual(beta: GroupHom) -> GroupHom:
     if rational_rank(free.entries) < nbar_rank:
         raise InfiniteCokernel("rank of the map is smaller than the rank of the target")
     pres = _presentation_matrix(beta.target, beta.matrix)
-    free_rows, torsion_rows, torsion_orders = cokernel_data(pres)
-    dg = FgAbelianGroup(len(free_rows), torsion_orders)
+    # The cokernel of the presentation: its free part is projected by the
+    # Hermite-canonical kernel, its torsion read off the Smith form of the
+    # transpose.
+    u, d, _ = smith_normal_form(pres.transpose())
+    free_rows = kernel_basis(pres)
+    torsion = [(u.row(i), d[i, i]) for i in range(min(d.nrows, d.ncols)) if d[i, i] >= 2]
+    dg = FgAbelianGroup(len(free_rows), tuple(o for _, o in torsion))
     cols = []
     for j in range(m):
         coord = [fr[j] for fr in free_rows]
-        coord += [tr[j] % o for tr, o in zip(torsion_rows, torsion_orders)]
+        coord += [tr[j] % o for tr, o in torsion]
         cols.append(coord)
     if dg.generator_count == 0:
         matrix = IntMatrix.zero(0, m)
     else:
         matrix = IntMatrix.from_rows(tuple(zip(*cols)))
     return GroupHom(FgAbelianGroup(m), dg, matrix)
-
-
-def rational_coordinates_in_basis(basis_rows, vec):
-    """Rational coordinates of ``vec`` in the span of the basis; None when
-    ``vec`` is outside the span or the basis is dependent."""
-    n = len(basis_rows)
-    rank, x = _solve([[b[i] for b in basis_rows] for i in range(len(vec))], vec, n)
-    return x if rank == n else None
 
 
 def basis_projection(basis_rows):
@@ -636,11 +571,3 @@ def basis_projection(basis_rows):
         return coords, d
 
     return project
-
-
-def coordinates_in_basis(basis_rows, vec):
-    """Integer coordinates of ``vec`` in the given lattice basis, else None."""
-    x = rational_coordinates_in_basis(basis_rows, vec)
-    if x is None or any(c.denominator != 1 for c in x):
-        return None
-    return tuple(int(c) for c in x)

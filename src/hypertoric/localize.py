@@ -32,10 +32,6 @@ class ZeroEuler(LocalizeError):
     """An Euler factor vanished identically; the table is corrupted."""
 
 
-class UnsupportedClass(LocalizeError):
-    """The class cannot be restricted with the data this table stores."""
-
-
 class NotPolynomial(LocalizeError):
     """A compact sector integral did not reduce to a polynomial."""
 
@@ -218,11 +214,6 @@ def paper_table_p12() -> FixedPointTable:
 # Restriction and integration
 
 
-def restrict_expr(poly: Poly, point: FixedPoint) -> Poly:
-    """Substitute the stored divisor restrictions into a class."""
-    return poly.substitute(point.restrictions)
-
-
 def _localize(poly: Poly, points, euler_forms) -> tuple[Poly, Counter]:
     """The localization sum of ``poly`` over ``points``, each point's Euler
     factor the product of its linear forms in ``euler_forms``: put over the
@@ -243,7 +234,7 @@ def _localize(poly: Poly, points, euler_forms) -> tuple[Poly, Counter]:
         common |= monic
     numerator = poly.ring.zero()
     for pt, (scalar, monic) in zip(points, denominators):
-        term = restrict_expr(poly, pt) * (pt.multiplicity / scalar)
+        term = poly.substitute(pt.restrictions) * (pt.multiplicity / scalar)
         for form, power in (common - monic).items():
             term = term * form**power
         numerator = numerator + term
@@ -314,11 +305,6 @@ class SteinbergOperator:
     sector_order: tuple
     matrix: tuple  # rows indexed by output sector
     generator_images: dict  # name -> dict output sector -> coeff
-
-    def apply_generator(self, name: str) -> dict:
-        if name in self.generator_images:
-            return dict(self.generator_images[name])
-        raise UnsupportedClass(f"no stored image for generator {name!r}")
 
     def is_injective(self) -> bool:
         return rational_rank(self.matrix) == len(self.matrix)

@@ -38,9 +38,6 @@ class Circuit:
     lcm_w: int
     root_hyperplane: tuple[int, ...]  # complementary index set
 
-    def weight_of(self, i: int) -> int:
-        return self.weights[self.support.index(i)]
-
     def sign_of(self, i: int) -> int:
         if i in self.positive:
             return 1

@@ -267,9 +267,6 @@ class NovikovSeries:
                 return v
         return CRClass.zero(self.context)
 
-    def degree_zero(self) -> CRClass:
-        return self.coefficient(tuple(0 for _ in self.context.circuits))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -302,26 +299,14 @@ class NovikovSeries:
             parts[tuple(key)] = v
         return NovikovSeries.build(self.context, self.order, parts)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = [f"Q{i + 1}" for i in range(len(self.context.circuits))]
-        chunks = []
-        for k, v in self.terms:
-            q = "*".join(
-                f"{n}^{e}" if e > 1 else n for n, e in zip(names, k) if e
-            )
-            chunks.append(f"({v})" + (f"*{q}" if q else ""))
-        return " + ".join(chunks)
-
 
 class QuantumContext:
     """Caches the cohomology context and the circuit models of one
     arrangement; the models are built on first use."""
 
-    def __init__(self, arr: StackyArrangement, context: CohomologyContext | None = None):
+    def __init__(self, arr: StackyArrangement):
         self.arr = arr
-        self.context = context or CohomologyContext(arr)
+        self.context = CohomologyContext(arr)
 
     @cached_property
     def models(self) -> tuple:
@@ -409,12 +394,6 @@ def star_word(qctx: QuantumContext, word, order: int, convention="example-calibr
         else:
             raise QuantumError(f"unknown word token {kind!r}")
     return result
-
-
-def lawrence_euler_constant(qctx: QuantumContext) -> Poly:
-    """The Euler class of the (trivial) ambient normal bundle: hbar^(m-d)."""
-    arr = qctx.arr
-    return qctx.context.hbar() ** (arr.m - arr.d)
 
 
 def differential_sign_report(qctx: QuantumContext, order: int):
@@ -544,6 +523,8 @@ def qsr_multiply(a: QSRElement, b: QSRElement, fan: LawrenceFan, order) -> QSREl
 
 def qsr_presentation(qctx: QuantumContext, fan: LawrenceFan | None = None, order=6):
     """The defining relations: one per hyperplane, y(z-ray) + y(w-ray) = hbar."""
+    if order < 0:
+        raise TruncationTooSmall("truncation order must be at least 0")
     fan = fan or build_lawrence_fan(qctx.arr)
     ring = qctx.context.ring
     rels = []

@@ -73,8 +73,8 @@ def emit_svg(arr: StackyArrangement, path: str) -> str:
         vs = _ordered_polygon(ch.vertices())
         pts = " ".join(",".join(to_screen(v)) for v in vs)
         parts.append(f'<polygon points="{pts}" fill="#cfe3ff" stroke="none"/>')
-    for hp in arr.hyperplanes():
-        seg = _line_segment(hp.normal, hp.offset, xmin, xmax, ymin, ymax)
+    for i in range(arr.m):
+        seg = _line_segment(arr.b_bar(i), arr.psi[i], xmin, xmax, ymin, ymax)
         if seg is None:
             continue
         (x1, y1), (x2, y2) = seg

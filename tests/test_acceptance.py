@@ -13,7 +13,7 @@ from fractions import Fraction
 import sympy
 
 from hypertoric.arrangement import NonGenericTheta, StackyArrangement
-from hypertoric.crring import CohomologyContext, CRClass, cr_multiply, reduce_poly
+from hypertoric.crring import CohomologyContext, CRClass, cr_multiply
 from hypertoric.exactalg import (
     FgAbelianGroup,
     GroupHom,
@@ -38,7 +38,7 @@ from hypertoric.quantum import (
     qsr_presentation,
     quantum_divisor_product,
 )
-from sympy_bridge import rational_to_sympy
+from sympy_bridge import det, rational_to_sympy
 
 
 def criterion(number, text):
@@ -173,11 +173,11 @@ def test_criterion_5_steinberg():
     half = Fraction(1, 2)
     L = steinberg_operator(model, table, "forward")
     Linv = steinberg_operator(model, table, "inverse")
-    assert L.apply_generator("u1") == {"fiber": half, "box": half}
-    assert L.apply_generator("u2") == {"fiber": 1, "box": half}
-    assert L.apply_generator("box") == {"fiber": half, "box": half}
-    assert Linv.apply_generator("box") == {"fiber": half, "box": half}
-    inv_fiber = Linv.apply_generator("fiber")
+    assert L.generator_images["u1"] == {"fiber": half, "box": half}
+    assert L.generator_images["u2"] == {"fiber": 1, "box": half}
+    assert L.generator_images["box"] == {"fiber": half, "box": half}
+    assert Linv.generator_images["box"] == {"fiber": half, "box": half}
+    inv_fiber = Linv.generator_images["fiber"]
     assert sympy.simplify(rational_to_sympy(inv_fiber["fiber"]) - stated) == 0
     assert sympy.simplify(rational_to_sympy(inv_fiber["box"]) - stated) == 0
     assert L.is_injective()
@@ -206,10 +206,8 @@ def test_criterion_7_quantum_series():
     series1 = quantum_divisor_product(
         q1, 0, CRClass.untwisted(ctx1, ctx1.u(1)), order=6
     )
-    target1 = CRClass.untwisted(
-        ctx1, reduce_poly(ctx1, (ctx1.hbar() - ctx1.u(0)) * (ctx1.hbar() - ctx1.u(1)))
-    )
-    assert series1.degree_zero().is_zero()
+    target1 = CRClass.untwisted(ctx1, (ctx1.hbar() - ctx1.u(0)) * (ctx1.hbar() - ctx1.u(1)))
+    assert series1.coefficient((0,)).is_zero()
     for k in range(1, 7):
         assert series1.coefficient((k,)) == target1
     # weighted line: twisted sector at odd orders, untwisted at even
@@ -221,8 +219,7 @@ def test_criterion_7_quantum_series():
     box = [b for b in ctx12.boxes if not b.is_trivial()][0]
     assert series12.coefficient((1,)) == CRClass.build(ctx12, {box: -ctx12.hbar()})
     assert series12.coefficient((2,)) == CRClass.untwisted(
-        ctx12,
-        reduce_poly(ctx12, (ctx12.hbar() - ctx12.u(0)) * (ctx12.hbar() - ctx12.u(1))),
+        ctx12, (ctx12.hbar() - ctx12.u(0)) * (ctx12.hbar() - ctx12.u(1))
     )
     # the closed-form reading and the calibrated series part ways at order
     # four on the untwisted residue class; the report logs it
@@ -281,7 +278,7 @@ def test_criterion_9_foundations():
         )
         U, D, V = smith_normal_form(A)
         assert (U * A * V).entries == D.entries
-        assert abs(U.det()) == 1 and abs(V.det()) == 1
+        assert abs(det(U)) == 1 and abs(det(V)) == 1
         diag = [D[i, i] for i in range(min(n, m))]
         for a, b in zip(diag, diag[1:]):
             assert (a == 0 and b == 0) or (a > 0 and b % a == 0)

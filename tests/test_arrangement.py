@@ -483,13 +483,6 @@ def test_cli_reports_zero_circuit_pairing_as_internal(tmp_path, monkeypatch, cap
     assert "(input data)" not in captured.out
 
 
-def test_round_trip(shipped):
-    for arr in shipped.values():
-        data = arr.to_data()
-        again = StackyArrangement.from_data(data)
-        assert again.to_data() == data
-
-
 def test_lift_theta_with_torsion_dual():
     # the dual group of the doubling map is Z/2; lifting solves a congruence
     dual = dual_of([(2,)], 1)

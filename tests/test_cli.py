@@ -255,6 +255,20 @@ def test_svg_rejects_other_dimensions(capsys, write_examples, tmp_path):
     assert code == 2
 
 
+def test_unwritable_output_paths_are_input_errors(capsys, write_examples, tmp_path):
+    """An --svg file or a --write-dir directory under a regular file cannot
+    be written: the path is at fault, reported at its flag."""
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    for argv, flag in (
+        (["core", "--input", write_examples["hirzebruch"], "--svg", str(blocker / "x.svg")], "--svg"),
+        (["examples", "--write-dir", str(blocker / "out")], "--write-dir"),
+    ):
+        code, out = invoke(capsys, argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"]["path"] == flag
+
+
 def test_text_format(capsys, write_examples):
     code, out = invoke(
         capsys, ["box", "--input", write_examples["cotangent-p12"], "--format", "text"]
@@ -506,7 +520,22 @@ def test_truncation_too_small_is_input_error(capsys, write_examples):
         capsys, [*QUANTUM, "--input", write_examples["cotangent-p1"], "--max-q-order", "0"]
     )
     assert code == 2
-    assert json.loads(out)["error"]["path"] == "(input data)"
+    assert json.loads(out)["error"]["path"] == "--max-q-order"
+
+
+def test_negative_qsr_order_is_input_error(capsys, write_examples):
+    """qsr refuses a truncation order below 0 at its flag, and order 0 is
+    still valid."""
+    doc = write_examples["cotangent-p1"]
+    code, out = invoke(capsys, ["qsr", "--input", doc, "--max-q-order", "-1"])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "message": "truncation order must be at least 0",
+        "path": "--max-q-order",
+    }
+    code, out = invoke(capsys, ["qsr", "--input", doc, "--max-q-order", "0"])
+    assert code == 0
+    assert json.loads(out)["payload"]["max_q_order"] == 0
 
 
 SYMPY_FREE_SCRIPT = """

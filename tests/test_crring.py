@@ -7,7 +7,7 @@ from math import comb, lcm
 
 import pytest
 
-from hypertoric.arrangement import InvariantError, StackyArrangement
+from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
 from hypertoric.cli import payload_cohomology
 from hypertoric.crring import (
     CohomologyContext,
@@ -18,9 +18,8 @@ from hypertoric.crring import (
     cr_presentation,
     ht_presentation,
     htt_presentation,
-    reduce_poly,
 )
-from hypertoric.exactalg import FgAbelianGroup, rational_rank, solve_rational
+from hypertoric.exactalg import FgAbelianGroup, rational_rank, solve_rational_system
 from hypertoric.multifan import box_inverse
 
 
@@ -104,7 +103,7 @@ def test_cr_relations_reduce_to_zero(shipped):
 
 def test_normal_form_kills_circuit_monomials(ctx12):
     p = ctx12.u(0) * ctx12.u(1) * ctx12.hbar() + ctx12.u(0) ** 3
-    assert reduce_poly(ctx12, p) == ctx12.u(0) ** 3
+    assert CRClass.untwisted(ctx12, p).component(ctx12.trivial_box()) == ctx12.u(0) ** 3
 
 
 def test_trivial_box_is_unit(shipped):
@@ -126,6 +125,50 @@ def test_commutative_and_associative_on_generators(shipped):
             assert cr_multiply(cr_multiply(a, b), c) == cr_multiply(
                 a, cr_multiply(b, c)
             )
+
+
+PARTIAL_NORMAL_FORM = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="CRClass equality is a partial normal form: it reduces by the monomial "
+    "relations only, so a class such as u1^3 may vanish modulo the linear relations "
+    "yet compare nonzero (ROADMAP 5)",
+)
+NO_CLOSING_BOX = pytest.mark.xfail(
+    strict=True,
+    raises=ArrangementError,
+    reason="find_box ignores the cone of a box, so a twisted product finds no "
+    "closing box (ROADMAP 2(a))",
+)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        *("cotangent-p1", "hirzebruch", "tp2", "tp3", "tp4"),
+        *(
+            pytest.param(n, marks=PARTIAL_NORMAL_FORM)
+            for n in ("cotangent-p12", "hirzebruch-weighted", "tp1123")
+        ),
+        *(
+            pytest.param(n, marks=NO_CLOSING_BOX)
+            for n in ("d2m6", "d2m8", "d2m10", "d3m7", "d4m6")
+        ),
+    ],
+)
+def test_cr_multiply_is_associative(name, shipped, ladder):
+    """(x y) z == x (y z) for every ordered triple, repeats included, of
+    sector units and divisor classes."""
+    arr = shipped[name] if name in shipped else ladder[name]
+    ctx = CohomologyContext(arr)
+    classes = [CRClass.sector_unit(ctx, box) for box in ctx.boxes]
+    classes += [CRClass.untwisted(ctx, ctx.u(i)) for i in range(arr.m)]
+    failing = [
+        (x, y, z)
+        for x, y, z in itertools.product(classes, repeat=3)
+        if cr_multiply(cr_multiply(x, y), z) != cr_multiply(x, cr_multiply(y, z))
+    ]
+    assert not failing, [" * ".join(map(str, triple)) for triple in failing[:3]]
 
 
 def test_tp12_products(ctx12):
@@ -260,7 +303,7 @@ def hilbert_function(arr, supports, top):
     free = [j for j in range(arr.m) if j not in basis]
     n = len(free)
     rows = [list(r) for r in zip(*(arr.b_bar(i) for i in basis))]
-    solved = [solve_rational(rows, arr.b_bar(j)) for j in free]
+    solved = [solve_rational_system(rows, arr.b_bar(j)) for j in free]
     forms = {j: {t: Fraction(1)} for t, j in enumerate(free)}
     for k, i in enumerate(basis):
         forms[i] = {t: -y[k] for t, y in enumerate(solved) if y[k]}

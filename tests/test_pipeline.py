@@ -59,7 +59,7 @@ def test_circuit_identities_random():
         for c in circuits(arr):
             total = [0] * arr.d
             for i in c.support:
-                s = c.sign_of(i) * c.weight_of(i)
+                s = c.sign_of(i) * c.weights[c.support.index(i)]
                 for r in range(arr.d):
                     total[r] += s * arr.b_bar(i)[r]
             assert all(x == 0 for x in total)
