@@ -17,7 +17,6 @@ bounded exactly when the walk around it meets no unbounded edge.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -63,21 +62,22 @@ MAX_HYPERPLANES = 16
 # Arrangement data
 
 
-@dataclass(frozen=True)
 class Chamber:
     """A bounded chamber P_U: the hyperplanes in ``flips`` keep their
     coorientation (side 'F', <b_i, v> + psi_i >= 0), the others are
     reversed (side 'G').  ``corners`` pairs each vertex, in sorted order,
     with the indices of the hyperplanes through it."""
 
-    flips: frozenset
-    corners: tuple
+    __slots__ = ("flips", "corners")
+
+    def __init__(self, flips: frozenset, corners: tuple):
+        self.flips = flips
+        self.corners = corners
 
     def vertices(self):
         return [point for point, _ in self.corners]
 
 
-@dataclass(frozen=True)
 class _Vertex:
     """A vertex of a simple arrangement, stored under its tight set T.
     ``above`` has bit i set when <b_i, v> + psi_i > 0; ``ends[k]`` holds the
@@ -85,17 +85,22 @@ class _Vertex:
     -e_k and +e_k, where e_k is the direction on which T[k] grows and the
     rest of T stays 0."""
 
-    point: tuple
-    above: int
-    ends: tuple
+    __slots__ = ("point", "above", "ends")
+
+    def __init__(self, point: tuple, above: int, ends: tuple):
+        self.point = point
+        self.above = above
+        self.ends = ends
 
 
-@dataclass(frozen=True)
 class NormalFan:
     """Rays (primitive integer vectors) plus maximal cones as ray index sets."""
 
-    rays: tuple
-    max_cones: tuple
+    __slots__ = ("rays", "max_cones")
+
+    def __init__(self, rays: tuple, max_cones: tuple):
+        self.rays = rays
+        self.max_cones = max_cones
 
     @staticmethod
     def of(cones) -> "NormalFan":
@@ -162,7 +167,6 @@ def lift_theta(beta_dual: GroupHom, theta) -> tuple[int, ...]:
     return tuple(sol[:m])
 
 
-@dataclass(frozen=True)
 class StackyArrangement:
     """The full input datum: group, defining vectors, stability, lifting.
 
@@ -171,11 +175,13 @@ class StackyArrangement:
     -beta_dual(psi) exactly.
     """
 
-    group_N: FgAbelianGroup
-    beta: GroupHom
-    theta: tuple[int, ...]
-    psi: tuple[int, ...]
-    beta_dual: GroupHom
+    def __init__(self, group_N: FgAbelianGroup, beta: GroupHom, theta: tuple[int, ...],
+                 psi: tuple[int, ...], beta_dual: GroupHom):
+        self.group_N = group_N
+        self.beta = beta
+        self.theta = theta
+        self.psi = psi
+        self.beta_dual = beta_dual
 
     @staticmethod
     def build(group_N: FgAbelianGroup, beta_columns, theta, psi=None) -> "StackyArrangement":

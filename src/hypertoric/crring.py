@@ -10,7 +10,6 @@ for reduction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -85,12 +84,14 @@ class CohomologyContext:
         return poly.map_terms(keep)
 
 
-@dataclass(frozen=True)
 class CRClass:
     """A Chen-Ruan class: one polynomial per sector, trivial box untwisted."""
 
-    context: CohomologyContext
-    components: tuple  # tuple of (BoxElement, Poly), sorted, reduced
+    __slots__ = ("context", "components")
+
+    def __init__(self, context: CohomologyContext, components: tuple):
+        self.context = context
+        self.components = components  # tuple of (BoxElement, Poly), sorted, reduced
 
     @staticmethod
     def build(context: CohomologyContext, parts: dict) -> "CRClass":
@@ -164,22 +165,28 @@ class CRClass:
 # Presentations
 
 
-@dataclass(frozen=True)
 class Relation:
-    """One defining relation; ``lhs_factors`` are generator labels whose
-    product equals ``rhs`` (a polynomial with at most one box symbol)."""
+    """One defining relation, printed as ``text``: the sector units
+    ``lhs_boxes`` times ``lhs_poly`` equal ``rhs`` (a class with at most one
+    box symbol)."""
 
-    kind: str  # "monomial" | "circuit" | "box-u" | "box-box"
-    text: str
-    lhs_boxes: tuple = ()
-    lhs_poly: Poly | None = None
-    rhs: "CRClass | None" = None
+    __slots__ = ("kind", "text", "lhs_boxes", "lhs_poly", "rhs")
+
+    def __init__(self, kind: str, text: str, lhs_boxes: tuple = (),
+                 lhs_poly: Poly | None = None, rhs: CRClass | None = None):
+        self.kind = kind  # "monomial" | "circuit" | "box-u" | "box-box"
+        self.text = text
+        self.lhs_boxes = lhs_boxes
+        self.lhs_poly = lhs_poly
+        self.rhs = rhs
 
 
-@dataclass(frozen=True)
 class RingPresentation:
-    generators: tuple[str, ...]
-    relations: tuple[Relation, ...]
+    __slots__ = ("generators", "relations")
+
+    def __init__(self, generators: tuple[str, ...], relations: tuple[Relation, ...]):
+        self.generators = generators
+        self.relations = relations
 
     def texts(self) -> tuple[str, ...]:
         return tuple(r.text for r in self.relations)

@@ -18,7 +18,6 @@ inverse (integer rows over one positive denominator) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -39,22 +38,28 @@ class NotInImage(ExactAlgError):
     """No integral solution exists."""
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix; dimensions are explicit so that zero-row
     and zero-column matrices keep their shape."""
 
-    entries: tuple[tuple[int, ...], ...]
-    shape: tuple[int, int] = None  # type: ignore[assignment]
+    __slots__ = ("entries", "shape")
 
-    def __post_init__(self):
-        if self.shape is None:
-            nrows = len(self.entries)
-            ncols = len(self.entries[0]) if self.entries else 0
-            object.__setattr__(self, "shape", (nrows, ncols))
-        nrows, ncols = self.shape
-        if len(self.entries) != nrows or any(len(r) != ncols for r in self.entries):
+    def __init__(self, entries: tuple[tuple[int, ...], ...], shape: tuple[int, int] | None = None):
+        if shape is None:
+            shape = (len(entries), len(entries[0]) if entries else 0)
+        nrows, ncols = shape
+        if len(entries) != nrows or any(len(r) != ncols for r in entries):
             raise ExactAlgError("entries do not match declared shape")
+        self.entries = entries
+        self.shape = shape
+
+    def __eq__(self, other):
+        if type(other) is not IntMatrix:
+            return NotImplemented
+        return (self.entries, self.shape) == (other.entries, other.shape)
+
+    def __hash__(self):
+        return hash((self.entries, self.shape))
 
     @staticmethod
     def from_rows(rows, ncols: int | None = None) -> "IntMatrix":
@@ -116,24 +121,31 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
 
 
-@dataclass(frozen=True)
 class FgAbelianGroup:
     """Z^rank plus cyclic factors Z/d_1 x ... with d_1 | d_2 | ... and d_i >= 2."""
 
-    rank: int
-    torsion_invariants: tuple[int, ...] = ()
+    __slots__ = ("rank", "torsion_invariants")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int, torsion_invariants: tuple[int, ...] = ()):
+        if rank < 0:
             raise ExactAlgError("negative rank")
-        invs = tuple(int(d) for d in self.torsion_invariants)
-        object.__setattr__(self, "torsion_invariants", invs)
+        invs = tuple(int(d) for d in torsion_invariants)
         for d in invs:
             if d < 2:
                 raise ExactAlgError("torsion invariants must be >= 2")
         for a, b in zip(invs, invs[1:]):
             if b % a != 0:
                 raise ExactAlgError("torsion invariants must form a divisibility chain")
+        self.rank = rank
+        self.torsion_invariants = invs
+
+    def __eq__(self, other):
+        if type(other) is not FgAbelianGroup:
+            return NotImplemented
+        return (self.rank, self.torsion_invariants) == (other.rank, other.torsion_invariants)
+
+    def __hash__(self):
+        return hash((self.rank, self.torsion_invariants))
 
     @property
     def generator_count(self) -> int:
@@ -149,7 +161,6 @@ class FgAbelianGroup:
         return free + tor
 
 
-@dataclass(frozen=True)
 class GroupHom:
     """Homomorphism between presented groups, as a matrix in generator bases.
 
@@ -157,26 +168,20 @@ class GroupHom:
     target are stored reduced modulo the invariant orders.
     """
 
-    source: FgAbelianGroup
-    target: FgAbelianGroup
-    matrix: IntMatrix
+    __slots__ = ("source", "target", "matrix")
 
-    def __post_init__(self):
-        if self.matrix.nrows != self.target.generator_count:
+    def __init__(self, source: FgAbelianGroup, target: FgAbelianGroup, matrix: IntMatrix):
+        if matrix.nrows != target.generator_count:
             raise ExactAlgError("matrix rows must match target generators")
-        if self.source.torsion_invariants:
+        if source.torsion_invariants:
             raise ExactAlgError("only free sources are supported")
-        if self.matrix.ncols != self.source.rank:
+        if matrix.ncols != source.rank:
             raise ExactAlgError("matrix cols must match source generators")
-        reduced = tuple(
-            self.target.reduce_vector(self.matrix.col(j)) for j in range(self.matrix.ncols)
-        )
-        rows = tuple(zip(*reduced)) if (reduced and self.target.generator_count) else ()
-        object.__setattr__(
-            self,
-            "matrix",
-            IntMatrix(rows, (self.target.generator_count, self.source.rank)),
-        )
+        reduced = tuple(target.reduce_vector(matrix.col(j)) for j in range(matrix.ncols))
+        rows = tuple(zip(*reduced)) if (reduced and target.generator_count) else ()
+        self.source = source
+        self.target = target
+        self.matrix = IntMatrix(rows, (target.generator_count, source.rank))
 
     def column(self, j: int) -> tuple[int, ...]:
         return self.matrix.col(j)
@@ -556,17 +561,22 @@ def basis_projection(basis_rows):
     once by one reduction of [B | I].  With P the pivot columns and d the
     last pivot, the right block M has M B_P = d I, so an integer vector
     v = c B has d c = v_P M.  Returns ``project(vec)``: the integer vector
-    d c and d, or None when ``vec`` is outside the span of B."""
+    d c and d, or None when ``vec`` is outside the span of B.  As
+    (v_P M) B_P = d v_P for every v, only the columns outside P can show
+    that v is outside the span, and only they are checked."""
+    if not basis_rows:
+        return lambda vec: None if any(vec) else ([], 1)
     n = len(basis_rows)
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     pivots, reduced, d = row_reduce(basis_rows, identity)
     if len(pivots) != n:
         raise ExactAlgError("basis rows are dependent")
     columns = tuple(zip(*(row[-n:] for row in reduced)))
+    rest = [j for j in range(len(basis_rows[0])) if j not in pivots]
 
     def project(vec):
         coords = [sum(a * vec[p] for a, p in zip(col, pivots)) for col in columns]
-        if any(sum(c * b[i] for c, b in zip(coords, basis_rows)) != d * x for i, x in enumerate(vec)):
+        if any(sum(c * b[j] for c, b in zip(coords, basis_rows)) != d * vec[j] for j in rest):
             return None
         return coords, d
 

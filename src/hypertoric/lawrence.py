@@ -13,9 +13,7 @@ canonical kernel basis of the normals, each vector k written as (k, -k).
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -28,18 +26,24 @@ class OutsideSupport(ArrangementError):
     """The queried lattice point is not in the support of the fan."""
 
 
-@dataclass(frozen=True)
 class ConeCoordinates:
     """Simplicial coordinates of a point in the minimal cone containing it."""
 
-    max_cone: tuple[int, ...]
-    coefficients: dict  # ray id -> Fraction, zero entries omitted
+    __slots__ = ("max_cone", "coefficients")
+
+    def __init__(self, max_cone: tuple[int, ...], coefficients: dict):
+        self.max_cone = max_cone
+        self.coefficients = coefficients  # ray id -> Fraction, zero entries omitted
+
+    def __eq__(self, other):
+        if type(other) is not ConeCoordinates:
+            return NotImplemented
+        return (self.max_cone, self.coefficients) == (other.max_cone, other.coefficients)
 
     def coefficient(self, ray_id: int) -> Fraction:
         return self.coefficients.get(ray_id, Fraction(0))
 
 
-@dataclass(frozen=True)
 class LawrenceFan:
     """Rays, maximal cones and irrelevant monomials of the Lawrence lift.
 
@@ -54,12 +58,20 @@ class LawrenceFan:
     located; the curve-degree projection is set up once per fan.
     """
 
-    arrangement: StackyArrangement
-    rays: tuple[tuple[int, ...], ...]
-    max_cones: tuple[tuple[int, ...], ...]
-    irrelevant_monomials: tuple[tuple[str, ...], ...]
-    h2_basis: tuple[tuple[int, ...], ...]
-    _located: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        arrangement: StackyArrangement,
+        rays: tuple[tuple[int, ...], ...],
+        max_cones: tuple[tuple[int, ...], ...],
+        irrelevant_monomials: tuple[tuple[str, ...], ...],
+        h2_basis: tuple[tuple[int, ...], ...],
+    ):
+        self.arrangement = arrangement
+        self.rays = rays
+        self.max_cones = max_cones
+        self.irrelevant_monomials = irrelevant_monomials
+        self.h2_basis = h2_basis
+        self._located = {}
 
     @property
     def m(self) -> int:
@@ -220,7 +232,9 @@ def _orient_h2_basis(fan: LawrenceFan) -> LawrenceFan:
         vals = [x[t] for x in degrees]
         flip = min(vals, default=0) < 0 and max(vals) <= 0
         flipped.append(tuple(-x for x in vec) if flip else tuple(vec))
-    oriented = dataclasses.replace(fan, h2_basis=tuple(flipped))
+    oriented = LawrenceFan(
+        fan.arrangement, fan.rays, fan.max_cones, fan.irrelevant_monomials, tuple(flipped)
+    )
     # cone coordinates do not depend on the basis: keep what is located
     oriented._located.update(fan._located)
     return oriented

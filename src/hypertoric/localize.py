@@ -16,7 +16,6 @@ integral over the whole cotangent sector a ``RationalFunction``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -36,7 +35,6 @@ class NotPolynomial(LocalizeError):
     """A compact sector integral did not reduce to a polynomial."""
 
 
-@dataclass(frozen=True)
 class WeightedModel:
     """Weights of a cotangent bundle of a weighted projective stack.
 
@@ -47,25 +45,31 @@ class WeightedModel:
     ring variable.
     """
 
-    weights: tuple[int, ...]
-    ring: PolyRing | None = None
-    lam_forms: tuple | None = None
-    u_names: tuple | None = None
+    __slots__ = ("weights", "ring", "lam_forms", "u_names")
 
-    def __post_init__(self):
-        if len(self.weights) < 2:
+    def __init__(
+        self,
+        weights: tuple[int, ...],
+        ring: PolyRing | None = None,
+        lam_forms: tuple | None = None,
+        u_names: tuple | None = None,
+    ):
+        if len(weights) < 2:
             raise LocalizeError("need at least two weights")
-        if any(w < 1 for w in self.weights):
+        if any(w < 1 for w in weights):
             raise LocalizeError("weights must be positive")
-        slots = range(len(self.weights))
-        if self.ring is None:
+        slots = range(len(weights))
+        if ring is None:
             names = [f"u{k + 1}" for k in slots] + ["hbar"] + [f"lam{k + 1}" for k in slots]
-            object.__setattr__(self, "ring", PolyRing(names))
-        if self.lam_forms is None:
-            lams = tuple(self.ring.var(f"lam{k + 1}") for k in slots)
-            object.__setattr__(self, "lam_forms", lams)
-        if self.u_names is None:
-            object.__setattr__(self, "u_names", tuple(f"u{k + 1}" for k in slots))
+            ring = PolyRing(names)
+        if lam_forms is None:
+            lam_forms = tuple(ring.var(f"lam{k + 1}") for k in slots)
+        if u_names is None:
+            u_names = tuple(f"u{k + 1}" for k in slots)
+        self.weights = weights
+        self.ring = ring
+        self.lam_forms = lam_forms
+        self.u_names = u_names
 
     @property
     def n(self) -> int:
@@ -78,21 +82,21 @@ class WeightedModel:
         return self.ring.var(self.u_names[i])
 
 
-@dataclass(frozen=True)
 class Sector:
     """A twisted sector: reduced fraction class, order, support slots.
 
     The age counts the slots whose weight the order does not divide.
     """
 
-    f: Fraction
-    order: int
-    support: tuple[int, ...]  # weight slots whose weight the order divides
-    total_slots: int
+    __slots__ = ("f", "order", "support", "total_slots")
 
-    def __post_init__(self):
-        if not self.support:
+    def __init__(self, f: Fraction, order: int, support: tuple[int, ...], total_slots: int):
+        if not support:
             raise LocalizeError("sector support is empty")
+        self.f = f
+        self.order = order
+        self.support = support  # weight slots whose weight the order divides
+        self.total_slots = total_slots
 
     @property
     def support_complement(self) -> tuple[int, ...]:
@@ -116,7 +120,6 @@ def sectors(model: WeightedModel) -> tuple[Sector, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class FixedPoint:
     """Localization data of one torus-fixed point inside one sector.
 
@@ -125,11 +128,15 @@ class FixedPoint:
     base and fiber weights; it is built only when read.
     """
 
-    slot: int
-    multiplicity: Fraction
-    tangent_weights: tuple  # Polys, the base directions
-    fiber_weights: tuple  # Polys, the cotangent fiber directions
-    restrictions: dict  # divisor variable name -> Poly
+    __slots__ = ("slot", "multiplicity", "tangent_weights", "fiber_weights", "restrictions")
+
+    def __init__(self, slot: int, multiplicity: Fraction, tangent_weights: tuple,
+                 fiber_weights: tuple, restrictions: dict):
+        self.slot = slot
+        self.multiplicity = multiplicity
+        self.tangent_weights = tangent_weights  # Polys, the base directions
+        self.fiber_weights = fiber_weights  # Polys, the cotangent fiber directions
+        self.restrictions = restrictions  # divisor variable name -> Poly
 
     @property
     def euler(self) -> Poly:
@@ -137,11 +144,13 @@ class FixedPoint:
         return prod(self.tangent_weights + self.fiber_weights, start=one)
 
 
-@dataclass(frozen=True)
 class FixedPointTable:
-    convention: str
-    model: WeightedModel
-    points: dict  # Fraction (sector class) -> tuple[FixedPoint, ...]
+    __slots__ = ("convention", "model", "points")
+
+    def __init__(self, convention: str, model: WeightedModel, points: dict):
+        self.convention = convention
+        self.model = model
+        self.points = points  # Fraction (sector class) -> tuple[FixedPoint, ...]
 
     def sector_points(self, f: Fraction) -> tuple[FixedPoint, ...]:
         try:
@@ -292,7 +301,6 @@ def fiber_class_expr(model: WeightedModel, support=None) -> Poly:
 # Steinberg correspondence
 
 
-@dataclass(frozen=True)
 class SteinbergOperator:
     """A correspondence operator on the sector basis.
 
@@ -302,9 +310,12 @@ class SteinbergOperator:
     the convention pins them directly (used by the hard-coded table).
     """
 
-    sector_order: tuple
-    matrix: tuple  # rows indexed by output sector
-    generator_images: dict  # name -> dict output sector -> coeff
+    __slots__ = ("sector_order", "matrix", "generator_images")
+
+    def __init__(self, sector_order: tuple, matrix: tuple, generator_images: dict):
+        self.sector_order = sector_order
+        self.matrix = matrix  # rows indexed by output sector
+        self.generator_images = generator_images  # name -> dict output sector -> coeff
 
     def is_injective(self) -> bool:
         return rational_rank(self.matrix) == len(self.matrix)

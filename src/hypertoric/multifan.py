@@ -11,7 +11,6 @@ each cone matrix, over one denominator per cone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -25,18 +24,45 @@ from hypertoric.exactalg import (
 )
 
 
-@dataclass(frozen=True)
 class Circuit:
     """A minimal dependent subset with its canonical oriented data."""
 
-    support: tuple[int, ...]
-    positive: tuple[int, ...]
-    negative: tuple[int, ...]
-    weights: tuple[int, ...]  # parallel to support, all > 0
-    beta_S: tuple[int, ...]  # in Z^m
-    h2_class: tuple[int, ...]  # in the canonical kernel basis
-    lcm_w: int
-    root_hyperplane: tuple[int, ...]  # complementary index set
+    __slots__ = (
+        "support", "positive", "negative", "weights", "beta_S", "h2_class", "lcm_w",
+        "root_hyperplane",
+    )
+
+    def __init__(
+        self,
+        support: tuple[int, ...],
+        positive: tuple[int, ...],
+        negative: tuple[int, ...],
+        weights: tuple[int, ...],
+        beta_S: tuple[int, ...],
+        h2_class: tuple[int, ...],
+        lcm_w: int,
+        root_hyperplane: tuple[int, ...],
+    ):
+        self.support = support
+        self.positive = positive
+        self.negative = negative
+        self.weights = weights  # parallel to support, all > 0
+        self.beta_S = beta_S  # in Z^m
+        self.h2_class = h2_class  # in the canonical kernel basis
+        self.lcm_w = lcm_w
+        self.root_hyperplane = root_hyperplane  # complementary index set
+
+    def _key(self):
+        return (self.support, self.positive, self.negative, self.weights, self.beta_S,
+                self.h2_class, self.lcm_w, self.root_hyperplane)
+
+    def __eq__(self, other):
+        if type(other) is not Circuit:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def sign_of(self, i: int) -> int:
         if i in self.positive:
@@ -113,18 +139,34 @@ def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class BoxElement:
     """A pair (v, sigma): sigma a cone, v with fractional coordinates in (0,1).
 
     ``v_free`` is the image of v in the free quotient, ``v_torsion`` the
     torsion coordinates.  The age equals the number of rays of sigma.
+    Boxes compare and hash by value: a Chen-Ruan class keys its
+    components by box.
     """
 
-    v_free: tuple[int, ...]
-    v_torsion: tuple[int, ...]
-    sigma: tuple[int, ...]
-    alphas: tuple[tuple[int, Fraction], ...]  # (hyperplane index, alpha)
+    __slots__ = ("v_free", "v_torsion", "sigma", "alphas")
+
+    def __init__(self, v_free: tuple[int, ...], v_torsion: tuple[int, ...], sigma: tuple[int, ...],
+                 alphas: tuple[tuple[int, Fraction], ...]):
+        self.v_free = v_free
+        self.v_torsion = v_torsion
+        self.sigma = sigma
+        self.alphas = alphas  # (hyperplane index, alpha)
+
+    def _key(self):
+        return (self.v_free, self.v_torsion, self.sigma, self.alphas)
+
+    def __eq__(self, other):
+        if type(other) is not BoxElement:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def age(self) -> int:

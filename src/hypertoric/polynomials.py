@@ -20,7 +20,6 @@ refused: its exact binary value is rarely the number meant.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -93,14 +92,14 @@ def _mono_key(mono):
     return (sum(mono), mono)
 
 
-@dataclass(frozen=True)
 class Poly:
-    ring: PolyRing
-    terms: dict = field(default_factory=dict)
+    """A polynomial of ``ring``: exponent tuple -> nonzero coefficient."""
 
-    def __post_init__(self):
-        clean = {m: c for m, c in self.terms.items() if c}
-        object.__setattr__(self, "terms", clean)
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring: PolyRing, terms: dict | None = None):
+        self.ring = ring
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     # -- predicates ---------------------------------------------------------
 

@@ -15,7 +15,6 @@ differential testing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -230,13 +229,15 @@ class CircuitModel:
 # Novikov series
 
 
-@dataclass(frozen=True)
 class NovikovSeries:
     """Truncated series: multi-exponents over the circuit list -> classes."""
 
-    context: CohomologyContext
-    order: int
-    terms: tuple  # ((exponent tuple, CRClass), ...) sorted
+    __slots__ = ("context", "order", "terms")
+
+    def __init__(self, context: CohomologyContext, order: int, terms: tuple):
+        self.context = context
+        self.order = order
+        self.terms = terms  # ((exponent tuple, CRClass), ...) sorted
 
     @staticmethod
     def build(context, order, parts: dict) -> "NovikovSeries":
@@ -436,7 +437,6 @@ def differential_sign_report(qctx: QuantumContext, order: int):
 # Quantum Stanley-Reisner ring
 
 
-@dataclass(frozen=True)
 class QSRElement:
     """Formal sum of lattice-point symbols with Novikov-weighted coefficients.
 
@@ -445,10 +445,13 @@ class QSRElement:
     the fan, graded by its coordinate sum.
     """
 
-    fan: LawrenceFan
-    ring: object  # PolyRing for scalar coefficients
-    order: Fraction
-    terms: tuple  # ((point tuple, exp tuple), Poly)
+    __slots__ = ("fan", "ring", "order", "terms")
+
+    def __init__(self, fan: LawrenceFan, ring, order: Fraction, terms: tuple):
+        self.fan = fan
+        self.ring = ring  # PolyRing for scalar coefficients
+        self.order = order
+        self.terms = terms  # ((point tuple, exp tuple), Poly)
 
     @staticmethod
     def build(fan, ring, order, parts: dict) -> "QSRElement":

@@ -541,7 +541,7 @@ def test_negative_qsr_order_is_input_error(capsys, write_examples):
 SYMPY_FREE_SCRIPT = """
 import contextlib, io, json, sys
 import hypertoric.cli
-heavy = ("sympy", "jsonschema")
+heavy = ("sympy", "jsonschema", "dataclasses", "inspect")
 loaded = {"import": [m for m in heavy if m in sys.modules]}
 doc, p12 = sys.argv[1], sys.argv[2]
 commands = (
@@ -564,7 +564,9 @@ print(json.dumps(loaded))
 def test_commands_do_not_import_sympy():
     """Neither sympy nor jsonschema is ever loaded: not by the CLI import,
     and not by any command, the paper convention's localize and steinberg
-    included."""
+    included.  Nor is ``dataclasses`` (and with it ``inspect``), whose class
+    creation was the largest import cost of the package itself.  It runs in
+    a fresh process, as pytest loads all four."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hypertoric.__file__)))
     root = os.path.join(os.path.dirname(__file__), "..", "arrangements")
     docs = [os.path.join(root, f"{name}.json") for name in ("hirzebruch", "cotangent-p12")]

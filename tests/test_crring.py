@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from fractions import Fraction
 from math import comb, lcm
@@ -20,7 +19,7 @@ from hypertoric.crring import (
     htt_presentation,
 )
 from hypertoric.exactalg import FgAbelianGroup, rational_rank, solve_rational_system
-from hypertoric.multifan import box_inverse
+from hypertoric.multifan import BoxElement, box_inverse
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +253,8 @@ def _forged(box):
     """The box with each alpha shifted by 1/(2n), n their common
     denominator: its vector is no longer a lattice point."""
     n = lcm(*(a.denominator for _, a in box.alphas))
-    return dataclasses.replace(box, alphas=tuple((i, a + Fraction(1, 2 * n)) for i, a in box.alphas))
+    alphas = tuple((i, a + Fraction(1, 2 * n)) for i, a in box.alphas)
+    return BoxElement(box.v_free, box.v_torsion, box.sigma, alphas)
 
 
 @pytest.mark.parametrize("name", ["cotangent-p12", "hirzebruch-weighted"])

@@ -30,7 +30,7 @@ from sympy_bridge import det
 
 def snf_contract(A: IntMatrix):
     U, D, V = smith_normal_form(A)
-    assert (U * A * V).entries == D.entries
+    assert U * A * V == D
     assert abs(det(U)) == 1
     assert abs(det(V)) == 1
     diag = [D[i, i] for i in range(min(A.nrows, A.ncols))]
@@ -278,11 +278,13 @@ def test_rational_kernel_matches_sympy():
 def test_basis_projection_matches_rational_coordinates():
     """The coordinate map set up once per basis agrees with sympy's solve
     per vector: None outside the span, else d c and d with c the rational
-    coordinates; a dependent basis is refused."""
+    coordinates; a dependent basis is refused.  A span vector with one
+    entry off sympy's pivot columns changed is outside the span, and is
+    refused although only those columns are checked."""
     import sympy
 
     rng = random.Random(11)
-    counts = {"dependent": 0, "outside": 0, "integral": 0, "non_integral": 0}
+    counts = {"dependent": 0, "outside": 0, "integral": 0, "non_integral": 0, "off_pivot": 0}
     for _ in range(300):
         n = rng.randint(1, 4)
         ncols = rng.randint(n, 6)
@@ -297,6 +299,7 @@ def test_basis_projection_matches_rational_coordinates():
             counts["dependent"] += 1
             continue
         project = basis_projection(basis)
+        off_pivot = [j for j in range(ncols) if j not in B.rref()[1]]
         for _ in range(5):
             coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in basis]
             vec = [sum((c * r[j] for c, r in zip(coeffs, basis)), Fraction(0)) for j in range(ncols)]
@@ -305,6 +308,9 @@ def test_basis_projection_matches_rational_coordinates():
             if any(x.denominator != 1 for x in vec):
                 continue
             vec = [int(x) for x in vec]
+            for j in off_pivot:
+                assert project([x + (i == j) for i, x in enumerate(vec)]) is None
+                counts["off_pivot"] += 1
             if rng.random() < 0.3:
                 vec[rng.randrange(ncols)] += 1
             got = project(vec)
