@@ -27,6 +27,7 @@ from hypertoric.exactalg import (
     NotInImage,
     gale_dual,
     integer_inverse,
+    kernel_basis,
     primitive_vector,
     rational_rank,
     solve_integer,
@@ -189,6 +190,12 @@ class StackyArrangement:
         m = len(cols)
         if m == 0:
             raise ArrangementError("need at least one defining vector")
+        n = group_N.generator_count
+        for j, col in enumerate(cols):
+            if len(col) != n:
+                raise ArrangementError(
+                    f"beta column {j + 1} has length {len(col)}, not the rank plus torsion count {n}"
+                )
         matrix = IntMatrix.from_rows(tuple(zip(*cols)))
         beta = GroupHom(FgAbelianGroup(m), group_N, matrix)
         beta_dual = gale_dual(beta)
@@ -226,6 +233,13 @@ class StackyArrangement:
 
     def b_bar(self, i: int) -> tuple[int, ...]:
         return self._normals[i]
+
+    @cached_property
+    def normal_kernel(self) -> tuple[tuple[int, ...], ...]:
+        """The canonical (Hermite) kernel basis of the normals, the integer
+        relations sum x_i b_i = 0: the basis of the circuits' curve classes
+        and, as (k, -k), of the Lawrence curve lattice."""
+        return kernel_basis(self.beta.free_part())
 
     # -- the matroid ---------------------------------------------------------
 

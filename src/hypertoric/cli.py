@@ -50,6 +50,7 @@ from hypertoric.localize import (
 from hypertoric.multifan import box_elements, circuits
 from hypertoric.polynomials import sympy_str
 from hypertoric.quantum import (
+    SIGN_CONVENTIONS,
     QuantumContext,
     TruncationTooSmall,
     differential_sign_report,
@@ -98,6 +99,8 @@ def load_document(path: str) -> dict:
         raise InputError(f"input file not found: {path}", path="--input")
     except json.JSONDecodeError as e:
         raise InputError(f"invalid JSON: {e}", path="--input")
+    except (OSError, UnicodeDecodeError) as e:  # a directory, unreadable or not UTF-8
+        raise InputError(f"cannot read input file: {e}", path="--input")
     validate_document(doc)
     return canonical_document(doc)
 
@@ -392,7 +395,7 @@ def payload_quantum(arr: StackyArrangement, i: int, j: int, order: int, conventi
     if convention == "all":
         payload["series"] = {
             conv: _series_payload(quantum_divisor_product(qctx, i - 1, x, order, conv))
-            for conv in ("example-calibrated", "theorem-1.2-literal", "eq-5.2-literal")
+            for conv in SIGN_CONVENTIONS
         }
         payload["differential_sign_report"] = [
             {
@@ -412,21 +415,17 @@ def payload_quantum(arr: StackyArrangement, i: int, j: int, order: int, conventi
 
 
 def payload_qsr(arr: StackyArrangement, order: int) -> dict:
-    qctx = QuantumContext(arr)
-    fan, rels = qsr_presentation(qctx, order=order)
-    checks = []
-    for c in qctx.context.circuits:
-        defect = qsr_circuit_relation_defect(qctx, fan, c, order)
-        checks.append(
-            {
-                "circuit": [t + 1 for t in c.support],
-                "eliminated_relation_vanishes": defect.is_zero(),
-            }
-        )
-    if qctx.context.circuits:
-        unit = [_frac(x) for x in minimal_curve_unit(fan)]
-    else:
-        unit = None  # no compact curves at all
+    fan, rels = qsr_presentation(arr, order)
+    cs = circuits(arr)
+    checks = [
+        {
+            "circuit": [t + 1 for t in c.support],
+            "eliminated_relation_vanishes": qsr_circuit_relation_defect(fan, c, order).is_zero(),
+        }
+        for c in cs
+    ]
+    # no circuits: no compact curves at all
+    unit = [_frac(x) for x in minimal_curve_unit(fan)] if cs else None
     return {
         "relations": [str(r) for r in rels],
         "relation_count": len(rels),
@@ -505,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     qd.add_argument("--max-q-order", type=int, default=6)
     qd.add_argument(
         "--sign-convention",
-        choices=("example-calibrated", "theorem-1.2-literal", "eq-5.2-literal", "all"),
+        choices=(*SIGN_CONVENTIONS, "all"),
         default="example-calibrated",
     )
     qsr = sub.add_parser("qsr")

@@ -320,12 +320,8 @@ def cr_multiply(
     out = CRClass.zero(context)
     for b1, p1 in x.components:
         for b2, p2 in y.components:
-            if b1.is_trivial() and b2.is_trivial():
-                out = out + CRClass.untwisted(context, p1 * p2)
-            elif b1.is_trivial():
-                out = out + CRClass.build(context, {b2: p1 * p2})
-            elif b2.is_trivial():
-                out = out + CRClass.build(context, {b1: p1 * p2})
+            if b1.is_trivial() or b2.is_trivial():  # the other box's sector
+                out = out + CRClass.build(context, {b2 if b1.is_trivial() else b1: p1 * p2})
             else:
                 prod = _box_pair_product(context, b1, b2, box_square_sign)
                 out = out + prod.scale_poly(p1 * p2)

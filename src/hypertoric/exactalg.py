@@ -537,12 +537,15 @@ def gale_dual(beta: GroupHom) -> GroupHom:
     if rational_rank(free.entries) < nbar_rank:
         raise InfiniteCokernel("rank of the map is smaller than the rank of the target")
     pres = _presentation_matrix(beta.target, beta.matrix)
-    # The cokernel of the presentation: its free part is projected by the
-    # Hermite-canonical kernel, its torsion read off the Smith form of the
-    # transpose.
+    # The cokernel of the presentation, from one Smith form U pres^T V = D
+    # of rank r: rows r.. of U span ker(pres), and their Hermite form is
+    # the canonical kernel basis that projects the free part; the torsion
+    # is read off the invariants of D that are at least 2.
     u, d, _ = smith_normal_form(pres.transpose())
-    free_rows = kernel_basis(pres)
-    torsion = [(u.row(i), d[i, i]) for i in range(min(d.nrows, d.ncols)) if d[i, i] >= 2]
+    diagonal = [d[i, i] for i in range(min(d.nrows, d.ncols))]
+    r = sum(1 for x in diagonal if x)
+    free_rows = hermite_row_basis(u.row(i) for i in range(r, u.nrows))
+    torsion = [(u.row(i), x) for i, x in enumerate(diagonal) if x >= 2]
     dg = FgAbelianGroup(len(free_rows), tuple(o for _, o in torsion))
     cols = []
     for j in range(m):

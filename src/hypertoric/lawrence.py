@@ -9,6 +9,8 @@ form and the lattice index is the inverse's denominator.  The l-pairing
 measures the failure of two lattice points to share a cone and projects
 to a curve degree on the kernel basis of the lifted map, which is the
 canonical kernel basis of the normals, each vector k written as (k, -k).
+One pass over the nonfacial ray pairs orients that basis and finds the
+minimal curve degree.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property
 from math import lcm
 
 from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
-from hypertoric.exactalg import basis_projection, kernel_basis
+from hypertoric.exactalg import basis_projection
 
 
 class OutsideSupport(ArrangementError):
@@ -51,11 +53,13 @@ class LawrenceFan:
     rays (0, e_i).  ``h2_basis`` is a kernel basis of the lifted map:
     (k, -k) for each k of the canonical kernel basis of the normals,
     sign-fixed so that pairs of rays sharing no cone pair nonnegatively
-    (the effective orientation).
+    (the effective orientation).  ``minimal_curve_degree`` is the first
+    smallest positive curve degree of such a pair, or None; both are set
+    by ``build_lawrence_fan``.
 
     Each maximal cone's integer location data is built once per fan, and
     the fan remembers the cone coordinates of each point the l-pairing has
-    located; the curve-degree projection is set up once per fan.
+    located; the curve-degree projection is set up once per basis.
     """
 
     def __init__(
@@ -71,6 +75,7 @@ class LawrenceFan:
         self.max_cones = max_cones
         self.irrelevant_monomials = irrelevant_monomials
         self.h2_basis = h2_basis
+        self.minimal_curve_degree = None
         self._located = {}
 
     @property
@@ -183,11 +188,6 @@ class LawrenceFan:
                 pass
         return out
 
-    @cached_property
-    def minimal_curve_degree(self):
-        """The first smallest positive nonfacial curve degree, or None."""
-        return min((x for x in self._nonfacial_degrees() if sum(x) > 0), key=sum, default=None)
-
     def cone_index(self, cone) -> int:
         """Lattice index of the sublattice spanned by a maximal cone's rays
         (1 means unimodular): |det b_I|, held in its chart."""
@@ -210,31 +210,30 @@ def build_lawrence_fan(arr: StackyArrangement) -> LawrenceFan:
     one (``build`` rejects a zero), and the omitted rays make its irrelevant
     monomial.  The lifted map sends (a, c) to (sum a_i b_i, a + c), so its
     kernel is {(x, -x) : x in ker b}, and the curve basis is (k, -k) for
-    each k of the canonical kernel basis of b, oriented as below."""
+    each k of ``arr.normal_kernel``.
+
+    The curve degrees of the nonfacial ray pairs are found once, in that
+    basis.  A basis vector is flipped when its coordinate is never positive
+    and sometimes negative.  Flipping a vector negates that coordinate of
+    every degree, and the located cone coordinates do not depend on the
+    basis, so the same degrees, negated where flipped, give
+    ``minimal_curve_degree``."""
     m = arr.m
     max_cones, monomials = [], []
     for tight, (_, values) in arr.vertex_values.items():
         omitted = {j if values[j] < 0 else m + j for j in range(m) if j not in tight}
         max_cones.append(tuple(r for r in range(2 * m) if r not in omitted))
         monomials.append(tuple(sorted(f"z{r + 1}" if r < m else f"w{r - m + 1}" for r in omitted)))
-    basis = tuple((*k, *(-x for x in k)) for k in kernel_basis(arr.beta.free_part()))
+    basis = tuple((*k, *(-x for x in k)) for k in arr.normal_kernel)
     fan = LawrenceFan(arr, lawrence_rays(arr), tuple(sorted(max_cones)), tuple(sorted(monomials)), basis)
-    return _orient_h2_basis(fan)
-
-
-def _orient_h2_basis(fan: LawrenceFan) -> LawrenceFan:
-    """Flip kernel basis vectors so nonfacial ray pairs pair nonnegatively."""
-    if not fan.h2_basis:
-        return fan
     degrees = fan._nonfacial_degrees()
-    flipped = []
-    for t, vec in enumerate(fan.h2_basis):
-        vals = [x[t] for x in degrees]
-        flip = min(vals, default=0) < 0 and max(vals) <= 0
-        flipped.append(tuple(-x for x in vec) if flip else tuple(vec))
-    oriented = LawrenceFan(
-        fan.arrangement, fan.rays, fan.max_cones, fan.irrelevant_monomials, tuple(flipped)
-    )
-    # cone coordinates do not depend on the basis: keep what is located
-    oriented._located.update(fan._located)
-    return oriented
+    signs = []
+    for t in range(len(basis)):
+        values = [x[t] for x in degrees]
+        signs.append(-1 if min(values, default=0) < 0 and max(values) <= 0 else 1)
+    if -1 in signs:
+        fan.h2_basis = tuple(tuple(s * x for x in vec) for s, vec in zip(signs, basis))
+        del fan._h2_coordinates  # the projection onto the unflipped basis
+    oriented = (tuple(s * x for s, x in zip(signs, degree)) for degree in degrees)
+    fan.minimal_curve_degree = min((x for x in oriented if sum(x) > 0), key=sum, default=None)
+    return fan

@@ -18,7 +18,6 @@ from hypertoric.arrangement import InvariantError, StackyArrangement
 from hypertoric.exactalg import (
     IntMatrix,
     basis_projection,
-    kernel_basis,
     primitive_vector,
     smith_normal_form,
 )
@@ -90,10 +89,10 @@ def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
     v, while each term is <= 0 on the mixed intersection; so the empty
     signing is the one that pairs positively with psi.  A zero pairing
     puts theta on a wall, which genericity rules out.  The curve class is
-    the signed vector's integer coordinates in the kernel basis, read
+    the signed vector's integer coordinates in ``arr.normal_kernel``, read
     through one projection of that basis.
     """
-    curve_class = basis_projection(kernel_basis(arr.beta.free_part()))
+    curve_class = basis_projection(arr.normal_kernel)
     normals = [arr.b_bar(i) for i in range(arr.m)]
     kernels = {}
     for basis, (inverse, scale) in arr.bases.items():

@@ -9,7 +9,8 @@ Chinese remainder theorem, once per circuit, when its model is built.
 The sign bookkeeping ships in three conventions; the default is
 calibrated so that the worked example series are reproduced at low
 order, and the other two literal readings are available for
-differential testing.
+differential testing.  The quantum Stanley-Reisner ring reads only the
+arrangement's Lawrence fan, with coefficients in hbar alone.
 """
 
 from __future__ import annotations
@@ -31,9 +32,13 @@ from hypertoric.localize import (
     standard_table,
 )
 from hypertoric.multifan import BoxElement, Circuit
-from hypertoric.polynomials import Poly
+from hypertoric.polynomials import Poly, PolyRing
 
 SIGN_CONVENTIONS = ("example-calibrated", "theorem-1.2-literal", "eq-5.2-literal")
+
+
+# The coefficient ring of the quantum Stanley-Reisner ring
+HBAR = PolyRing(("hbar",))
 
 
 class QuantumError(ArrangementError):
@@ -315,16 +320,13 @@ class QuantumContext:
 
 
 def _convention_sign(convention: str, circuit: Circuit, degree: int) -> int:
-    if convention == "example-calibrated":
-        return 1
-    n = len(circuit.support) - 1
+    """The sign of a degree under a convention ``quantum_divisor_product`` has checked."""
     if convention == "theorem-1.2-literal":
         return (-1) ** degree
     if convention == "eq-5.2-literal":
-        tot = sum(Fraction(degree, w) for w in circuit.weights)
-        exponent = int(tot) if tot.denominator == 1 else int(tot // 1)
-        return (-1) ** (n + exponent)
-    raise QuantumError(f"unknown sign convention {convention!r}")
+        n = len(circuit.support) - 1
+        return (-1) ** (n + sum(Fraction(degree, w) for w in circuit.weights) // 1)
+    return 1  # example-calibrated
 
 
 def quantum_divisor_product(
@@ -398,37 +400,23 @@ def star_word(qctx: QuantumContext, word, order: int, convention="example-calibr
 
 
 def differential_sign_report(qctx: QuantumContext, order: int):
-    """Per circuit and residue class, the sign sequence of each convention
-    and the first order where each literal reading departs from the
-    calibrated one."""
+    """Per circuit and residue class, the first order where each literal
+    reading departs from the calibrated one, or None up to ``order``."""
+    calibrated, *literal = SIGN_CONVENTIONS
     report = []
     for model in qctx.models:
         circuit = model.circuit
-        residues = sorted({r for _, _, r in model.sector_pairs})
-        for r in residues:
-            start = r if r > 0 else circuit.lcm_w
-            degrees = list(range(start, order + 1, circuit.lcm_w))
-            signs = {
-                conv: [(d, _convention_sign(conv, circuit, d)) for d in degrees]
-                for conv in SIGN_CONVENTIONS
-            }
+        for r in sorted({r for _, _, r in model.sector_pairs}):
+            degrees = range(r or circuit.lcm_w, order + 1, circuit.lcm_w)
             divergence = {}
-            for conv in SIGN_CONVENTIONS[1:]:
-                first = None
-                for (d, s_cal), (_, s_lit) in zip(
-                    signs["example-calibrated"], signs[conv]
-                ):
-                    if s_cal != s_lit:
-                        first = d
-                        break
-                divergence[conv] = first
+            for conv in literal:
+                differs = (
+                    d for d in degrees
+                    if _convention_sign(conv, circuit, d) != _convention_sign(calibrated, circuit, d)
+                )
+                divergence[conv] = next(differs, None)
             report.append(
-                {
-                    "circuit": circuit.support,
-                    "residue": r,
-                    "signs": signs,
-                    "first_divergence_from_calibrated": divergence,
-                }
+                {"circuit": circuit.support, "residue": r, "first_divergence_from_calibrated": divergence}
             )
     return report
 
@@ -442,19 +430,18 @@ class QSRElement:
 
     Terms are keyed by (lattice point, curve-degree exponent); the
     degree exponent is a rational vector in the curve lattice basis of
-    the fan, graded by its coordinate sum.
+    the fan, graded by its coordinate sum.  Coefficients are polynomials
+    in hbar alone, in the one ring ``HBAR``.
     """
 
-    __slots__ = ("fan", "ring", "order", "terms")
+    __slots__ = ("order", "terms")
 
-    def __init__(self, fan: LawrenceFan, ring, order: Fraction, terms: tuple):
-        self.fan = fan
-        self.ring = ring  # PolyRing for scalar coefficients
+    def __init__(self, order: Fraction, terms: tuple):
         self.order = order
         self.terms = terms  # ((point tuple, exp tuple), Poly)
 
     @staticmethod
-    def build(fan, ring, order, parts: dict) -> "QSRElement":
+    def build(order, parts: dict) -> "QSRElement":
         clean = {}
         order = Fraction(order)
         for (pt, exp), coeff in parts.items():
@@ -462,40 +449,36 @@ class QSRElement:
             if sum(exp) > order or coeff.is_zero():
                 continue
             key = (tuple(int(x) for x in pt), exp)
-            clean[key] = clean.get(key, coeff.ring.zero()) + coeff
+            clean[key] = clean.get(key, HBAR.zero()) + coeff
         items = sorted(
             ((k, v) for k, v in clean.items() if not v.is_zero()),
             key=lambda kv: (sum(kv[0][1]), kv[0][1], kv[0][0]),
         )
-        return QSRElement(fan, ring, order, tuple(items))
+        return QSRElement(order, tuple(items))
 
     @staticmethod
-    def generator(fan, ring, order, ray_id: int) -> "QSRElement":
+    def generator(fan: LawrenceFan, order, ray_id: int) -> "QSRElement":
         pt = fan.ray_vector(ray_id)
         zero_exp = tuple(Fraction(0) for _ in fan.h2_basis)
-        return QSRElement.build(fan, ring, order, {(pt, zero_exp): ring.one()})
+        return QSRElement.build(order, {(pt, zero_exp): HBAR.one()})
 
     @staticmethod
-    def unit(fan, ring, order) -> "QSRElement":
+    def unit(fan: LawrenceFan, order) -> "QSRElement":
         dim = len(fan.rays[0])
         zero_exp = tuple(Fraction(0) for _ in fan.h2_basis)
-        return QSRElement.build(
-            fan, ring, order, {(tuple(0 for _ in range(dim)), zero_exp): ring.one()}
-        )
+        return QSRElement.build(order, {(tuple(0 for _ in range(dim)), zero_exp): HBAR.one()})
 
     def scale_poly(self, poly) -> "QSRElement":
-        return QSRElement.build(
-            self.fan, self.ring, self.order, {k: v * poly for k, v in self.terms}
-        )
+        return QSRElement.build(self.order, {k: v * poly for k, v in self.terms})
 
     def __add__(self, other: "QSRElement") -> "QSRElement":
         parts: dict = {}
         for k, v in self.terms + other.terms:
-            parts[k] = parts.get(k, self.ring.zero()) + v
-        return QSRElement.build(self.fan, self.ring, min(self.order, other.order), parts)
+            parts[k] = parts.get(k, HBAR.zero()) + v
+        return QSRElement.build(min(self.order, other.order), parts)
 
     def __sub__(self, other: "QSRElement") -> "QSRElement":
-        return self + other.scale_poly(self.ring.const(-1))
+        return self + other.scale_poly(HBAR.const(-1))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -513,29 +496,30 @@ class QSRElement:
 def qsr_multiply(a: QSRElement, b: QSRElement, fan: LawrenceFan, order) -> QSRElement:
     """Bilinear semigroup product twisted by the l-pairing Novikov weight."""
     parts: dict = {}
-    ring = a.ring
     for (pt1, exp1), c1 in a.terms:
         for (pt2, exp2), c2 in b.terms:
             _, degree = fan.l_pairing(pt1, pt2)
             pt = tuple(x + y for x, y in zip(pt1, pt2))
             exp = tuple(e1 + e2 + d for e1, e2, d in zip(exp1, exp2, degree))
             key = (pt, exp)
-            parts[key] = parts.get(key, ring.zero()) + c1 * c2
-    return QSRElement.build(fan, ring, order, parts)
+            parts[key] = parts.get(key, HBAR.zero()) + c1 * c2
+    return QSRElement.build(order, parts)
 
 
-def qsr_presentation(qctx: QuantumContext, fan: LawrenceFan | None = None, order=6):
-    """The defining relations: one per hyperplane, y(z-ray) + y(w-ray) = hbar."""
+def qsr_presentation(arr: StackyArrangement, order=6):
+    """The Lawrence fan of ``arr`` and the defining relations: one per
+    hyperplane, y(z-ray) + y(w-ray) = hbar.  The order is checked before
+    the fan is built."""
     if order < 0:
         raise TruncationTooSmall("truncation order must be at least 0")
-    fan = fan or build_lawrence_fan(qctx.arr)
-    ring = qctx.context.ring
+    fan = build_lawrence_fan(arr)
+    hbar = HBAR.var("hbar")
     rels = []
-    for i in range(qctx.arr.m):
-        z = QSRElement.generator(fan, ring, order, fan.z_ray(i))
-        w = QSRElement.generator(fan, ring, order, fan.w_ray(i))
-        one = QSRElement.unit(fan, ring, order)
-        rels.append(z + w - one.scale_poly(qctx.context.hbar()))
+    for i in range(arr.m):
+        z = QSRElement.generator(fan, order, fan.z_ray(i))
+        w = QSRElement.generator(fan, order, fan.w_ray(i))
+        one = QSRElement.unit(fan, order)
+        rels.append(z + w - one.scale_poly(hbar))
     return fan, tuple(rels)
 
 
@@ -558,22 +542,21 @@ def divisor_ray_side(fan: LawrenceFan) -> dict:
     return side
 
 
-def qsr_word(qctx, fan, word, order) -> QSRElement:
+def qsr_word(fan: LawrenceFan, word, order) -> QSRElement:
     """Product over ("u", i) / ("hu", i) tokens inside the semigroup ring,
     using the divisor-to-ray dictionary and the hyperplane relations."""
-    ring = qctx.context.ring
     side = divisor_ray_side(fan)
-    result = QSRElement.unit(fan, ring, order)
+    result = QSRElement.unit(fan, order)
     for kind, i in word:
         ray = side[i]
         if kind == "hu":
             ray = fan.w_ray(i) if ray == fan.z_ray(i) else fan.z_ray(i)
-        gen = QSRElement.generator(fan, ring, order, ray)
+        gen = QSRElement.generator(fan, order, ray)
         result = qsr_multiply(result, gen, fan, order)
     return result
 
 
-def qsr_circuit_relation_defect(qctx, fan, circuit: Circuit, order) -> QSRElement:
+def qsr_circuit_relation_defect(fan: LawrenceFan, circuit: Circuit, order) -> QSRElement:
     """The eliminated circuit relation, as a series that must vanish:
     prod u_i^(w_i) minus Q^(lcm * unit) prod (hbar - u_i)^(w_i)."""
     word_u = []
@@ -581,25 +564,20 @@ def qsr_circuit_relation_defect(qctx, fan, circuit: Circuit, order) -> QSRElemen
     for i, w in zip(circuit.support, circuit.weights):
         word_u.extend([("u", i)] * w)
         word_hu.extend([("hu", i)] * w)
-    lhs = qsr_word(qctx, fan, word_u, order)
-    rhs = qsr_word(qctx, fan, word_hu, order)
+    lhs = qsr_word(fan, word_u, order)
+    rhs = qsr_word(fan, word_hu, order)
     unit = minimal_curve_unit(fan)
     shift = tuple(circuit.lcm_w * u for u in unit)
     shifted = QSRElement.build(
-        fan,
-        qctx.context.ring,
         order,
-        {
-            ((pt), tuple(e + s for e, s in zip(exp, shift))): coeff
-            for (pt, exp), coeff in rhs.terms
-        },
+        {(pt, tuple(e + s for e, s in zip(exp, shift))): coeff for (pt, exp), coeff in rhs.terms},
     )
     return lhs - shifted
 
 
 def minimal_curve_unit(fan: LawrenceFan):
     """The smallest positive curve degree realized by a nonfacial ray pair,
-    as a vector in the curve lattice basis; the fan finds it once."""
+    as a vector in the curve lattice basis; ``build_lawrence_fan`` finds it."""
     if fan.minimal_curve_degree is None:
         raise InvariantError("fan has no positive curve degrees")
     return fan.minimal_curve_degree

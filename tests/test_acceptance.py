@@ -236,16 +236,16 @@ def test_criterion_7_quantum_series():
 @criterion(8, "semigroup ring relations: counts, eliminations, degree pairing")
 def test_criterion_8_qsr():
     shipped = shipped_arrangements()
-    q1 = QuantumContext(shipped["cotangent-p1"])
-    fan1, rels1 = qsr_presentation(q1, order=6)
-    assert len(rels1) == q1.arr.m
-    (c1,) = q1.context.circuits
-    assert qsr_circuit_relation_defect(q1, fan1, c1, 6).is_zero()
-    q12 = QuantumContext(shipped["cotangent-p12"])
-    fan12, rels12 = qsr_presentation(q12, order=3)
-    assert len(rels12) == q12.arr.m
-    (c12,) = q12.context.circuits
-    assert qsr_circuit_relation_defect(q12, fan12, c12, 3).is_zero()
+    arr1 = shipped["cotangent-p1"]
+    fan1, rels1 = qsr_presentation(arr1, order=6)
+    assert len(rels1) == arr1.m
+    (c1,) = circuits(arr1)
+    assert qsr_circuit_relation_defect(fan1, c1, 6).is_zero()
+    arr12 = shipped["cotangent-p12"]
+    fan12, rels12 = qsr_presentation(arr12, order=3)
+    assert len(rels12) == arr12.m
+    (c12,) = circuits(arr12)
+    assert qsr_circuit_relation_defect(fan12, c12, 3).is_zero()
     # same-cone lattice samples pair to zero
     from hypertoric.lawrence import build_lawrence_fan
 

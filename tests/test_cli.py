@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import os
 import random
@@ -12,8 +13,10 @@ import pytest
 import hypertoric
 
 from hypertoric.cli import build_arrangement, run
+from hypertoric.crring import CohomologyContext
 from hypertoric.multifan import circuits
 from hypertoric.examples_data import example_document, example_names
+from hypertoric.quantum import QuantumContext
 
 
 @pytest.fixture()
@@ -172,6 +175,43 @@ def test_repository_example_files_match_catalog():
         assert doc == example_document(name)
 
 
+def test_unreadable_input_files_are_input_errors(capsys, tmp_path):
+    """A directory or a file that is not UTF-8 is reported at --input with
+    exit 2; the missing-file and invalid-JSON messages are unchanged."""
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    broken = tmp_path / "broken.json"
+    broken.write_text("{", encoding="utf-8")
+    cases = {
+        str(tmp_path): "cannot read input file: [Errno 21] Is a directory",
+        str(utf16): "cannot read input file: 'utf-8' codec can't decode byte 0xff",
+        str(tmp_path / "missing.json"): "input file not found: ",
+        str(broken): "invalid JSON: ",
+    }
+    for path, message in cases.items():
+        code, out = invoke(capsys, ["gale", "--input", path])
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["path"] == "--input"
+        assert error["message"].startswith(message)
+
+
+@pytest.mark.parametrize(
+    "rank, torsion, beta, column",
+    [(1, [], [[1, 5], [-1]], 1), (1, [], [[1], [-1, 7]], 2), (1, [2], [[1, 1], [-1]], 2)],
+)
+def test_ragged_beta_is_an_input_error(capsys, tmp_path, rank, torsion, beta, column):
+    """A beta column whose length is not rank plus the torsion count is bad
+    input; zip would have dropped its extra entries, or a short column's
+    missing ones, without a word."""
+    p = tmp_path / "ragged.json"
+    doc = {"schema_version": "hypertoric-arrangement/1", "rank": rank, "torsion": torsion, "beta": beta, "theta": [1]}
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = invoke(capsys, ["gale", "--input", str(p)])
+    assert code == 2
+    assert json.loads(out)["error"]["message"].startswith(f"beta column {column} has length")
+
+
 def test_torsion_column_exit_code(capsys, tmp_path):
     p = tmp_path / "tor.json"
     doc = {
@@ -239,6 +279,31 @@ def test_qsr_without_circuits(capsys, tmp_path):
     env = json.loads(out)
     assert env["payload"]["relation_count"] == 2
     assert env["payload"]["minimal_curve_degree"] is None
+
+
+# sha256 of the qsr stdout, unchanged since qsr read the Chen-Ruan context
+QSR_DIGESTS = {
+    "cotangent-p12": "f2b12496380b01dae74d2ea29296b561f1997b0fe31b51082ffcf56ef712ed04",
+    "hirzebruch": "748f3ffc6c4ab05831edf6894dbdc915f40a44b1a10a7e70e2b86ec1666eaf55",
+}
+
+
+def test_qsr_reads_only_the_arrangement(capsys, write_examples, monkeypatch):
+    """qsr builds no CohomologyContext and no QuantumContext, and prints the
+    same bytes; a negative order is refused before the fan is built."""
+
+    def unbuilt(*args):
+        raise AssertionError("qsr built a Chen-Ruan context")
+
+    monkeypatch.setattr(CohomologyContext, "__init__", unbuilt)
+    monkeypatch.setattr(QuantumContext, "__init__", unbuilt)
+    for name, digest in QSR_DIGESTS.items():
+        code, out = invoke(capsys, ["qsr", "--input", write_examples[name]])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    monkeypatch.setattr("hypertoric.quantum.build_lawrence_fan", unbuilt)
+    code, out = invoke(capsys, ["qsr", "--input", write_examples["cotangent-p1"], "--max-q-order", "-1"])
+    assert code == 2
 
 
 def test_svg_rejects_other_dimensions(capsys, write_examples, tmp_path):

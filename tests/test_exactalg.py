@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hypertoric.exactalg import (
     ExactAlgError,
+    _presentation_matrix,
     FgAbelianGroup,
     GroupHom,
     InfiniteCokernel,
@@ -152,6 +153,33 @@ def test_gale_dual_torsion_cokernel():
     dual = gale_dual(beta)
     assert dual.target == FgAbelianGroup(0, (2,))
     assert dual.matrix.entries == ((1,),)
+
+
+def test_gale_dual_kernel_from_one_smith_form():
+    """With U pres^T V = D of rank r, the Hermite form of rows r.. of U is
+    kernel_basis(pres), which takes a second Smith form; and gale_dual,
+    which reads the first, presents its free part on that basis.  Seeded
+    presentations of ranks 1-4, m <= d + 5, with and without torsion."""
+    rng = random.Random(2956)
+    dualized = 0
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        m = rng.randint(d, d + 5)
+        group = FgAbelianGroup(d, rng.choice([(), (2,), (3,), (2, 4), (6,)]))
+        rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(group.generator_count)]
+        beta = GroupHom(FgAbelianGroup(m), group, IntMatrix.from_rows(rows))
+        pres = _presentation_matrix(group, beta.matrix)
+        u, diagonal, _ = smith_normal_form(pres.transpose())
+        r = sum(1 for i in range(min(diagonal.shape)) if diagonal[i, i])
+        kernel = kernel_basis(pres)
+        assert hermite_row_basis([u.row(i) for i in range(r, u.nrows)]) == kernel
+        try:
+            dual = gale_dual(beta)
+        except ExactAlgError:
+            continue
+        assert dual.matrix.entries[: dual.target.rank] == tuple(row[:m] for row in kernel)
+        dualized += 1
+    assert dualized >= 100
 
 
 def test_gale_dual_errors():

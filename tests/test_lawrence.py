@@ -20,7 +20,6 @@ from hypertoric.lawrence import (
     ConeCoordinates,
     LawrenceFan,
     OutsideSupport,
-    _orient_h2_basis,
     build_lawrence_fan,
 )
 
@@ -146,6 +145,74 @@ def test_cones_match_the_dual_basis_solves(wide_fans):
         assert (fan.max_cones, fan.irrelevant_monomials) == solve_cones(fan.arrangement)
 
 
+def nonfacial_degrees(fan):
+    """Reference: the curve degrees of the nonfacial ray pairs whose sum is
+    in the fan, paired on ``fan`` itself."""
+    degrees = []
+    for a, b in fan.nonfacial_ray_pairs():
+        try:
+            degrees.append(fan.l_pairing(fan.ray_vector(a), fan.ray_vector(b))[1])
+        except OutsideSupport:
+            pass
+    return degrees
+
+
+def oriented_basis(fan):
+    """Reference: the curve basis of ``fan`` with each vector flipped whose
+    coordinate is never positive and sometimes negative on the nonfacial
+    degrees of ``fan``, as a second fan would be built on it."""
+    degrees = nonfacial_degrees(fan)
+    out = []
+    for t, vec in enumerate(fan.h2_basis):
+        values = [x[t] for x in degrees]
+        flip = min(values, default=0) < 0 and max(values) <= 0
+        out.append(tuple(-x for x in vec) if flip else tuple(vec))
+    return tuple(out)
+
+
+def test_build_makes_one_fan_and_pairs_each_nonfacial_pair_once(shipped, ladder, rank3_family, monkeypatch):
+    """One LawrenceFan per build, and one l-pairing per nonfacial ray pair:
+    the orientation and the minimal curve degree share that pass."""
+    made, paired = [], []
+    init, l_pairing = LawrenceFan.__init__, LawrenceFan.l_pairing
+
+    def counting_init(fan, *args):
+        made.append(fan)
+        init(fan, *args)
+
+    def counting_l_pairing(fan, c1, c2):
+        paired.append((c1, c2))
+        return l_pairing(fan, c1, c2)
+
+    monkeypatch.setattr(LawrenceFan, "__init__", counting_init)
+    monkeypatch.setattr(LawrenceFan, "l_pairing", counting_l_pairing)
+    flipped = 0
+    for arr in [*shipped.values(), *ladder.values(), *rank3_family]:
+        made.clear()
+        paired.clear()
+        fan = build_lawrence_fan(arr)
+        assert made == [fan]
+        pairs = fan.nonfacial_ray_pairs()
+        assert paired == [(fan.ray_vector(a), fan.ray_vector(b)) for a, b in pairs]
+        kernel = tuple((*k, *(-x for x in k)) for k in arr.normal_kernel)
+        flipped += fan.h2_basis != kernel
+    assert flipped >= 3
+
+
+def test_minimal_curve_degree_matches_a_recomputation(wide_fans):
+    """The minimal curve degree read off the unflipped degrees equals the
+    first smallest positive degree of a nonfacial pair paired again on the
+    built fan, and the built basis is oriented on its own degrees."""
+    found = 0
+    for fan in wide_fans:
+        degrees = nonfacial_degrees(fan)
+        expected = min((x for x in degrees if sum(x) > 0), key=sum, default=None)
+        assert fan.minimal_curve_degree == expected
+        assert oriented_basis(fan) == fan.h2_basis
+        found += expected is not None
+    assert found >= 5
+
+
 def test_curve_basis_matches_the_lifted_kernel(wide_fans):
     """The curve basis, (k, -k) over the kernel basis of the normals, equals
     the canonical kernel basis of the (d+m) x 2m lifted ray matrix given
@@ -156,8 +223,7 @@ def test_curve_basis_matches_the_lifted_kernel(wide_fans):
         unoriented = LawrenceFan(
             fan.arrangement, fan.rays, fan.max_cones, fan.irrelevant_monomials, lifted
         )
-        reference = _orient_h2_basis(unoriented)
-        assert fan.h2_basis == reference.h2_basis
+        assert fan.h2_basis == oriented_basis(unoriented)
         assert len(lifted) == fan.m - fan.arrangement.d
 
 

@@ -10,7 +10,9 @@ import pytest
 from hypertoric.arrangement import InvariantError
 from hypertoric.crring import CRClass, cr_multiply
 from hypertoric.localize import fiber_class_expr, integrate_base, sectors
+from hypertoric.multifan import circuits
 from hypertoric.quantum import (
+    HBAR,
     NovikovSeries,
     QSRElement,
     QuantumContext,
@@ -320,58 +322,64 @@ def test_zero_series_verifies(q1):
     assert zero.is_zero()
 
 
-def test_qsr_presentation_counts(q1, q12):
-    fan1, rels1 = qsr_presentation(q1, order=4)
+def test_qsr_presentation_counts(tp1, tp12):
+    fan1, rels1 = qsr_presentation(tp1, order=4)
     assert len(rels1) == 2
-    fan12, rels12 = qsr_presentation(q12, order=4)
+    fan12, rels12 = qsr_presentation(tp12, order=4)
     assert len(rels12) == 2
     for rels in (rels1, rels12):
         for r in rels:
             assert len(r.terms) == 3  # y(z) + y(w) - hbar
 
 
-def test_qsr_unit_and_generator_products(q1):
-    fan, _ = qsr_presentation(q1, order=6)
-    ring = q1.context.ring
-    one = QSRElement.unit(fan, ring, 6)
+def test_qsr_unit_and_generator_products(tp1):
+    fan, _ = qsr_presentation(tp1, order=6)
+    one = QSRElement.unit(fan, 6)
     for ray in range(4):
-        g = QSRElement.generator(fan, ring, 6, ray)
+        g = QSRElement.generator(fan, 6, ray)
         assert (qsr_multiply(one, g, fan, 6) - g).is_zero()
 
 
-def test_qsr_nonfacial_product_carries_degree(q1):
-    fan, _ = qsr_presentation(q1, order=6)
-    ring = q1.context.ring
+def test_qsr_nonfacial_product_carries_degree(tp1):
+    fan, _ = qsr_presentation(tp1, order=6)
     a, b = fan.nonfacial_ray_pairs()[0]
-    ya = QSRElement.generator(fan, ring, 6, a)
-    yb = QSRElement.generator(fan, ring, 6, b)
+    ya = QSRElement.generator(fan, 6, a)
+    yb = QSRElement.generator(fan, 6, b)
     prod = qsr_multiply(ya, yb, fan, 6)
     ((_, exp), _coeff), = prod.terms
     assert sum(exp) == 1
 
 
-def test_qsr_associative_sampled(q1):
-    fan, _ = qsr_presentation(q1, order=5)
-    ring = q1.context.ring
-    gens = [QSRElement.generator(fan, ring, 5, r) for r in range(4)]
+def test_qsr_associative_sampled(tp1):
+    fan, _ = qsr_presentation(tp1, order=5)
+    gens = [QSRElement.generator(fan, 5, r) for r in range(4)]
     for a, b, c in itertools.combinations(gens, 3):
         lhs = qsr_multiply(qsr_multiply(a, b, fan, 5), c, fan, 5)
         rhs = qsr_multiply(a, qsr_multiply(b, c, fan, 5), fan, 5)
         assert (lhs - rhs).is_zero()
 
 
-def test_qsr_eliminated_relations(q1, q12):
-    fan1, _ = qsr_presentation(q1, order=6)
-    (c1,) = q1.context.circuits
-    assert qsr_circuit_relation_defect(q1, fan1, c1, 6).is_zero()
-    fan12, _ = qsr_presentation(q12, order=3)
-    (c12,) = q12.context.circuits
-    assert qsr_circuit_relation_defect(q12, fan12, c12, 3).is_zero()
+def test_qsr_eliminated_relations(tp1, tp12):
+    fan1, _ = qsr_presentation(tp1, order=6)
+    (c1,) = circuits(tp1)
+    assert qsr_circuit_relation_defect(fan1, c1, 6).is_zero()
+    fan12, _ = qsr_presentation(tp12, order=3)
+    (c12,) = circuits(tp12)
+    assert qsr_circuit_relation_defect(fan12, c12, 3).is_zero()
 
 
-def test_minimal_unit_matches_circuit_lcm(q1, q12):
-    fan1, _ = qsr_presentation(q1, order=2)
+def test_qsr_elements_carry_no_fan_and_no_ring(tp12):
+    """Coefficients are polynomials in hbar alone, in one module-level ring;
+    the fan is passed to the operations that read it."""
+    assert QSRElement.__slots__ == ("order", "terms")
+    fan, rels = qsr_presentation(tp12, order=2)
+    for rel in rels:
+        assert all(coeff.ring is HBAR for _, coeff in rel.terms)
+
+
+def test_minimal_unit_matches_circuit_lcm(tp1, tp12):
+    fan1, _ = qsr_presentation(tp1, order=2)
     assert minimal_curve_unit(fan1) == (Fraction(1),)
-    fan12, _ = qsr_presentation(q12, order=2)
+    fan12, _ = qsr_presentation(tp12, order=2)
     assert minimal_curve_unit(fan12) == (Fraction(1, 2),)
 
