@@ -196,7 +196,7 @@ class StackyArrangement:
                 raise ArrangementError(
                     f"beta column {j + 1} has length {len(col)}, not the rank plus torsion count {n}"
                 )
-        matrix = IntMatrix.from_rows(tuple(zip(*cols)))
+        matrix = IntMatrix.from_rows(tuple(zip(*cols)), ncols=m)
         beta = GroupHom(FgAbelianGroup(m), group_N, matrix)
         beta_dual = gale_dual(beta)
         theta = tuple(int(x) for x in theta)

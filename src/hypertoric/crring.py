@@ -11,15 +11,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 from hypertoric.arrangement import ArrangementError, StackyArrangement
-from hypertoric.multifan import (
-    BoxElement,
-    _alpha_vector,
-    box_elements,
-    circuits,
-)
+from hypertoric.multifan import BoxElement, box_elements, box_of, circuits
 from hypertoric.polynomials import Poly, PolyRing
 
 
@@ -28,8 +24,8 @@ class UnreducedInput(ArrangementError):
 
 
 class CohomologyContext:
-    """Shared environment: variables, circuits, boxes of one arrangement;
-    cones are the arrangement's own (``arr.is_cone``)."""
+    """Shared environment: variables, circuits, boxes (enumerated on first
+    use) of one arrangement; cones are the arrangement's own (``arr.is_cone``)."""
 
     def __init__(self, arr: StackyArrangement):
         self.arr = arr
@@ -38,7 +34,11 @@ class CohomologyContext:
         self.ring = PolyRing(names)
         self._u = [self.ring.var(f"u{i + 1}") for i in range(m)]
         self.circuits = circuits(arr)
-        self.boxes = box_elements(arr)
+        self._trivial_box = box_of(arr, (), (0,) * len(arr.group_N.torsion_invariants))
+
+    @cached_property
+    def boxes(self) -> tuple[BoxElement, ...]:
+        return box_elements(self.arr)
 
     # -- variables -----------------------------------------------------------
 
@@ -55,10 +55,7 @@ class CohomologyContext:
         return tuple(i for i in range(self.arr.m) if mono[i] > 0)
 
     def trivial_box(self) -> BoxElement:
-        for b in self.boxes:
-            if b.is_trivial():
-                return b
-        raise ArrangementError("no trivial box")
+        return self._trivial_box
 
     def find_box(self, v_free, v_torsion) -> BoxElement | None:
         for b in self.boxes:
@@ -237,13 +234,14 @@ def _box_pair_product(context, box1, box2, box_square_sign: str):
         a = (-s) % 1
         if a != 0:
             alpha3.append((i, a))
-    v3_free = _alpha_vector(context.arr, alpha3)
     orders = context.arr.group_N.torsion_invariants
     t3 = tuple(
         (-(box1.v_torsion[t] + box2.v_torsion[t])) % q for t, q in enumerate(orders)
     )
-    box3 = context.find_box(v3_free, t3)
-    if box3 is None or box3.alphas != tuple(alpha3):
+    box3 = box_of(context.arr, alpha3, t3)
+    # find_box matches the point alone, so a box of another cone at that
+    # point ends the product here (ROADMAP 2(a))
+    if context.find_box(box3.v_free, box3.v_torsion) != box3:
         raise ArrangementError(
             f"no closing box for {box1.label()} * {box2.label()}"
         )

@@ -533,7 +533,7 @@ def gale_dual(beta: GroupHom) -> GroupHom:
     free = beta.free_part()
     for j in range(m):
         if all(x == 0 for x in free.col(j)):
-            raise TorsionColumn(f"column {j} is torsion")
+            raise TorsionColumn(f"column {j + 1} is torsion")
     if rational_rank(free.entries) < nbar_rank:
         raise InfiniteCokernel("rank of the map is smaller than the rank of the target")
     pres = _presentation_matrix(beta.target, beta.matrix)

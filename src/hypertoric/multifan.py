@@ -245,10 +245,17 @@ def box_elements(arr: StackyArrangement) -> tuple[BoxElement, ...]:
     return tuple(out)
 
 
+def box_of(arr: StackyArrangement, alphas, v_torsion) -> BoxElement:
+    """The box with fractional coordinates ``alphas``, (index, alpha) pairs
+    with alpha in (0, 1) in index order, and torsion coordinates
+    ``v_torsion``: its cone is their indices, its point sum alpha_i b̄_i."""
+    alphas = tuple(alphas)
+    return BoxElement(_alpha_vector(arr, alphas), tuple(v_torsion), tuple(i for i, _ in alphas), alphas)
+
+
 def box_inverse(box: BoxElement, arr: StackyArrangement) -> BoxElement:
     """The inverse box: same cone, fractional coordinates 1 - alpha."""
-    alphas = tuple((i, 1 - a) for i, a in box.alphas)
     tor = tuple(
         (-t) % q for t, q in zip(box.v_torsion, arr.group_N.torsion_invariants)
     )
-    return BoxElement(_alpha_vector(arr, alphas), tor, box.sigma, alphas)
+    return box_of(arr, ((i, 1 - a) for i, a in box.alphas), tor)

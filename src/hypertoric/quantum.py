@@ -31,7 +31,7 @@ from hypertoric.localize import (
     sectors,
     standard_table,
 )
-from hypertoric.multifan import BoxElement, Circuit
+from hypertoric.multifan import BoxElement, Circuit, box_of
 from hypertoric.polynomials import Poly, PolyRing
 
 SIGN_CONVENTIONS = ("example-calibrated", "theorem-1.2-literal", "eq-5.2-literal")
@@ -187,22 +187,14 @@ class CircuitModel:
     # -- sector/box dictionary ------------------------------------------------
 
     def _box_of_fraction(self, f: Fraction) -> BoxElement:
-        context = self.context
-        if f == 0:
-            return context.trivial_box()
-        profile = {}
-        for j, i in enumerate(self.slots):
-            a = (f * self.circuit.weights[j]) % 1
-            if self.circuit.sign_of(i) < 0 and a != 0:
-                a = 1 - a
-            if a != 0:
-                profile[i] = a
-        for box in context.boxes:
-            if dict(box.alphas) == profile and all(t == 0 for t in box.v_torsion):
-                return box
-        raise QuantumError(
-            f"no box element matches sector {f} of circuit {self.circuit.support}"
-        )
+        """Sector f's box: <f w_i> on the positive side, 1 - <f w_i> on the negative
+        side, no torsion; integral, as the signed w_i b̄_i sum to 0."""
+        alphas = []
+        for i, w in zip(self.slots, self.circuit.weights):
+            a = (f * w) % 1
+            if a:
+                alphas.append((i, a if self.circuit.sign_of(i) > 0 else 1 - a))
+        return box_of(self.context.arr, alphas, self.context.trivial_box().v_torsion)
 
     def box_of_sector(self, f: Fraction) -> BoxElement:
         return self._sector_boxes[f]

@@ -224,7 +224,19 @@ def test_torsion_column_exit_code(capsys, tmp_path):
     p.write_text(json.dumps(doc), encoding="utf-8")
     code, out = invoke(capsys, ["gale", "--input", str(p)])
     assert code == 2
-    assert "torsion" in json.loads(out)["error"]["message"]
+    assert json.loads(out)["error"]["message"] == "column 1 is torsion"
+
+
+def test_rank_zero_column_is_torsion(capsys, tmp_path):
+    """In rank 0 the one defining vector is zero: the torsion-column error,
+    counting from 1, and not a matrix shape error."""
+    p = tmp_path / "rank0.json"
+    doc = {"schema_version": "hypertoric-arrangement/1", "rank": 0, "beta": [[]], "theta": [0]}
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("gale", "qsr", "fan", "cohomology"):
+        code, out = invoke(capsys, [command, "--input", str(p)])
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == "column 1 is torsion"
 
 
 def test_svg_planar(capsys, write_examples, tmp_path):

@@ -151,14 +151,18 @@ NO_CLOSING_BOX = pytest.mark.xfail(
         ),
         *(
             pytest.param(n, marks=NO_CLOSING_BOX)
-            for n in ("d2m6", "d2m8", "d2m10", "d3m7", "d4m6")
+            for n in ("d2m6", "d2m8", "d2m10", "d3m7", "d3m8", "d3m9", "d4m6")
         ),
+        *(pytest.param(f"rank3-{k}", marks=NO_CLOSING_BOX) for k in range(8)),
     ],
 )
-def test_cr_multiply_is_associative(name, shipped, ladder):
+def test_cr_multiply_is_associative(name, shipped, ladder, rank3_family):
     """(x y) z == x (y z) for every ordered triple, repeats included, of
     sector units and divisor classes."""
-    arr = shipped[name] if name in shipped else ladder[name]
+    if name.startswith("rank3-"):
+        arr = rank3_family[int(name.removeprefix("rank3-"))]
+    else:
+        arr = shipped[name] if name in shipped else ladder[name]
     ctx = CohomologyContext(arr)
     classes = [CRClass.sector_unit(ctx, box) for box in ctx.boxes]
     classes += [CRClass.untwisted(ctx, ctx.u(i)) for i in range(arr.m)]

@@ -22,6 +22,7 @@ from hypertoric.multifan import (
     Circuit,
     box_elements,
     box_inverse,
+    box_of,
     circuits,
 )
 
@@ -217,14 +218,22 @@ def test_trivial_box_always_present(shipped):
                 assert b.age == 0
 
 
-def test_box_inverse_involution(shipped):
-    for arr in shipped.values():
+def test_box_inverse_involution(shipped, ladder, rank3_family):
+    for arr in [*shipped.values(), *ladder.values(), *rank3_family]:
         for b in box_elements(arr):
             inv = box_inverse(b, arr)
             assert box_inverse(inv, arr) == b
             assert inv.age == b.age
             for (i, a), (j, ai) in zip(b.alphas, inv.alphas):
                 assert i == j and a + ai == 1
+
+
+def test_box_of_names_every_enumerated_box(shipped, ladder, rank3_family):
+    """A box is named by its coordinates: its cone is the indices of its
+    alphas and its point their sum."""
+    for arr in [*shipped.values(), *ladder.values(), *rank3_family]:
+        for b in box_elements(arr):
+            assert box_of(arr, b.alphas, b.v_torsion) == b
 
 
 def test_box_inverse_self_inverse_half(tp12):

@@ -192,6 +192,37 @@ def test_sector_age_matches_box_age(q12):
             assert box.age == sec.age
 
 
+def scanned_box(model, f):
+    """Reference: sector f's box found by scanning the box table for its
+    fractional profile (<f w_i>, or 1 - <f w_i> on the negative side) with
+    zero torsion, the trivial box for f = 0."""
+    boxes = model.context.boxes
+    if f == 0:
+        return next(b for b in boxes if b.is_trivial())
+    profile = {}
+    for i, w in zip(model.slots, model.circuit.weights):
+        a = (f * w) % 1
+        if a:
+            profile[i] = 1 - a if model.circuit.sign_of(i) < 0 else a
+    return next(b for b in boxes if dict(b.alphas) == profile and not any(b.v_torsion))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        *("cotangent-p1", "cotangent-p12", "hirzebruch", "hirzebruch-weighted"),
+        *("d2m6", "d2m8", "d2m10", "d4m6", "tp1123", "tp2", "tp3", "tp4"),
+    ],
+)
+def test_sector_boxes_match_the_box_table_scan(name, shipped, ladder):
+    """Each circuit model names its sector boxes by their coordinates; they
+    are the boxes a scan of the whole table finds."""
+    arr = shipped[name] if name in shipped else ladder[name]
+    for model in QuantumContext(arr).models:
+        for sec in sectors(model.model):
+            assert model.box_of_sector(sec.f) == scanned_box(model, sec.f), (model.circuit.support, sec.f)
+
+
 def test_additive_in_divisor(q12):
     """The product by the sum of two divisors is the sum of the products:
     the classical part by bilinearity, the corrections by linearity of the
