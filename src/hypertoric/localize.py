@@ -409,13 +409,13 @@ def orbifold_degrees(model: WeightedModel):
 
 
 def box_square_sign_oracle(model: WeightedModel) -> str:
-    """Decide the sign of a self-inverse sector square.
+    """Whether the standard table gives some self-inverse sector a
+    non-positive total multiplicity: "literal" if so, else "paper".
 
-    The self-pairing of a sector unit over its compact sector is the
-    positive stabilizer fraction, and the candidate squares restrict at
-    the supporting fixed point to an exact square of the tangent weight;
-    matching the two positivities selects the positive candidate.  The
-    worked example value agrees with this choice.
+    It does not decide the sign of a self-inverse sector square.
+    ``standard_table`` gives every fixed point the multiplicity 1 / w_k,
+    which is positive, so this returns "paper" for every model.  No
+    oracle in the package decides that sign.
     """
     table = standard_table(model)
     for sec in sectors(model):

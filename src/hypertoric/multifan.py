@@ -4,8 +4,8 @@ Both read the arrangement's basis table.  Circuits (the minimal non-faces
 of its cones) are read off it as fundamental circuits, one per basis and
 element outside it, with their canonical two-sided splitting, positive
 weights and curve class.  Box elements index the twisted sectors; they
-are enumerated over its cones, in integers from the Smith normal form of
-each cone matrix, over one denominator per cone.
+are read off it as one subgroup walk per basis, in integers over the
+basis's denominator, with no Smith form.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from hypertoric.arrangement import InvariantError, StackyArrangement
-from hypertoric.exactalg import (
-    IntMatrix,
-    basis_projection,
-    primitive_vector,
-    smith_normal_form,
-)
+from hypertoric.exactalg import basis_projection, primitive_vector
 
 
 class Circuit:
@@ -196,7 +191,7 @@ def _torsion_elements(group):
 
 def _box_vector(arr: StackyArrangement, indices, numerators, n: int) -> tuple[int, ...]:
     """The point sum_t (numerators[t] / n) * b̄_{indices[t]}, which is integral
-    for every box (Smith form, inverse or closing box): else a program fault."""
+    for every box (basis walk, inverse or closing box): else a program fault."""
     cols = [arr.b_bar(i) for i in indices]
     out = [divmod(sum(a * col[r] for a, col in zip(numerators, cols)), n) for r in range(arr.d)]
     if any(rem for _, rem in out):
@@ -210,37 +205,51 @@ def _alpha_vector(arr: StackyArrangement, alphas) -> tuple[int, ...]:
     return _box_vector(arr, [i for i, _ in alphas], [a.numerator * (n // a.denominator) for _, a in alphas], n)
 
 
-def _cone_boxes(arr: StackyArrangement, sigma, torsion) -> list[BoxElement]:
-    """Boxes supported exactly on the cone sigma, in integers.
-
-    With U·B·V = D for the column matrix B of sigma and invariants
-    d_1 | ... | d_k, the box points are V·(r_j / d_j) mod 1 for r_j < d_j.
-    Over n = d_k, alpha_i = a_i / n with a_i = sum_j V[i, j] r_j (n / d_j)
-    mod n, and a zero a_i means a proper face.  Each point's Fractions are
-    built once and shared by its torsion copies.
-    """
-    k = len(sigma)
-    _, D, V = smith_normal_form(IntMatrix.from_rows(tuple(zip(*(arr.b_bar(i) for i in sigma)))))
-    diag = [D[j, j] for j in range(k)]
-    n = diag[-1]
-    steps = [[V[i, j] * (n // diag[j]) for i in range(k)] for j in range(k)]
-    out = []
-    for residues in itertools.product(*map(range, diag)):
-        nums = [sum(r * step[i] for r, step in zip(residues, steps)) % n for i in range(k)]
-        if 0 in nums:
-            continue  # belongs to a proper face
-        v_free = _box_vector(arr, sigma, nums, n)
-        alphas = tuple(zip(sigma, (Fraction(a, n) for a in nums)))
-        out.extend(BoxElement(v_free, tor, sigma, alphas) for tor in torsion)
-    return out
+def _subgroup(rows, s: int) -> list[tuple[int, ...]]:
+    """The subgroup of (Z/s)^d spanned by ``rows`` mod s, one coset of the
+    span so far per multiple of each new row until a coset repeats."""
+    members = [(0,) * len(rows)]
+    seen = set(members)
+    for row in rows:
+        coset = members
+        while True:
+            coset = [tuple((x + y) % s for x, y in zip(e, row)) for e in coset]
+            if coset[0] in seen:
+                break
+            members.extend(coset)
+            seen.update(coset)
+    return members
 
 
 def box_elements(arr: StackyArrangement) -> tuple[BoxElement, ...]:
-    """All box elements, the trivial one included, deterministically sorted."""
+    """All box elements, the trivial one included, deterministically sorted.
+
+    They are read off the basis table.  For a basis B with (A, s), s times
+    the coordinates in B of the lattice points, mod s, form the subgroup of
+    (Z/s)^d spanned by the rows of A, of order s = |det B|.  Its element
+    with support sigma is the box point of the face sigma with
+    alpha_i = a_i / s.  Every basis that contains a face meets the same box
+    points of it, so they are kept from the first basis in the table whose
+    walk meets the face, and each box comes once.  The boxes of a face share
+    one cone tuple, and its torsion copies share its point and Fractions.
+    """
     torsion = _torsion_elements(arr.group_N)
     out = [BoxElement((0,) * arr.d, tor, (), ()) for tor in torsion]
-    for sigma in arr.cones[1:]:  # the empty cone's boxes are the trivial ones
-        out.extend(_cone_boxes(arr, sigma, torsion))
+    owners = {}  # face -> (first basis that meets it, the face's one tuple)
+    for basis, (inverse, scale) in arr.bases.items():
+        if scale == 1:
+            continue
+        for nums in _subgroup(inverse, scale):
+            support = tuple(i for i, a in zip(basis, nums) if a)
+            if not support:
+                continue
+            owner, sigma = owners.setdefault(support, (basis, support))
+            if owner != basis:
+                continue
+            nums = [a for a in nums if a]
+            v_free = _box_vector(arr, sigma, nums, scale)
+            alphas = tuple(zip(sigma, (Fraction(a, scale) for a in nums)))
+            out.extend(BoxElement(v_free, tor, sigma, alphas) for tor in torsion)
     out.sort(key=lambda b: b.sort_key())
     return tuple(out)
 

@@ -249,10 +249,13 @@ def test_box_fractional_reconstruction(shipped):
                 assert total == b.v_free[r]
 
 
+def z_plus_z2():
+    """Rank 1 with torsion Z/2: one torsion-only box besides the trivial one."""
+    return StackyArrangement.build(FgAbelianGroup(1, (2,)), [(-1, 0), (1, 1)], theta=(-2,), psi=(1, 0))
+
+
 def test_torsion_boxes():
-    arr = StackyArrangement.build(
-        FgAbelianGroup(1, (2,)), [(-1, 0), (1, 1)], theta=(-2,), psi=(1, 0)
-    )
+    arr = z_plus_z2()
     boxes = box_elements(arr)
     torsion_only = [b for b in boxes if not b.sigma and any(b.v_torsion)]
     assert len(torsion_only) == 1
@@ -277,7 +280,34 @@ def test_multifan_closed_under_faces(hirzebruch):
     assert () in cones
 
 
-# -- the integer box enumeration against two oracles --------------------------
+# -- the box table against three oracles --------------------------------------
+
+
+def smith_cone_boxes(arr, sigma):
+    """Reference: the boxes supported exactly on the cone sigma, in integers.
+
+    With U·B·V = D for the column matrix B of sigma and invariants
+    d_1 | ... | d_k, the box points are V·(r_j / d_j) mod 1 for r_j < d_j.
+    Over n = d_k, alpha_i = a_i / n with a_i = sum_j V[i, j] r_j (n / d_j)
+    mod n, and a zero a_i means a proper face.
+    """
+    k = len(sigma)
+    _, D, V = smith_normal_form(IntMatrix.from_rows(tuple(zip(*(arr.b_bar(i) for i in sigma)))))
+    diag = [D[j, j] for j in range(k)]
+    n = diag[-1]
+    steps = [[V[i, j] * (n // diag[j]) for i in range(k)] for j in range(k)]
+    torsion = list(itertools.product(*[range(q) for q in arr.group_N.torsion_invariants]))
+    out = []
+    for residues in itertools.product(*map(range, diag)):
+        nums = [sum(r * step[i] for r, step in zip(residues, steps)) % n for i in range(k)]
+        if 0 in nums:
+            continue  # belongs to a proper face
+        point = [sum(a * arr.b_bar(i)[r] for a, i in zip(nums, sigma)) for r in range(arr.d)]
+        assert all(x % n == 0 for x in point)
+        v_free = tuple(x // n for x in point)
+        alphas = tuple(zip(sigma, (Fraction(a, n) for a in nums)))
+        out.extend(BoxElement(v_free, tor, sigma, alphas) for tor in torsion)
+    return out
 
 
 def fraction_cone_boxes(arr, sigma):
@@ -302,12 +332,13 @@ def fraction_cone_boxes(arr, sigma):
     return out
 
 
-def fraction_box_elements(arr):
+def reference_box_elements(arr, cone_boxes):
+    """The box table with the boxes of each nonempty cone from ``cone_boxes``."""
     torsion = itertools.product(*[range(q) for q in arr.group_N.torsion_invariants])
     out = [BoxElement((0,) * arr.d, tor, (), ()) for tor in torsion]
     for sigma in arr.cones:
         if sigma:
-            out.extend(fraction_cone_boxes(arr, sigma))
+            out.extend(cone_boxes(arr, sigma))
     out.sort(key=lambda b: b.sort_key())
     return tuple(out)
 
@@ -360,23 +391,59 @@ def wide(shipped, ladder, rank3_family):
     return [*shipped.values(), *ladder.values(), *rank3_family]
 
 
-def test_box_elements_match_fraction_enumeration(wide):
-    for arr in wide:
+@pytest.fixture(scope="module")
+def wide_and_torsion(wide):
+    """``wide``, in which no arrangement has torsion, with the Z + Z/2 of
+    ``test_torsion_boxes`` and a rank-1 document with torsion Z/3."""
+    rank1_z3 = {"schema_version": "hypertoric-arrangement/1", "rank": 1, "torsion": [3],
+                "beta": [[2, 0], [1, 1]], "theta": [3]}
+    return [*wide, z_plus_z2(), StackyArrangement.from_data(rank1_z3)]
+
+
+def test_box_elements_match_smith_enumeration(wide_and_torsion):
+    """One subgroup walk per basis gives the table of one Smith form per
+    cone, and reads each face from one basis only."""
+    for arr in wide_and_torsion:
         got = box_elements(arr)
-        assert got == fraction_box_elements(arr)
+        assert len(set(got)) == len(got)
+        assert got == reference_box_elements(arr, smith_cone_boxes)
+
+
+def test_box_elements_match_fraction_enumeration(wide_and_torsion):
+    for arr in wide_and_torsion:
+        got = box_elements(arr)
+        assert got == reference_box_elements(arr, fraction_cone_boxes)
         assert all(type(a) is Fraction for b in got for _, a in b.alphas)
 
 
-def test_box_counts_by_inclusion_exclusion(wide):
-    for arr in wide:
+def test_box_counts_by_inclusion_exclusion(wide_and_torsion):
+    for arr in wide_and_torsion:
         assert Counter(b.sigma for b in box_elements(arr)) == inclusion_exclusion_counts(arr)
 
 
+def test_box_elements_take_no_smith_form(shipped, ladder, monkeypatch):
+    """The box table is read off the basis table: with the basis table
+    built, enumerating it needs no Smith normal form."""
+
+    def refuse(A):
+        raise AssertionError("box_elements took a Smith normal form")
+
+    for arr in (ladder["d3m9"], ladder["d4m6"], shipped["hirzebruch-weighted"]):
+        expected = reference_box_elements(arr, smith_cone_boxes)
+        arr.bases
+        with monkeypatch.context() as patch:
+            patch.setattr("hypertoric.exactalg.smith_normal_form", refuse)
+            patch.setattr("hypertoric.multifan.smith_normal_form", refuse, raising=False)
+            assert box_elements(arr) == expected
+
+
 def test_box_elements_read_the_cached_cone_table(hirzebruch_weighted):
-    """The cone table is built once per arrangement, and reading it from
-    the cache leaves the boxes as a fresh arrangement enumerates them."""
+    """The basis table and its cones are built once per arrangement, and
+    reading them from the cache leaves the boxes as a fresh arrangement
+    enumerates them."""
     arr = hirzebruch_weighted
     assert arr.cones is arr.cones
+    assert arr.bases is arr.bases
     assert box_elements(arr) == box_elements(fresh(arr))
 
 
