@@ -344,8 +344,7 @@ def payload_localize(arr: StackyArrangement, index: int, convention: str) -> dic
 
 def payload_steinberg(arr: StackyArrangement, index: int, convention: str) -> dict:
     circuit, model, table = _circuit_model(arr, index, convention)
-    fwd = steinberg_operator(model, table, "forward")
-    inv = steinberg_operator(model, table, "inverse")
+    fwd, inv = steinberg_operator(model, table)
     out = {
         "circuit": [i + 1 for i in circuit.support],
         "weights": list(model.weights),

@@ -346,25 +346,24 @@ def _sector_inverse(f: Fraction) -> Fraction:
 
 
 def steinberg_operator(
-    model: WeightedModel, table: FixedPointTable, direction: str = "forward"
-) -> SteinbergOperator:
-    """Assemble the correspondence operator from the table.
+    model: WeightedModel, table: FixedPointTable
+) -> tuple[SteinbergOperator, SteinbergOperator]:
+    """Assemble the correspondence operator and its inverse from the table.
 
-    With the standard table every entry is computed: the component for a
-    sector pair integrates against the zero-section class of the input
-    factor and emits the zero-section class of the output factor, with
-    the parity sign of the two ages and the output read through the
-    sector inversion.  With the paper table the quoted generator
-    images are returned verbatim, and the sector-basis matrix entry that
-    the quoted set leaves unstated is completed by the compact base
-    integral (which is exactly zero there).
+    With the standard table every entry is computed, and the operator is
+    its own inverse, so the one matrix is returned twice: the component
+    for a sector pair integrates against the zero-section class of the
+    input factor and emits the zero-section class of the output factor,
+    with the parity sign of the two ages and the output read through the
+    sector inversion.  With the paper table the quoted generator images
+    of both directions are returned verbatim, and the sector-basis matrix
+    entry that the quoted set leaves unstated is completed by the compact
+    base integral (which is exactly zero there).
     """
-    if direction not in ("forward", "inverse"):
-        raise LocalizeError("direction must be 'forward' or 'inverse'")
     secs = sectors(model)
     order = tuple(s.f for s in secs)
     if table.convention == "paper":
-        return _paper_steinberg(model, table, direction, order)
+        return _paper_steinberg(model, table, order)
     idx = {f: i for i, f in enumerate(order)}
     rows = [[Fraction(0)] * len(order) for _ in order]
     for s_in in secs:
@@ -376,24 +375,24 @@ def steinberg_operator(
             sign = (-1) ** (s_in.age + s_out.age)
             target = idx[_sector_inverse(s_out.f)]
             rows[target][idx[s_in.f]] += sign * weight
-    return SteinbergOperator(order, tuple(tuple(r) for r in rows), {})
+    operator = SteinbergOperator(order, tuple(tuple(r) for r in rows), {})
+    return operator, operator
 
 
-def _paper_steinberg(model, table, direction, order):
-    """The quoted values, on the basis of the fiber class hbar - u1 - u2 and
-    the unit of the half sector ("box")."""
+def _paper_steinberg(model, table, order):
+    """The quoted values, forward and inverse, on the basis of the fiber
+    class hbar - u1 - u2 and the unit of the half sector ("box")."""
     lam1, lam2 = model.lam_forms
     half = Fraction(1, 2)
     halves = {"fiber": half, "box": half}
     I = integrate((model.hbar_form() - lam1 - lam2) ** 2, table, Fraction(0))
-    if direction == "inverse":
-        images = {"fiber": {"fiber": I, "box": I}, "box": halves}
-        return PaperSteinbergOperator(order, ((I, half), (I, half)), images)
     # the one matrix entry the quoted values leave unstated is completed by
     # the compact base integral of the fiber class
     mixed = integrate_base(fiber_class_expr(model), standard_table(model)).constant_value()
     images = {"u1": halves, "u2": {"fiber": 1, "box": half}, "box": halves}
-    return PaperSteinbergOperator(order, ((I, half), (mixed, half)), images)
+    forward = PaperSteinbergOperator(order, ((I, half), (mixed, half)), images)
+    images = {"fiber": {"fiber": I, "box": I}, "box": halves}
+    return forward, PaperSteinbergOperator(order, ((I, half), (I, half)), images)
 
 
 def orbifold_degrees(model: WeightedModel):

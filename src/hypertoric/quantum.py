@@ -428,19 +428,16 @@ class QSRElement:
 
     __slots__ = ("order", "terms")
 
-    def __init__(self, order: Fraction, terms: tuple):
+    def __init__(self, order: int, terms: tuple):
         self.order = order
         self.terms = terms  # ((point tuple, exp tuple), Poly)
 
     @staticmethod
     def build(order, parts: dict) -> "QSRElement":
         clean = {}
-        order = Fraction(order)
-        for (pt, exp), coeff in parts.items():
-            exp = tuple(Fraction(e) for e in exp)
-            if sum(exp) > order or coeff.is_zero():
+        for key, coeff in parts.items():
+            if sum(key[1]) > order or coeff.is_zero():
                 continue
-            key = (tuple(int(x) for x in pt), exp)
             clean[key] = clean.get(key, HBAR.zero()) + coeff
         items = sorted(
             ((k, v) for k, v in clean.items() if not v.is_zero()),
@@ -451,14 +448,11 @@ class QSRElement:
     @staticmethod
     def generator(fan: LawrenceFan, order, ray_id: int) -> "QSRElement":
         pt = fan.ray_vector(ray_id)
-        zero_exp = tuple(Fraction(0) for _ in fan.h2_basis)
-        return QSRElement.build(order, {(pt, zero_exp): HBAR.one()})
+        return QSRElement.build(order, {(pt, (0,) * len(fan.signs)): HBAR.one()})
 
     @staticmethod
     def unit(fan: LawrenceFan, order) -> "QSRElement":
-        dim = len(fan.rays[0])
-        zero_exp = tuple(Fraction(0) for _ in fan.h2_basis)
-        return QSRElement.build(order, {(tuple(0 for _ in range(dim)), zero_exp): HBAR.one()})
+        return QSRElement.build(order, {((0,) * len(fan.rays[0]), (0,) * len(fan.signs)): HBAR.one()})
 
     def scale_poly(self, poly) -> "QSRElement":
         return QSRElement.build(self.order, {k: v * poly for k, v in self.terms})
@@ -490,7 +484,7 @@ def qsr_multiply(a: QSRElement, b: QSRElement, fan: LawrenceFan, order) -> QSREl
     parts: dict = {}
     for (pt1, exp1), c1 in a.terms:
         for (pt2, exp2), c2 in b.terms:
-            _, degree = fan.l_pairing(pt1, pt2)
+            degree = fan.l_pairing(pt1, pt2)
             pt = tuple(x + y for x, y in zip(pt1, pt2))
             exp = tuple(e1 + e2 + d for e1, e2, d in zip(exp1, exp2, degree))
             key = (pt, exp)

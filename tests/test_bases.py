@@ -5,7 +5,6 @@ d-subset, a rank per subset, and the Smith form of each Lawrence cone."""
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import prod
 
 import pytest
@@ -87,7 +86,7 @@ def test_lawrence_cones_read_the_bases(wide):
             assert tuple(i for i in range(m) if i in cone and m + i in cone) in arr.bases
             _, D, _ = smith_normal_form(IntMatrix.from_rows(tuple(zip(*(fan.rays[r] for r in cone)))))
             assert fan.cone_index(cone) == prod(D[i, i] for i in range(len(cone)))
-            weights = {r: Fraction(k + 1, 3) for k, r in enumerate(cone)}
+            weights = {r: k + 1 for k, r in enumerate(cone)}
             point = [sum(w * fan.rays[r][t] for r, w in weights.items()) for t in range(len(fan.rays[0]))]
             located = fan.locate(point)
             assert located.max_cone == cone

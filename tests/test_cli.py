@@ -497,6 +497,22 @@ def test_exact_algebra_error_after_the_build_is_internal(capsys, write_examples,
     assert captured.err == "internal error: dimension mismatch in matrix product\n"
 
 
+def test_failed_location_in_qsr_is_internal(capsys, write_examples, monkeypatch):
+    """The Lawrence fan has convex support and qsr pairs only its lattice
+    points, so a point located outside it is a program fault: exit 1."""
+    from hypertoric.lawrence import LawrenceFan, OutsideSupport
+
+    def outside(fan, point):
+        raise OutsideSupport("forced")
+
+    monkeypatch.setattr(LawrenceFan, "locate", outside)
+    code = run(["qsr", "--input", write_examples["cotangent-p12"]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "internal error: forced\n"
+
+
 def _call(capsys, argv):
     """Exit code, stdout and stderr of one ``run``; argparse exits itself."""
     try:
