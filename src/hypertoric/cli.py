@@ -41,7 +41,6 @@ from hypertoric.crring import CohomologyContext, CRClass, cr_presentation, ht_pr
 from hypertoric.examples_data import SCHEMA_VERSION, example_document, example_names
 from hypertoric.lawrence import build_lawrence_fan
 from hypertoric.localize import (
-    LocalizeError,
     WeightedModel,
     paper_table_p12,
     standard_table,
@@ -595,7 +594,7 @@ def run(argv) -> int:
         return 0
     except TruncationTooSmall as e:
         return _print_error(InputError(str(e), path="--max-q-order"))
-    except (InputError, ArrangementError, LocalizeError) as e:
+    except (InputError, ArrangementError) as e:
         return _print_error(e)
     except Exception as e:  # internal error
         sys.stderr.write(f"internal error: {e}\n")

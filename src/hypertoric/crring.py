@@ -24,8 +24,9 @@ class UnreducedInput(ArrangementError):
 
 
 class CohomologyContext:
-    """Shared environment: variables, circuits, boxes (enumerated on first
-    use) of one arrangement; cones are the arrangement's own (``arr.is_cone``)."""
+    """Shared environment: variables, circuits, boxes and linear relations
+    (both built on first use) of one arrangement; cones are the
+    arrangement's own (``arr.is_cone``)."""
 
     def __init__(self, arr: StackyArrangement):
         self.arr = arr
@@ -39,6 +40,16 @@ class CohomologyContext:
     @cached_property
     def boxes(self) -> tuple[BoxElement, ...]:
         return box_elements(self.arr)
+
+    @cached_property
+    def linear_relations(self) -> tuple[Poly, ...]:
+        """The d forms L_r = sum_i <e_r, b_i> (u_i - lam_i), which vanish in
+        the equivariant ring (Hausel-Sturmfels)."""
+        arr = self.arr
+        return tuple(
+            sum(((self.u(i) - self.lam(i)) * arr.b_bar(i)[r] for i in range(arr.m)), self.ring.zero())
+            for r in range(arr.d)
+        )
 
     # -- variables -----------------------------------------------------------
 

@@ -5,7 +5,10 @@ contributes correction terms supported on the compatible sector pairs of
 its weighted projective model, with geometric series in the circuit's
 Novikov variable expanded exactly to the truncation order.  The degree
 residue of each pair solves congruences in the circuit weights by the
-Chinese remainder theorem, once per circuit, when its model is built.
+Chinese remainder theorem, once per circuit, when its model is built;
+so does the rewriting of the divisors outside the circuit through the
+context's linear relations, read off one integer reduction.  Series keys
+are exponent tuples over the circuit list, taken as given.
 The sign bookkeeping ships in three conventions; the default is
 calibrated so that the worked example series are reproduced at low
 order, and the other two literal readings are available for
@@ -22,7 +25,7 @@ from math import gcd, lcm
 
 from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
 from hypertoric.crring import CohomologyContext, CRClass, cr_multiply
-from hypertoric.exactalg import solve_rational_system
+from hypertoric.exactalg import row_reduce
 from hypertoric.lawrence import LawrenceFan, build_lawrence_fan
 from hypertoric.localize import (
     WeightedModel,
@@ -105,8 +108,9 @@ class CircuitModel:
     The model works in the arrangement ring.  Positive-side slots keep
     their divisor and torus parameter, negative side slots enter through
     the fiber-dual dictionary u -> hbar - u, lam -> hbar - lam.  Divisors
-    outside the circuit support are eliminated through the global linear
-    relations when possible.
+    outside the circuit support are eliminated through the context's
+    ``linear_relations`` when possible; the replacements of all of them
+    come from one reduction of their normals, when the model is built.
     """
 
     def __init__(self, context: CohomologyContext, circuit: Circuit):
@@ -133,30 +137,25 @@ class CircuitModel:
     # -- translation ---------------------------------------------------------
 
     def _build_elimination(self):
-        """For each divisor outside the support, a polynomial expressing it
-        in support divisors and torus parameters, through the relations
-        sum <y, b_i> u_i = sum <y, b_i> lam_i."""
-        arr = self.context.arr
-        outside = [t for t in range(arr.m) if t not in self.slots]
+        """For each outside divisor u_t that the linear relations L_r express
+        in support divisors and torus parameters, u_t - sum_r y_r L_r, where
+        y pairs 1 with b_t and 0 with the other outside normals (free
+        coordinates 0).  One reduction of the outside normals against the
+        identity serves every t: t at position k is eliminable exactly when
+        column k of the right block is zero past the rank, and y is that
+        column over the last pivot, at the pivot coordinates."""
+        context = self.context
+        d = context.arr.d
+        outside = [t for t in range(context.arr.m) if t not in self.slots]
+        identity = [[int(j == k) for j in range(len(outside))] for k in range(len(outside))]
+        pivots, reduced, den = row_reduce([context.arr.b_bar(t) for t in outside], identity)
         elim = {}
-        for t in outside:
-            others = [s for s in outside if s != t]
-            # a covector orthogonal to the other outside vectors, pairing 1
-            # with the eliminated one
-            rows = [[Fraction(arr.b_bar(s)[r]) for r in range(arr.d)] for s in others]
-            rows.append([Fraction(arr.b_bar(t)[r]) for r in range(arr.d)])
-            rhs = [Fraction(0)] * len(others) + [Fraction(1)]
-            y = solve_rational_system(rows, rhs)
-            if y is None:
+        for k, t in enumerate(outside):
+            if any(row[d + k] for row in reduced[len(pivots):]):
                 continue
-            replacement = self.context.lam(t) * Fraction(1)
-            for i in range(arr.m):
-                if i == t:
-                    continue
-                coef = sum(Fraction(y[r]) * arr.b_bar(i)[r] for r in range(arr.d))
-                if coef == 0:
-                    continue
-                replacement = replacement + (self.context.lam(i) - self.context.u(i)) * coef
+            replacement = context.u(t)
+            for col, row in zip(pivots, reduced):
+                replacement = replacement + context.linear_relations[col] * Fraction(-row[d + k], den)
             elim[t] = replacement
         return elim
 
@@ -238,17 +237,10 @@ class NovikovSeries:
 
     @staticmethod
     def build(context, order, parts: dict) -> "NovikovSeries":
-        n_circuits = len(context.circuits)
-        clean = {}
-        for key, cls in parts.items():
-            key = tuple(int(k) for k in key)
-            if len(key) != n_circuits:
-                raise QuantumError("exponent key has wrong length")
-            if sum(key) > order or cls.is_zero():
-                continue
-            clean[key] = clean.get(key, CRClass.zero(context)) + cls
+        """The series of ``parts``, exponent tuple -> normal-form class, with
+        its zero classes and the keys past ``order`` dropped."""
         items = sorted(
-            ((k, v) for k, v in clean.items() if not v.is_zero()),
+            ((k, v) for k, v in parts.items() if sum(k) <= order and not v.is_zero()),
             key=lambda kv: (sum(kv[0]), kv[0]),
         )
         return NovikovSeries(context, order, tuple(items))
@@ -259,7 +251,6 @@ class NovikovSeries:
         return NovikovSeries.build(context, order, {zero_key: cls})
 
     def coefficient(self, key) -> CRClass:
-        key = tuple(int(k) for k in key)
         for k, v in self.terms:
             if k == key:
                 return v
@@ -356,16 +347,11 @@ def quantum_divisor_product(
                 gamma = model.gamma_apply(f1, f2, base_cls)
                 if gamma.is_zero():
                     continue
-                start = r if r > 0 else circuit.lcm_w
-                d = start
-                while sum(base_key) + d <= order:
+                for d in range(r or circuit.lcm_w, order - sum(base_key) + 1, circuit.lcm_w):
                     sign = _convention_sign(convention, circuit, d)
-                    key = list(base_key)
-                    key[ci] += d
+                    key = base_key[:ci] + (base_key[ci] + d,) + base_key[ci + 1:]
                     add = gamma.scale_poly(hbar * (pairing * sign))
-                    key = tuple(key)
                     parts[key] = parts.get(key, CRClass.zero(context)) + add
-                    d += circuit.lcm_w
     return NovikovSeries.build(context, order, parts)
 
 

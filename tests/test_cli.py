@@ -513,6 +513,25 @@ def test_failed_location_in_qsr_is_internal(capsys, write_examples, monkeypatch)
     assert captured.err == "internal error: forced\n"
 
 
+def test_localize_fault_in_quantum_divisor_is_internal(capsys, write_examples, monkeypatch):
+    """The circuit models and their tables are the program's own, so a
+    localization failure inside a command is a program fault: exit 1."""
+    from hypertoric import quantum
+    from hypertoric.localize import NotPolynomial
+
+    def fail(*args):
+        raise NotPolynomial("forced")
+
+    monkeypatch.setattr(quantum, "integrate_base", fail)
+    code = run(
+        ["quantum-divisor", "--input", write_examples["cotangent-p12"], "--divisor", "1", "--with", "2"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "internal error: forced\n"
+
+
 def _call(capsys, argv):
     """Exit code, stdout and stderr of one ``run``; argparse exits itself."""
     try:
