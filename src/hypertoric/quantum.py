@@ -5,10 +5,12 @@ contributes correction terms supported on the compatible sector pairs of
 its weighted projective model, with geometric series in the circuit's
 Novikov variable expanded exactly to the truncation order.  The degree
 residue of each pair solves congruences in the circuit weights by the
-Chinese remainder theorem, once per circuit, when its model is built;
-so does the rewriting of the divisors outside the circuit through the
-context's linear relations, read off one integer reduction.  Series keys
-are exponent tuples over the circuit list, taken as given.
+Chinese remainder theorem, once per distinct weight vector, for every
+circuit before the first correction.  A circuit's model is built only
+when a product by a divisor it pairs with reads it; the model rewrites
+the divisors outside the circuit through the context's linear relations,
+read off one integer reduction.  Series keys are exponent tuples over
+the circuit list, taken as given.
 The sign bookkeeping ships in three conventions; the default is
 calibrated so that the worked example series are reproduced at low
 order, and the other two literal readings are available for
@@ -111,9 +113,10 @@ class CircuitModel:
     outside the circuit support are eliminated through the context's
     ``linear_relations`` when possible; the replacements of all of them
     come from one reduction of their normals, when the model is built.
+    ``pairs`` are the circuit's sector pairs, solved by the caller.
     """
 
-    def __init__(self, context: CohomologyContext, circuit: Circuit):
+    def __init__(self, context: CohomologyContext, circuit: Circuit, pairs: tuple):
         self.context = context
         self.circuit = circuit
         self.slots = circuit.support
@@ -131,8 +134,9 @@ class CircuitModel:
         self._sectors = {sec.f: sec for sec in sectors(self.model)}
         self._elimination = self._build_elimination()
         self._sector_boxes = {f: self._box_of_fraction(f) for f in self._sectors}
-        self.sector_pairs = sector_pairs(circuit.weights)
+        self.sector_pairs = pairs
         self._integrals = {}  # (f1, component) -> integral over the f1 factor
+        self._outputs = {}  # f2 -> (out box, zero-section class of the f2 factor)
 
     # -- translation ---------------------------------------------------------
 
@@ -204,7 +208,9 @@ class CircuitModel:
         """One Lagrangian component applied to a class: integrate the f1
         component over the compact factor, emit the zero-section class of
         the f2 factor in the inverse sector.  The integral does not depend
-        on f2, so the model computes it once per (f1, component)."""
+        on f2, so the model computes it once per (f1, component); the
+        output box and class depend on f2 alone, and are built on its
+        first use."""
         context = self.context
         comp = x.component(self.box_of_sector(f1))
         if comp.is_zero():
@@ -215,9 +221,12 @@ class CircuitModel:
             self._integrals[key] = integrate_base(integrand, self.table, f1)
         scalar = self._integrals[key]
         sign = (-1) ** (self._sectors[f1].age + self._sectors[f2].age)
-        out_fraction = Fraction(0) if f2 == 0 else 1 - f2
-        out_box = self.box_of_sector(out_fraction)
-        out_class = self.fiber_dual(fiber_class_expr(self.model, self._sectors[f2].support))
+        if f2 not in self._outputs:
+            self._outputs[f2] = (
+                self.box_of_sector(Fraction(0) if f2 == 0 else 1 - f2),
+                self.fiber_dual(fiber_class_expr(self.model, self._sectors[f2].support)),
+            )
+        out_box, out_class = self._outputs[f2]
         return CRClass.build(context, {out_box: out_class * scalar * sign})
 
 
@@ -290,16 +299,29 @@ class NovikovSeries:
 
 
 class QuantumContext:
-    """Caches the cohomology context and the circuit models of one
-    arrangement; the models are built on first use."""
+    """The cohomology context of one arrangement, the sector pairs of its
+    circuits and the circuit models a product has read, each built on
+    first use."""
 
     def __init__(self, arr: StackyArrangement):
         self.arr = arr
         self.context = CohomologyContext(arr)
+        self._models = {}  # circuit index -> CircuitModel
 
     @cached_property
-    def models(self) -> tuple:
-        return tuple(CircuitModel(self.context, c) for c in self.context.circuits)
+    def pairs(self) -> tuple:
+        """The sector pairs of each circuit, in circuit order, solved once
+        per distinct weight vector; the first circuit whose weights give a
+        pair several residues raises."""
+        weights = [c.weights for c in self.context.circuits]
+        solved = {w: sector_pairs(w) for w in dict.fromkeys(weights)}
+        return tuple(solved[w] for w in weights)
+
+    def model(self, ci: int) -> CircuitModel:
+        """The model of circuit ``ci``, built on first use."""
+        if ci not in self._models:
+            self._models[ci] = CircuitModel(self.context, self.context.circuits[ci], self.pairs[ci])
+        return self._models[ci]
 
 
 def _convention_sign(convention: str, circuit: Circuit, degree: int) -> int:
@@ -324,6 +346,7 @@ def quantum_divisor_product(
     The degree-zero coefficient is the orbifold cup product; every
     circuit containing the divisor contributes its compatible sector
     pairs with exact geometric series in the circuit Novikov variable.
+    Only those circuits' models are built.
     """
     if order < 1:
         raise TruncationTooSmall("truncation order must be at least 1")
@@ -338,12 +361,12 @@ def quantum_divisor_product(
     for base_key, base_cls in x.terms:
         classical = cr_multiply(u_class, base_cls)
         parts[base_key] = parts.get(base_key, CRClass.zero(context)) + classical
-        for ci, model in enumerate(qctx.models):
-            circuit = model.circuit
+        for ci, (circuit, pairs) in enumerate(zip(context.circuits, qctx.pairs)):
             pairing = circuit.beta_S[i]
             if pairing == 0:
                 continue
-            for f1, f2, r in model.sector_pairs:
+            model = qctx.model(ci)
+            for f1, f2, r in pairs:
                 gamma = model.gamma_apply(f1, f2, base_cls)
                 if gamma.is_zero():
                     continue
@@ -382,9 +405,8 @@ def differential_sign_report(qctx: QuantumContext, order: int):
     reading departs from the calibrated one, or None up to ``order``."""
     calibrated, *literal = SIGN_CONVENTIONS
     report = []
-    for model in qctx.models:
-        circuit = model.circuit
-        for r in sorted({r for _, _, r in model.sector_pairs}):
+    for circuit, pairs in zip(qctx.context.circuits, qctx.pairs):
+        for r in sorted({r for _, _, r in pairs}):
             degrees = range(r or circuit.lcm_w, order + 1, circuit.lcm_w)
             divergence = {}
             for conv in literal:

@@ -1,15 +1,18 @@
 """Answers do not depend on how the input is written.
 
-Two rewritings of each shipped example and non-probe ladder rung describe
-the same stacky arrangement: a relabelling of the hyperplanes (beta
-columns and psi permuted, theta recomputed from psi) and, at rank >= 2, a
-change of lattice basis (row 1 of beta plus 3 times row 0).  The bases,
-the circuits with their weights and sides, the boxes of each cone and
-the number of bounded chambers must map exactly.
+Two rewritings of each shipped example, non-probe ladder rung and
+``rank3_family`` arrangement describe the same stacky arrangement: a
+relabelling of the hyperplanes (beta columns and psi permuted, theta
+recomputed from psi) and, at rank >= 2, a change of lattice basis (row 1
+of beta plus 3 times row 0).  The bases, the circuits with their weights
+and sides, the boxes of each cone and the number of bounded chambers
+must map exactly.  The Gale dual arrangement has the complementary bases,
+and its circuits are the cocircuits: the minimal sets meeting every basis.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from hypertoric.arrangement import StackyArrangement
+from hypertoric.arrangement import NonGenericTheta, StackyArrangement
 from hypertoric.exactalg import FgAbelianGroup, GroupHom, IntMatrix, gale_dual
 from hypertoric.multifan import box_elements, circuits
 
@@ -48,23 +51,82 @@ def invariants(arr: StackyArrangement, label) -> tuple:
     return bases, sides, boxes, len(arr.bounded_chambers())
 
 
-@pytest.mark.parametrize("path", DOCUMENTS, ids=lambda p: p.stem)
-def test_relabelling_the_hyperplanes(path):
-    doc = json.loads(path.read_text())
+def assert_relabelling_holds(doc: dict, seed):
     m = len(doc["beta"])
     perm = list(range(m))
-    random.Random(path.stem).shuffle(perm)  # new hyperplane j is old perm[j]
+    random.Random(seed).shuffle(perm)  # new hyperplane j is old perm[j]
     arr = StackyArrangement.from_data(doc)
     relabelled = rewritten(doc, [doc["beta"][p] for p in perm], [arr.psi[p] for p in perm])
     assert perm != list(range(m)) or m < 3
     assert invariants(relabelled, perm) == invariants(arr, range(m))
 
 
+def assert_basis_change_holds(doc: dict):
+    arr = StackyArrangement.from_data(doc)
+    columns = [[c[0], c[1] + 3 * c[0], *c[2:]] for c in doc["beta"]]
+    assert invariants(rewritten(doc, columns, arr.psi), range(arr.m)) == invariants(arr, range(arr.m))
+
+
+@pytest.mark.parametrize("path", DOCUMENTS, ids=lambda p: p.stem)
+def test_relabelling_the_hyperplanes(path):
+    assert_relabelling_holds(json.loads(path.read_text()), path.stem)
+
+
 @pytest.mark.parametrize(
     "path", [p for p in DOCUMENTS if json.loads(p.read_text())["rank"] >= 2], ids=lambda p: p.stem
 )
 def test_changing_the_lattice_basis(path):
+    assert_basis_change_holds(json.loads(path.read_text()))
+
+
+def test_rewritings_of_the_rank3_family(rank3_family):
+    for n, arr in enumerate(rank3_family):
+        doc = {
+            "rank": 3,
+            "torsion": [],
+            "beta": [arr.beta.column(j) for j in range(arr.m)],
+            "theta": arr.theta,
+            "psi": arr.psi,
+        }
+        assert_relabelling_holds(doc, n)
+        assert_basis_change_holds(doc)
+
+
+def gale_dual_arrangement(arr: StackyArrangement, rng: random.Random) -> StackyArrangement:
+    """The arrangement of ``arr.beta_dual``, with psi drawn from ``rng`` in
+    [-50, 50] until it is generic."""
+    group = arr.beta_dual.target
+    doc = {"rank": group.rank, "torsion": group.torsion_invariants}
+    columns = [arr.beta_dual.column(j) for j in range(arr.m)]
+    for _ in range(20):
+        try:
+            return rewritten(doc, columns, [rng.randint(-50, 50) for _ in range(arr.m)])
+        except NonGenericTheta:
+            continue
+    raise AssertionError("no generic psi in 20 draws")
+
+
+def dual_rank(path) -> int:
     doc = json.loads(path.read_text())
-    arr = StackyArrangement.from_data(doc)
-    columns = [[c[0], c[1] + 3 * c[0], *c[2:]] for c in doc["beta"]]
-    assert invariants(rewritten(doc, columns, arr.psi), range(arr.m)) == invariants(arr, range(arr.m))
+    return len(doc["beta"]) - doc["rank"]
+
+
+@pytest.mark.parametrize("path", [p for p in DOCUMENTS if dual_rank(p) <= 6], ids=lambda p: p.stem)
+def test_the_gale_dual(path):
+    """The dual's bases are the complements of the bases, and its circuits
+    are the cocircuits: each meets every basis and is minimal with that
+    property (Proudfoot's survey; Braden-Licata-Proudfoot-Webster 2010).
+    The cocircuits are found by trying every subset of the hyperplanes."""
+    arr = StackyArrangement.from_data(json.loads(path.read_text()))
+    dual = gale_dual_arrangement(arr, random.Random(path.stem))
+    bases = [frozenset(basis) for basis in arr.bases]
+    assert {frozenset(range(arr.m)) - frozenset(basis) for basis in dual.bases} == set(bases)
+
+    def meets_every_basis(subset):
+        return all(subset & basis for basis in bases)
+
+    subsets = (frozenset(s) for k in range(1, arr.m + 1) for s in itertools.combinations(range(arr.m), k))
+    cocircuits = {
+        s for s in subsets if meets_every_basis(s) and not any(meets_every_basis(s - {i}) for i in s)
+    }
+    assert {frozenset(circuit.support) for circuit in circuits(dual)} == cocircuits

@@ -1,19 +1,23 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hypertoric.arrangement import InvariantError
+from hypertoric.cli import run
 from hypertoric.crring import CohomologyContext, CRClass, cr_multiply
 from hypertoric.exactalg import solve_rational_system
 from hypertoric.localize import fiber_class_expr, integrate_base, sectors
 from hypertoric.multifan import circuits
 from hypertoric.quantum import (
     HBAR,
+    SIGN_CONVENTIONS,
     CircuitModel,
     NovikovSeries,
     QSRElement,
@@ -28,6 +32,8 @@ from hypertoric.quantum import (
     sector_pairs,
     star_word,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +194,8 @@ def test_sector_age_matches_box_age(q12):
     box ages (the hypertoric age convention)."""
     from hypertoric.localize import sectors
 
-    for model in q12.models:
+    for ci in range(len(q12.context.circuits)):
+        model = q12.model(ci)
         for sec in sectors(model.model):
             box = model.box_of_sector(sec.f)
             assert box.age == sec.age
@@ -220,7 +227,9 @@ def test_sector_boxes_match_the_box_table_scan(name, shipped, ladder):
     """Each circuit model names its sector boxes by their coordinates; they
     are the boxes a scan of the whole table finds."""
     arr = shipped[name] if name in shipped else ladder[name]
-    for model in QuantumContext(arr).models:
+    q = QuantumContext(arr)
+    for ci in range(len(q.context.circuits)):
+        model = q.model(ci)
         for sec in sectors(model.model):
             assert model.box_of_sector(sec.f) == scanned_box(model, sec.f), (model.circuit.support, sec.f)
 
@@ -249,18 +258,22 @@ def per_divisor_elimination(model):
     return elim
 
 
-def assert_eliminations_match(arr):
-    """Every circuit model of ``arr`` eliminates the divisors the per-divisor
-    solve eliminates, into the same polynomials; a circuit whose sector
-    pair has several residues has no model and is skipped."""
+def every_circuit_model(arr):
+    """The model of each circuit of ``arr``, in circuit order; a circuit
+    whose sector pair has several residues has no model and is skipped."""
     context = CohomologyContext(arr)
     for circuit in context.circuits:
         try:
-            model = CircuitModel(context, circuit)
+            yield CircuitModel(context, circuit, sector_pairs(circuit.weights))
         except InvariantError as e:
             assert "several residues" in str(e)
-            continue
-        assert model._elimination == per_divisor_elimination(model), circuit.support
+
+
+def assert_eliminations_match(arr):
+    """Every circuit model of ``arr`` eliminates the divisors the per-divisor
+    solve eliminates, into the same polynomials."""
+    for model in every_circuit_model(arr):
+        assert model._elimination == per_divisor_elimination(model), model.circuit.support
 
 
 def test_elimination_matches_the_per_divisor_solve(shipped, ladder):
@@ -272,6 +285,22 @@ def test_elimination_matches_the_per_divisor_solve(shipped, ladder):
 def test_elimination_matches_the_per_divisor_solve_rank3(rank3_family):
     for arr in rank3_family:
         assert_eliminations_match(arr)
+
+
+def test_elimination_leaves_no_outside_divisor(shipped, ladder, rank3_family):
+    """Each replacement u_t - sum_r y_r L_r pairs y with every outside normal
+    to 0 except b_t, where u_t cancels, so no outside divisor is left: the
+    invariant the last check of ``eliminate_outside`` guards."""
+    arrs = [arr for name, arr in [*shipped.items(), *ladder.items()] if not name.startswith("probe-")]
+    replacements = 0
+    for arr in [*arrs, *rank3_family]:
+        for model in every_circuit_model(arr):
+            names = model.context.ring.names
+            outside = {f"u{t + 1}" for t in range(arr.m) if t not in model.slots}
+            for t, replacement in model._elimination.items():
+                assert not {names[v] for v in replacement.support()} & outside, (model.circuit.support, t)
+                replacements += 1
+    assert replacements
 
 
 def test_additive_in_divisor(q12):
@@ -316,7 +345,8 @@ def test_gamma_apply_integrates_once_per_component(tp12, hirzebruch_weighted, mo
                 box: sum((ctx.u(i) * rng.randint(-2, 2) for i in range(arr.m)), ctx.hbar() * rng.randint(-2, 2))
                 for box in ctx.boxes
             })
-            for model in q.models:
+            for ci in range(len(ctx.circuits)):
+                model = q.model(ci)
                 secs = {sec.f: sec for sec in sectors(model.model)}
                 for f1, f2, _ in model.sector_pairs:
                     comp = x.component(model.box_of_sector(f1))
@@ -333,6 +363,84 @@ def test_gamma_apply_integrates_once_per_component(tp12, hirzebruch_weighted, mo
                     assert model.gamma_apply(f1, f2, x) == expected
         assert keys and len(calls) == len(keys)
         calls.clear()
+
+
+def every_model_first(qctx):
+    """Reference: build every circuit's model in circuit order before the
+    product reads one, as the context did before models were on demand."""
+    for ci in range(len(qctx.context.circuits)):
+        qctx.model(ci)
+
+
+def printed_products(arr, i, eager):
+    """The terms of u_i times u_(i+1 mod m) at order 4 under each convention
+    in turn, the default first, with boxes and classes as printed, read off
+    one fresh context; or the type and message of what the products raise.
+    The first product is the one the default convention prints alone."""
+    qctx = QuantumContext(arr)
+    ctx = qctx.context
+    x = CRClass.untwisted(ctx, ctx.u((i + 1) % arr.m))
+    try:
+        if eager:
+            every_model_first(qctx)
+        return [
+            [
+                (key, [(box.label(), str(poly)) for box, poly in cls.components])
+                for key, cls in quantum_divisor_product(qctx, i, x, 4, conv).terms
+            ]
+            for conv in SIGN_CONVENTIONS
+        ]
+    except InvariantError as e:
+        return type(e), str(e)
+
+
+def assert_on_demand_matches_every_model_first(arr, monkeypatch):
+    # every product reads a fresh context; the pure sector_pairs is solved
+    # once per weight vector across them, as it dominates on rank3_family
+    monkeypatch.setattr("hypertoric.quantum.sector_pairs", functools.cache(sector_pairs))
+    for i in range(arr.m):
+        assert printed_products(arr, i, eager=False) == printed_products(arr, i, eager=True), i
+
+
+def test_on_demand_models_match_every_model_first(shipped, ladder, monkeypatch):
+    """Building only the models of the circuits that meet the divisor gives
+    the series, or the error, that building every model first gives."""
+    for name, arr in [*shipped.items(), *ladder.items()]:
+        if not name.startswith("probe-"):
+            assert_on_demand_matches_every_model_first(arr, monkeypatch)
+
+
+def test_on_demand_models_match_every_model_first_rank3(rank3_family, monkeypatch):
+    for arr in rank3_family:
+        assert_on_demand_matches_every_model_first(arr, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "doc, extra, built, code, message",
+    [
+        ("arrangements/hirzebruch.json", [], 2, 0, ""),
+        ("arrangements/hirzebruch-weighted.json", ["--sign-convention", "all"], 2, 0, ""),
+        ("bench/ladder/d2m6.json", [], 1, 1, "divisor u2 cannot be eliminated into circuit (0, 3)"),
+        ("bench/ladder/d3m7.json", [], 0, 1, "sector pair (1/5,4/5) has several residues [12, 48]"),
+    ],
+    ids=("hirzebruch", "hirzebruch-weighted-all", "d2m6", "d3m7"),
+)
+def test_quantum_divisor_builds_only_the_models_it_reads(doc, extra, built, code, message, monkeypatch, capsys):
+    """``quantum-divisor --divisor 1 --with 2`` builds the model of a circuit
+    only when divisor 1 pairs with it; on d3m7 the sector pairs raise
+    before any model is built.  Building every model made 3, 3, 13 and 6."""
+    calls = []
+    init = CircuitModel.__init__
+
+    def counting(self, *args):
+        calls.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(CircuitModel, "__init__", counting)
+    argv = ["quantum-divisor", "--input", str(ROOT / doc), "--divisor", "1", "--with", "2", *extra]
+    assert run(argv) == code
+    assert len(calls) == built
+    assert message in capsys.readouterr().err
 
 
 def test_truncation_guard(q1):
