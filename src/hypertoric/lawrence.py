@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
+from hypertoric.arrangement import InvariantError, StackyArrangement
 from hypertoric.exactalg import basis_projection
 
 
@@ -122,7 +122,7 @@ class LawrenceFan:
         one-sided z-rays) and w_i = c_i - z_i; so the point is in the cone
         exactly when c >= 0 and 0 <= z_i <= c_i on I."""
         if len(point) != len(self.rays[0]):
-            raise ArrangementError("point has wrong dimension")
+            raise InvariantError("point has wrong dimension")
         m = self.m
         d = len(point) - m
         a, c = point[:d], point[d:]

@@ -4,9 +4,9 @@ The divisor product is assembled circuit by circuit: each circuit
 contributes correction terms supported on the compatible sector pairs of
 its weighted projective model, with geometric series in the circuit's
 Novikov variable expanded exactly to the truncation order.  The degree
-residue of each pair solves congruences in the circuit weights by the
-Chinese remainder theorem, once per distinct weight vector, for every
-circuit before the first correction.  A circuit's model is built only
+residues of each slot pair are the multiples of the other weights' lcm,
+walked once per distinct weight vector, for every circuit before the
+first correction.  A circuit's model is built only
 when a product by a divisor it pairs with reads it; the model rewrites
 the divisors outside the circuit through the context's linear relations,
 read off one integer reduction.  Series keys are exponent tuples over
@@ -15,7 +15,8 @@ The sign bookkeeping ships in three conventions; the default is
 calibrated so that the worked example series are reproduced at low
 order, and the other two literal readings are available for
 differential testing.  The quantum Stanley-Reisner ring reads only the
-arrangement's Lawrence fan, with coefficients in hbar alone.
+arrangement's Lawrence fan, with coefficients in hbar alone; a word of
+its generators is one monomial, carried without ring products.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
 from hypertoric.crring import CohomologyContext, CRClass, cr_multiply
@@ -54,45 +55,30 @@ class TruncationTooSmall(QuantumError):
     pass
 
 
-def _crt(r1: int, m1: int, r2: int, m2: int):
-    """The common solution of r = r1 mod m1 and r = r2 mod m2, as
-    (residue, lcm(m1, m2)), or None when the congruences disagree."""
-    g = gcd(m1, m2)
-    if (r2 - r1) % g:
-        return None
-    t = (r2 - r1) // g * pow(m1 // g, -1, m2 // g)
-    l = m1 // g * m2
-    return (r1 + m1 * t) % l, l
-
-
 def sector_pairs(weights) -> tuple:
     """The compatible sector pairs (f1, f2, r) of a circuit, in sector order.
 
     The degree residue r mod lcm(w) carries maps with sector ends (f1, f2)
     when some ordered pair of distinct weight slots (i, j) has
     <r/w_i> = f1, <r/w_j> = f2 and every remaining slot weight dividing r.
-    For each (i, j), f1 = a/w_i and f2 = b/w_j these are the congruences
-    r = a mod w_i, r = b mod w_j and r = 0 mod the other weights' lcm,
-    with at most one common solution.  Sectors are ordered by fraction,
-    so the pairs come sorted.  When two slot pairs give one sector pair
-    different residues, the product has no single series for it, and the
-    pair raises.
+    So for each unordered slot pair {i, j} the residues are the multiples
+    of the other weights' lcm below lcm(w), and each gives the sector pair
+    (<r/w_i>, <r/w_j>) and its mirror.  Sectors are keyed by their
+    numerators over lcm(w), which sort as the fractions do, so the pairs come
+    sorted.  When two slot pairs give one sector pair different residues,
+    the product has no single series for it, and the pair raises.
     """
-    found: dict = {}  # (f1, f2) -> residues
-    for i, j in itertools.permutations(range(len(weights)), 2):
-        wi, wj = weights[i], weights[j]
+    lcm_w = lcm(*weights)
+    found: dict = {}  # (f1, f2) as numerators over lcm_w -> residues
+    for i, j in itertools.combinations(range(len(weights)), 2):
         rest = lcm(*(w for k, w in enumerate(weights) if k not in (i, j)))
-        for a in range(wi):
-            partial = _crt(0, rest, a, wi)
-            if partial is None:
-                continue
-            for b in range(wj):
-                solved = _crt(*partial, b, wj)
-                if solved is not None:
-                    found.setdefault((Fraction(a, wi), Fraction(b, wj)), set()).add(solved[0])
+        for r in range(0, lcm_w, rest):
+            ni, nj = r % weights[i] * (lcm_w // weights[i]), r % weights[j] * (lcm_w // weights[j])
+            found.setdefault((ni, nj), set()).add(r)
+            found.setdefault((nj, ni), set()).add(r)
     pairs = []
-    for f1, f2 in sorted(found):
-        residues = sorted(found[f1, f2])
+    for n1, n2 in sorted(found):
+        f1, f2, residues = Fraction(n1, lcm_w), Fraction(n2, lcm_w), sorted(found[n1, n2])
         if len(residues) > 1:
             raise InvariantError(f"sector pair ({f1},{f2}) has several residues {residues}")
         pairs.append((f1, f2, residues[0]))
@@ -442,13 +428,10 @@ class QSRElement:
 
     @staticmethod
     def build(order, parts: dict) -> "QSRElement":
-        clean = {}
-        for key, coeff in parts.items():
-            if sum(key[1]) > order or coeff.is_zero():
-                continue
-            clean[key] = clean.get(key, HBAR.zero()) + coeff
+        """The element of ``parts``, (point, exponent) -> coefficient, with
+        its zero coefficients and the keys past ``order`` dropped."""
         items = sorted(
-            ((k, v) for k, v in clean.items() if not v.is_zero()),
+            ((k, v) for k, v in parts.items() if sum(k[1]) <= order and not v.is_zero()),
             key=lambda kv: (sum(kv[0][1]), kv[0][1], kv[0][0]),
         )
         return QSRElement(order, tuple(items))
@@ -538,16 +521,22 @@ def divisor_ray_side(fan: LawrenceFan) -> dict:
 
 def qsr_word(fan: LawrenceFan, word, order) -> QSRElement:
     """Product over ("u", i) / ("hu", i) tokens inside the semigroup ring,
-    using the divisor-to-ray dictionary and the hyperplane relations."""
+    using the divisor-to-ray dictionary and the hyperplane relations.
+    The product of generators is one monomial: its point is the sum of
+    the rays, and its exponent adds the l-pairing of the point so far
+    with each next ray.  It is zero once the exponent passes ``order``."""
     side = divisor_ray_side(fan)
-    result = QSRElement.unit(fan, order)
+    point, exp = (0,) * len(fan.rays[0]), (0,) * len(fan.signs)
     for kind, i in word:
+        if sum(exp) > order:
+            break
         ray = side[i]
         if kind == "hu":
             ray = fan.w_ray(i) if ray == fan.z_ray(i) else fan.z_ray(i)
-        gen = QSRElement.generator(fan, order, ray)
-        result = qsr_multiply(result, gen, fan, order)
-    return result
+        vector = fan.ray_vector(ray)
+        exp = tuple(e + x for e, x in zip(exp, fan.l_pairing(point, vector)))
+        point = tuple(x + y for x, y in zip(point, vector))
+    return QSRElement(order, (((point, exp), HBAR.one()),) if sum(exp) <= order else ())
 
 
 def qsr_circuit_relation_defect(fan: LawrenceFan, circuit: Circuit, order) -> QSRElement:

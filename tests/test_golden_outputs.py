@@ -38,6 +38,7 @@ ARGUMENT_SETS = (
     ("steinberg", "--convention", "standard"),
     ("steinberg", "--convention", "paper"),
     ("qsr",),
+    ("qsr", "--max-q-order", "2"),
     QUANTUM,
     QUANTUM_ALL,
     ("quantum-divisor", "--divisor", "2", "--with", "1", "--max-q-order", "5"),

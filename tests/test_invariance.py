@@ -8,19 +8,24 @@ of beta plus 3 times row 0).  The bases, the circuits with their weights
 and sides, the boxes of each cone and the number of bounded chambers
 must map exactly.  The Gale dual arrangement has the complementary bases,
 and its circuits are the cocircuits: the minimal sets meeting every basis.
+Each shipped example with a torsion factor Z/q added keeps the
+relabelling check, and multiplying its torsion row by a unit u mod q
+maps the invariants exactly and each box's torsion coordinates by u.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from hypertoric.arrangement import NonGenericTheta, StackyArrangement
+from hypertoric.arrangement import ArrangementError, NonGenericTheta, StackyArrangement
+from hypertoric.examples_data import example_document, example_names
 from hypertoric.exactalg import FgAbelianGroup, GroupHom, IntMatrix, gale_dual
 from hypertoric.multifan import box_elements, circuits
 
@@ -90,6 +95,45 @@ def test_rewritings_of_the_rank3_family(rank3_family):
         }
         assert_relabelling_holds(doc, n)
         assert_basis_change_holds(doc)
+
+
+def with_torsion(name: str):
+    """Shipped example ``name`` with a torsion factor Z/q added, q drawn from
+    {3, 4, 5} so that a unit u != 1 exists, and the torsion row drawn until
+    ``rewritten`` accepts it, psi kept: its document and arrangement."""
+    doc = example_document(name)
+    rng = random.Random(name)
+    q = rng.choice((3, 4, 5))
+    psi = StackyArrangement.from_data(doc).psi
+    for _ in range(20):
+        columns = [[*column, rng.randrange(q)] for column in doc["beta"]]
+        torsion_doc = {**doc, "torsion": [q], "beta": columns}
+        try:
+            arr = rewritten(torsion_doc, columns, psi)
+        except ArrangementError:
+            continue
+        return {**torsion_doc, "theta": arr.theta, "psi": psi}, arr
+    raise AssertionError("no torsion row accepted in 20 draws")
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_a_torsion_factor(name):
+    """A unit u mod q is an automorphism of Z^d + Z/q, so multiplying the
+    torsion row by it changes no invariant and multiplies the torsion
+    coordinates of each box by u.  Each face's boxes carry every torsion
+    value mod q, so the box sets compared are left alone by any
+    permutation of those values: that part checks their shape."""
+    doc, arr = with_torsion(name)
+    assert_relabelling_holds(doc, name)
+    (q,) = doc["torsion"]
+    boxes = {(b.sigma, b.alphas, b.v_torsion) for b in box_elements(arr)}
+    assert any(any(v) for _, _, v in boxes)
+    for u in (u for u in range(1, q) if math.gcd(u, q) == 1):
+        columns = [[*column[:-1], column[-1] * u % q] for column in doc["beta"]]
+        scaled = rewritten(doc, columns, arr.psi)
+        assert invariants(scaled, range(arr.m)) == invariants(arr, range(arr.m))
+        mapped = {(sigma, alphas, tuple(t * u % q for t in v)) for sigma, alphas, v in boxes}
+        assert {(b.sigma, b.alphas, b.v_torsion) for b in box_elements(scaled)} == mapped, u
 
 
 def gale_dual_arrangement(arr: StackyArrangement, rng: random.Random) -> StackyArrangement:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypertoric.arrangement import InvariantError, NonGenericTheta, StackyArrangement
+from hypertoric.arrangement import ArrangementError, InvariantError, NonGenericTheta, StackyArrangement
 from hypertoric.cli import payload_qsr
 from hypertoric.examples_data import example_document
 from hypertoric.exactalg import (
@@ -327,6 +327,16 @@ def test_outside_support(tp1):
     fan = build_lawrence_fan(tp1)
     with pytest.raises(OutsideSupport):
         fan.locate((0, -1, -1))
+
+
+def test_wrong_dimension_is_internal(tp12):
+    """Only the program builds the points it locates, so a point of the
+    wrong dimension is a fault of the program, not of the input."""
+    fan = build_lawrence_fan(tp12)
+    for query in (lambda: fan.locate((0,)), lambda: fan.l_pairing((0,), (0,))):
+        with pytest.raises(InvariantError, match="wrong dimension") as err:
+            query()
+        assert not isinstance(err.value, ArrangementError)
 
 
 def test_l_pairing_symmetry_and_zero(tp1, tp12):

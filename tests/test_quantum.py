@@ -12,6 +12,7 @@ import pytest
 from hypertoric.arrangement import InvariantError
 from hypertoric.cli import run
 from hypertoric.crring import CohomologyContext, CRClass, cr_multiply
+from hypertoric.lawrence import LawrenceFan, build_lawrence_fan
 from hypertoric.exactalg import solve_rational_system
 from hypertoric.localize import fiber_class_expr, integrate_base, sectors
 from hypertoric.multifan import circuits
@@ -24,10 +25,12 @@ from hypertoric.quantum import (
     QuantumContext,
     TruncationTooSmall,
     differential_sign_report,
+    divisor_ray_side,
     minimal_curve_unit,
     qsr_circuit_relation_defect,
     qsr_multiply,
     qsr_presentation,
+    qsr_word,
     quantum_divisor_product,
     sector_pairs,
     star_word,
@@ -121,10 +124,13 @@ def test_sector_pairs_match_the_scan():
 
 @pytest.mark.parametrize("weights", [(10, 13, 23, 2, 16), (15, 28, 3, 13, 24)])
 def test_sector_pairs_solve_their_congruences(weights):
-    """Circuit weights of the d4m6 ladder rung, whose lcm is too large for
-    the scan: every returned residue meets its congruences."""
+    """Circuit weights of the d4m6 ladder rung: every returned residue
+    meets its congruences, and the pairs are exactly the scan's."""
     l = math.lcm(*weights)
     pairs = sector_pairs(weights)
+    scanned = scan_residues(weights)
+    assert all(len(rs) == 1 for rs in scanned.values())
+    assert pairs == tuple((f1, f2, rs[0]) for (f1, f2), rs in scanned.items())
     assert len({(f1, f2) for f1, f2, _ in pairs}) == len(pairs)
     for f1, f2, r in pairs:
         assert 0 <= r < l
@@ -547,6 +553,56 @@ def test_qsr_associative_sampled(tp1):
         lhs = qsr_multiply(qsr_multiply(a, b, fan, 5), c, fan, 5)
         rhs = qsr_multiply(a, qsr_multiply(b, c, fan, 5), fan, 5)
         assert (lhs - rhs).is_zero()
+
+
+def product_word(fan, word, order):
+    """Reference: the product of a word's generators taken letter by letter
+    with ``qsr_multiply``, starting from the unit."""
+    side = divisor_ray_side(fan)
+    result = QSRElement.unit(fan, order)
+    for kind, i in word:
+        ray = side[i]
+        if kind == "hu":
+            ray = fan.w_ray(i) if ray == fan.z_ray(i) else fan.z_ray(i)
+        result = qsr_multiply(result, QSRElement.generator(fan, order, ray), fan, order)
+    return result
+
+
+def test_qsr_word_matches_the_product_of_its_letters(shipped, ladder, rank3_family, monkeypatch):
+    """A word of generators is one monomial: the u-word and the
+    (hbar - u)-word of every circuit give the terms of the letter-by-letter
+    product, through the same l-pairings in the same order, at orders 0, 2
+    and 6, on the shipped examples, the non-probe ladder and the rank-3
+    family.  The l-pairing is pure, so each fan's degrees are computed once
+    and the reference reads them back."""
+    calls, degrees = [], {}
+    l_pairing = LawrenceFan.l_pairing
+
+    def recording(fan, c1, c2):
+        calls.append((c1, c2))
+        if (c1, c2) not in degrees:
+            degrees[c1, c2] = l_pairing(fan, c1, c2)
+        return degrees[c1, c2]
+
+    monkeypatch.setattr(LawrenceFan, "l_pairing", recording)
+    arrs = [arr for name, arr in [*shipped.items(), *ladder.items()] if not name.startswith("probe-")]
+    vanished = 0
+    for arr in [*arrs, *rank3_family]:
+        fan = build_lawrence_fan(arr)
+        degrees.clear()
+        for circuit in circuits(arr):
+            for kind in ("u", "hu"):
+                word = [(kind, i) for i, w in zip(circuit.support, circuit.weights) for _ in range(w)]
+                for order in (0, 2, 6):
+                    calls.clear()
+                    got = qsr_word(fan, word, order)
+                    made = list(calls)
+                    calls.clear()
+                    want = product_word(fan, word, order)
+                    assert (got.order, got.terms) == (want.order, want.terms), (circuit.support, kind, order)
+                    assert made == calls
+                    vanished += got.is_zero()
+    assert vanished
 
 
 def test_qsr_eliminated_relations(tp1, tp12):
