@@ -28,6 +28,7 @@ from hypertoric.exactalg import (
     gale_dual,
     integer_inverse,
     kernel_basis,
+    presentation_matrix,
     primitive_vector,
     rational_rank,
     solve_integer,
@@ -140,30 +141,20 @@ def check_generic(beta_dual: GroupHom, theta) -> bool:
 
 
 def lift_theta(beta_dual: GroupHom, theta) -> tuple[int, ...]:
-    """A deterministic integral lift psi with theta = -beta_dual(psi)."""
+    """A deterministic integral lift psi with theta = -beta_dual(psi): the first
+    m coordinates of one integer solution of [beta_dual | orders] x = -theta."""
     theta = tuple(int(x) for x in theta)
-    f = beta_dual.target.rank
-    orders = beta_dual.target.torsion_invariants
+    group = beta_dual.target
     m = beta_dual.matrix.ncols
-    rows = []
-    rhs = []
-    for i in range(f):
-        rows.append(list(beta_dual.matrix.row(i)) + [0] * len(orders))
-        rhs.append(-theta[i])
-    for j, order in enumerate(orders):
-        row = list(beta_dual.matrix.row(f + j)) + [0] * len(orders)
-        row[m + j] = order
-        rows.append(row)
-        rhs.append(-theta[f + j])
-    if not rows:
-        return tuple(0 for _ in range(m))
+    if not group.generator_count:
+        return (0,) * m
     try:
-        sol = solve_integer(IntMatrix.from_rows(rows), rhs)
+        sol = solve_integer(presentation_matrix(group, beta_dual.matrix), [-t for t in theta])
     except NotInImage:
-        group = ([f"Z^{f}"] if f else []) + [f"Z/{q}" for q in orders]
+        names = ([f"Z^{group.rank}"] if group.rank else []) + [f"Z/{q}" for q in group.torsion_invariants]
         raise NoIntegralLift(
             f"theta={theta} has no integral lift: -theta is not in the image of "
-            f"beta_dual in the dual group {' x '.join(group)}"
+            f"beta_dual in the dual group {' x '.join(names)}"
         ) from None
     return tuple(sol[:m])
 

@@ -526,7 +526,7 @@ def run(argv) -> int:
                 try:
                     payload = example_document(args.show)
                 except KeyError as e:
-                    raise InputError(str(e), path="--show")
+                    raise InputError(e.args[0], path="--show")
             elif args.write_dir:
                 written = []
                 try:

@@ -507,7 +507,7 @@ def primitive_vector(vec) -> tuple[int, ...]:
 # Gale duality
 
 
-def _presentation_matrix(group: FgAbelianGroup, hom_matrix: IntMatrix) -> IntMatrix:
+def presentation_matrix(group: FgAbelianGroup, hom_matrix: IntMatrix) -> IntMatrix:
     """Stack [B | Q]: a free presentation of the hom composed with the
     relations of a target with torsion."""
     d, invs = group.rank, group.torsion_invariants
@@ -536,7 +536,7 @@ def gale_dual(beta: GroupHom) -> GroupHom:
             raise TorsionColumn(f"column {j + 1} is torsion")
     if rational_rank(free.entries) < nbar_rank:
         raise InfiniteCokernel("rank of the map is smaller than the rank of the target")
-    pres = _presentation_matrix(beta.target, beta.matrix)
+    pres = presentation_matrix(beta.target, beta.matrix)
     # The cokernel of the presentation, from one Smith form U pres^T V = D
     # of rank r: rows r.. of U span ker(pres), and their Hermite form is
     # the canonical kernel basis that projects the free part; the torsion

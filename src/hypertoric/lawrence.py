@@ -172,10 +172,6 @@ class LawrenceFan:
         pairs = itertools.combinations(range(2 * self.m), 2)
         return tuple((a, b) for a, b in pairs if not any(a in c and b in c for c in self.max_cones))
 
-    def _nonfacial_degrees(self):
-        """Curve degrees of the nonfacial ray pairs."""
-        return [self.l_pairing(self.rays[a], self.rays[b]) for a, b in self.nonfacial_ray_pairs()]
-
     def cone_index(self, cone) -> int:
         """Lattice index of the sublattice spanned by a maximal cone's rays
         (1 means unimodular): |det b_I|, held in its chart."""
@@ -200,7 +196,7 @@ def build_lawrence_fan(arr: StackyArrangement) -> LawrenceFan:
     degree, and the located cone coordinates do not depend on the basis, so
     the same degrees, negated where flipped, give ``minimal_curve_degree``."""
     fan = LawrenceFan(arr)
-    degrees = fan._nonfacial_degrees()
+    degrees = [fan.l_pairing(fan.rays[a], fan.rays[b]) for a, b in fan.nonfacial_ray_pairs()]
     signs = []
     for t in range(len(fan.signs)):
         values = [x[t] for x in degrees]

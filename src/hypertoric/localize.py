@@ -341,7 +341,7 @@ class PaperSteinbergOperator(SteinbergOperator):
         return a * d != b * c
 
 
-def _sector_inverse(f: Fraction) -> Fraction:
+def sector_inverse(f: Fraction) -> Fraction:
     return Fraction(0) if f == 0 else 1 - f
 
 
@@ -373,7 +373,7 @@ def steinberg_operator(
         weight = integrate_base(phi_in, table, s_in.f).constant_value()
         for s_out in secs:
             sign = (-1) ** (s_in.age + s_out.age)
-            target = idx[_sector_inverse(s_out.f)]
+            target = idx[sector_inverse(s_out.f)]
             rows[target][idx[s_in.f]] += sign * weight
     operator = SteinbergOperator(order, tuple(tuple(r) for r in rows), {})
     return operator, operator
@@ -418,7 +418,7 @@ def box_square_sign_oracle(model: WeightedModel) -> str:
     """
     table = standard_table(model)
     for sec in sectors(model):
-        if sec.f == 0 or _sector_inverse(sec.f) != sec.f:
+        if sec.f == 0 or sector_inverse(sec.f) != sec.f:
             continue
         if sum(pt.multiplicity for pt in table.sector_points(sec.f)) <= 0:
             return "literal"

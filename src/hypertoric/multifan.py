@@ -199,12 +199,6 @@ def _box_vector(arr: StackyArrangement, indices, numerators, n: int) -> tuple[in
     return tuple(q for q, _ in out)
 
 
-def _alpha_vector(arr: StackyArrangement, alphas) -> tuple[int, ...]:
-    """``_box_vector`` of (index, Fraction) pairs, over their common denominator."""
-    n = lcm(*(a.denominator for _, a in alphas))
-    return _box_vector(arr, [i for i, _ in alphas], [a.numerator * (n // a.denominator) for _, a in alphas], n)
-
-
 def _subgroup(rows, s: int) -> list[tuple[int, ...]]:
     """The subgroup of (Z/s)^d spanned by ``rows`` mod s, one coset of the
     span so far per multiple of each new row until a coset repeats."""
@@ -259,7 +253,10 @@ def box_of(arr: StackyArrangement, alphas, v_torsion) -> BoxElement:
     with alpha in (0, 1) in index order, and torsion coordinates
     ``v_torsion``: its cone is their indices, its point sum alpha_i b̄_i."""
     alphas = tuple(alphas)
-    return BoxElement(_alpha_vector(arr, alphas), tuple(v_torsion), tuple(i for i, _ in alphas), alphas)
+    n = lcm(*(a.denominator for _, a in alphas))
+    cone = tuple(i for i, _ in alphas)
+    v_free = _box_vector(arr, cone, [a.numerator * (n // a.denominator) for _, a in alphas], n)
+    return BoxElement(v_free, tuple(v_torsion), cone, alphas)
 
 
 def box_inverse(box: BoxElement, arr: StackyArrangement) -> BoxElement:

@@ -188,25 +188,17 @@ class Poly:
 
     def substitute(self, assignment: dict) -> "Poly":
         """Substitute polynomials or scalars for named variables."""
-        subs = {}
-        for name, val in assignment.items():
-            if not isinstance(val, Poly):
-                val = self.ring.const(val)
-            subs[self.ring.index[name]] = val
-        out = self.ring.zero()
+        ring = self.ring
+        subs = {ring.index[n]: v if isinstance(v, Poly) else ring.const(v) for n, v in assignment.items()}
+        out = {}
         for m, c in self.terms.items():
-            term = self.ring.const(c)
+            term = Poly(ring, {tuple(0 if i in subs else e for i, e in enumerate(m)): c})
             for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                if i in subs:
+                if e and i in subs:
                     term = term * subs[i] ** e
-                else:
-                    mono = [0] * len(self.ring.names)
-                    mono[i] = e
-                    term = term * self.ring.monomial(mono)
-            out = out + term
-        return out
+            for k, v in term.terms.items():
+                out[k] = out[k] + v if k in out else v
+        return Poly(ring, out)
 
     def map_terms(self, fn) -> "Poly":
         """Rebuild from ``fn(mono, coeff) -> coeff or None`` (None drops)."""

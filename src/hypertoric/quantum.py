@@ -34,6 +34,7 @@ from hypertoric.localize import (
     WeightedModel,
     fiber_class_expr,
     integrate_base,
+    sector_inverse,
     sectors,
     standard_table,
 )
@@ -209,7 +210,7 @@ class CircuitModel:
         sign = (-1) ** (self._sectors[f1].age + self._sectors[f2].age)
         if f2 not in self._outputs:
             self._outputs[f2] = (
-                self.box_of_sector(Fraction(0) if f2 == 0 else 1 - f2),
+                self.box_of_sector(sector_inverse(f2)),
                 self.fiber_dual(fiber_class_expr(self.model, self._sectors[f2].support)),
             )
         out_box, out_class = self._outputs[f2]

@@ -71,3 +71,17 @@ def rank3_family():
         except ValueError:  # not a valid generic input
             continue
     return out
+
+
+@pytest.fixture(scope="session")
+def a_n():
+    """The A_{m-1} surfaces for m = 2..16, keyed by m: d = 1, m points on a
+    line, beta = [[1]] x m, psi = (0, 1, ..., m - 1), theta = -beta_dual(psi)."""
+    out = {}
+    for m in range(2, 17):
+        cols = [(1,)] * m
+        psi = tuple(range(m))
+        dual = gale_dual(GroupHom(FgAbelianGroup(m), FgAbelianGroup(1), IntMatrix.from_rows([(1,) * m])))
+        theta = tuple(-x for x in dual.matrix.apply(psi))
+        out[m] = StackyArrangement.build(FgAbelianGroup(1), cols, theta, psi)
+    return out

@@ -24,6 +24,7 @@ from hypertoric.exactalg import (
     gale_dual,
     kernel_basis,
     rational_rank,
+    solve_integer,
 )
 from hypertoric.multifan import circuits
 
@@ -121,6 +122,62 @@ def test_lift_theta_examples():
     assert lift_theta(dual11, (0,)) == (0, 0)
     dual12 = dual_of([(-2,), (1,)], 1)
     assert lift_theta(dual12, (1,)) == (-1, 0)
+
+
+# The lift of every shipped and ladder document, pinned before lift_theta
+# solved the dual group's presentation matrix instead of its own rows.
+PINNED_LIFTS = {
+    "cotangent-p1": (1, 0),
+    "cotangent-p12": (1, 0),
+    "hirzebruch": (2, 1, 0, 0),
+    "hirzebruch-weighted": (3, 1, 0, 0),
+    "d2m10": (-5, -17, -13, -10, -3, 12, 0, -9, 0, 15),
+    "d2m6": (-1, -6, 0, 1, 0, 10),
+    "d2m8": (7, 1, 1, -4, -8, -5, 0, 0),
+    "d3m7": (-22, -23, 0, 14, -57, 0, 0),
+    "d3m8": (275094, 166268, 152756, -433929, -204124, 383238, 13518, 1359),
+    "d3m9": (162, 89, 0, 155, -36, 133, -116, 0, -116),
+    "d4m6": (0, 48, 147, -1323, 0, 0),
+    "probe-d4m7": (0, 0, 318, 32, -947, -128, 193),
+    "probe-d4m8": (-217, 0, -108, 0, -83, 0, 95, 0),
+    "tp1123": (1, 0, 0, 0),
+    "tp2": (1, 0, 0),
+    "tp3": (1, 0, 0, 0),
+    "tp4": (1, 0, 0, 0, 0),
+}
+
+
+def hand_built_lift(beta_dual, theta):
+    """The reference: lift_theta's former own rows, [free rows of beta_dual |
+    0] then [torsion row j of beta_dual | order_j in column m + j]."""
+    f = beta_dual.target.rank
+    orders = beta_dual.target.torsion_invariants
+    m = beta_dual.matrix.ncols
+    rows = []
+    for i in range(f + len(orders)):
+        row = list(beta_dual.matrix.row(i)) + [0] * len(orders)
+        if i >= f:
+            row[m + i - f] = orders[i - f]
+        rows.append(row)
+    if not rows:
+        return (0,) * m
+    return tuple(solve_integer(IntMatrix.from_rows(rows), [-t for t in theta])[:m])
+
+
+def test_lift_theta_is_pinned_and_matches_the_hand_built_rows(shipped, ladder, rank3_family):
+    docs = {**shipped, **ladder}
+    assert sorted(docs) == sorted(PINNED_LIFTS)
+    for name, arr in docs.items():
+        psi = lift_theta(arr.beta_dual, arr.theta)
+        assert psi == PINNED_LIFTS[name] == hand_built_lift(arr.beta_dual, arr.theta), name
+    assert docs["probe-d4m7"].beta_dual.target.torsion_invariants == (2,)
+    for arr in rank3_family:
+        assert lift_theta(arr.beta_dual, arr.theta) == hand_built_lift(arr.beta_dual, arr.theta)
+    torsion = dual_of([(2,)], 1)
+    for theta in ((0,), (1,), (3,)):
+        assert lift_theta(torsion, theta) == hand_built_lift(torsion, theta)
+    trivial = GroupHom(FgAbelianGroup(2), FgAbelianGroup(0), IntMatrix.zero(0, 2))
+    assert lift_theta(trivial, ()) == hand_built_lift(trivial, ()) == (0, 0)
 
 
 def test_lift_validated_against_substitution(shipped):

@@ -47,6 +47,13 @@ def test_examples_list(capsys):
     ]
 
 
+def test_examples_show_unknown_prints_the_message_unquoted(capsys):
+    code, out = invoke(capsys, ["examples", "--show", "nope"])
+    assert code == 2
+    known = ", ".join(example_names())
+    assert json.loads(out)["error"] == {"message": f"unknown example 'nope'; known: {known}", "path": "--show"}
+
+
 def test_gale_weighted_line(capsys, write_examples):
     code, out = invoke(capsys, ["gale", "--input", write_examples["cotangent-p12"]])
     assert code == 0

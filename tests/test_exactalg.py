@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hypertoric.exactalg import (
     ExactAlgError,
-    _presentation_matrix,
+    presentation_matrix,
     FgAbelianGroup,
     GroupHom,
     InfiniteCokernel,
@@ -168,7 +168,7 @@ def test_gale_dual_kernel_from_one_smith_form():
         group = FgAbelianGroup(d, rng.choice([(), (2,), (3,), (2, 4), (6,)]))
         rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(group.generator_count)]
         beta = GroupHom(FgAbelianGroup(m), group, IntMatrix.from_rows(rows))
-        pres = _presentation_matrix(group, beta.matrix)
+        pres = presentation_matrix(group, beta.matrix)
         u, diagonal, _ = smith_normal_form(pres.transpose())
         r = sum(1 for i in range(min(diagonal.shape)) if diagonal[i, i])
         kernel = kernel_basis(pres)

@@ -503,3 +503,16 @@ def test_circuits_match_minimal_non_face_enumeration(wide):
         assert got == minimal_non_face_circuits(arr)
         total += len(got)
     assert total > 500
+
+
+def test_a_n_circuits_boxes_and_normal_kernel(a_n):
+    """Every pair of the m points on a line is a circuit of weights (1, 1),
+    the only box is the trivial one and the normals have an (m - 1)-row
+    kernel (ROADMAP 14)."""
+    for m, arr in a_n.items():
+        found = circuits(arr)
+        assert len(found) == m * (m - 1) // 2
+        assert {c.weights for c in found} == {(1, 1)}
+        (box,) = box_elements(arr)
+        assert box.sigma == () and box.alphas == ()
+        assert len(arr.normal_kernel) == m - 1

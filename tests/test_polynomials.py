@@ -233,6 +233,43 @@ def test_kernel_matches_sympy_and_fraction_reference():
     assert min(seen.values()) >= 10, seen
 
 
+def test_substitute_several_variables_matches_the_reference():
+    """One assignment names several variables at once, mixes Poly, int and
+    Fraction values, and may name a variable the polynomial lacks: the
+    result agrees with sympy and with the one-factor-at-a-time reference."""
+    import sympy
+
+    rng = random.Random(2525)
+    ring = PolyRing(["x", "y", "z", "w"])
+    zero = ring._zero_mono
+    syms = [sympy.Symbol(n) for n in ring.names]
+    seen = {"several": 0, "mixed": 0, "absent": 0}
+    for _ in range(60):
+        absent = rng.randrange(4)
+        a = _mixed_poly(rng, ring, rng.randint(0, 5), 4).map_terms(
+            lambda mono, coeff: None if mono[absent] else coeff
+        )
+        assert absent not in a.support()
+        names = rng.sample(range(4), rng.randint(1, 4))
+        values = {
+            i: _mixed_poly(rng, ring, rng.randint(0, 3), 2) if rng.random() < 0.5 else _mixed_coeff(rng)
+            for i in names
+        }
+        sub = a.substitute({ring.names[i]: v for i, v in values.items()})
+        _assert_exact(sub)
+        ref = {i: v.terms if isinstance(v, Poly) else _ref_scale({zero: 1}, v) for i, v in values.items()}
+        assert sub.terms == _ref_substitute(a.terms, ref, zero)
+        expr = poly_to_sympy(a).xreplace(
+            {syms[i]: poly_to_sympy(v) if isinstance(v, Poly) else sympy.Rational(v) for i, v in values.items()}
+        )
+        assert sympy.expand(poly_to_sympy(sub) - expr) == 0
+        kinds = {type(v) for v in values.values()}
+        seen["several"] += len(values) > 1
+        seen["mixed"] += Poly in kinds and len(kinds) > 1
+        seen["absent"] += absent in values
+    assert min(seen.values()) >= 10, seen
+
+
 def test_float_coefficients_are_refused():
     """A float's exact binary value is rarely the number meant, so every
     way a scalar enters a polynomial refuses one."""

@@ -629,3 +629,28 @@ def test_minimal_unit_matches_circuit_lcm(tp1, tp12):
     fan12, _ = qsr_presentation(tp12, order=2)
     assert minimal_curve_unit(fan12) == (Fraction(1, 2),)
 
+
+def _a_n_product(arr):
+    """u1 * u2 on an A_{m-1} surface at the default order 6, with its cup product."""
+    q = QuantumContext(arr)
+    ctx = q.context
+    u1, u2 = (CRClass.untwisted(ctx, ctx.u(i)) for i in (0, 1))
+    return quantum_divisor_product(q, 0, u2, 6), cr_multiply(u1, u2)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_n_classical_limit(m, a_n):
+    """The q^0 coefficient of u1 * u2 is the Chen-Ruan cup product (ROADMAP 14)."""
+    series, cup = _a_n_product(a_n[m])
+    assert series.coefficient((0,) * len(circuits(a_n[m]))) == cup
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InvariantError,
+    reason="divisor u2 cannot be eliminated into circuit (0, 2): the circuit models "
+    "eliminate one outside divisor at a time (ROADMAP 7)",
+)
+@pytest.mark.parametrize("m", range(4, 17))
+def test_a_n_quantum_divisor_product(m, a_n):
+    _a_n_product(a_n[m])
