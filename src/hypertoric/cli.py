@@ -61,7 +61,7 @@ from hypertoric.quantum import (
 from hypertoric.svg import UnsupportedDimension, emit_svg
 
 # The one copy of the schema, shipped as package data.  Its keywords keep the
-# order in which jsonschema meets them, and so does ``schema_errors``.
+# order in which jsonschema meets them, and so does ``_schema_errors``.
 with open(os.path.join(os.path.dirname(__file__), "arrangement.schema.json"), encoding="utf-8") as fh:
     ARRANGEMENT_SCHEMA = json.load(fh)
 
@@ -110,7 +110,7 @@ def validate_document(doc) -> None:
     "First" is jsonschema's choice: a stable sort of the violations, in the
     order the keywords are met, on the text of the path as a list.
     """
-    errors = sorted(schema_errors(ARRANGEMENT_SCHEMA, doc), key=lambda e: repr(list(e[1])))
+    errors = sorted(_schema_errors(ARRANGEMENT_SCHEMA, doc), key=lambda e: repr(list(e[1])))
     if errors:
         message, path = errors[0]
         raise InputError(message, path="/".join(map(str, path)) or "(document)")
@@ -125,7 +125,9 @@ _IS_TYPE = {
 }
 
 
-def schema_errors(schema: dict, x, path=()):
+# Private, as ``_to_json`` is: the benchmark tracer would wrap this recursive
+# generator, and its spans would time only the generator's creation.
+def _schema_errors(schema: dict, x, path=()):
     """Yield (message, path) for each violation of ``schema`` by ``x``, with
     JSON Schema 2020-12 semantics and jsonschema's messages.  Only the
     keywords ``ARRANGEMENT_SCHEMA`` uses are known; any other raises."""
@@ -144,11 +146,11 @@ def schema_errors(schema: dict, x, path=()):
                 yield f"{x!r} {'should be non-empty' if rule == 1 else 'is too short'}", path
         elif key == "items":
             for i, item in enumerate(x if isinstance(x, list) else ()):
-                yield from schema_errors(rule, item, (*path, i))
+                yield from _schema_errors(rule, item, (*path, i))
         elif key == "properties":
             for name, sub in rule.items():
                 if isinstance(x, dict) and name in x:
-                    yield from schema_errors(sub, x[name], (*path, name))
+                    yield from _schema_errors(sub, x[name], (*path, name))
         elif key == "required":
             for name in rule:
                 if isinstance(x, dict) and name not in x:
@@ -242,7 +244,7 @@ def payload_box(arr: StackyArrangement) -> dict:
     return {"box_elements": out}
 
 
-def payload_core(arr: StackyArrangement) -> dict:
+def payload_core(arr: StackyArrangement, svg=None) -> dict:
     out = []
     for chamber, fan in arr.core():
         out.append(
@@ -256,7 +258,14 @@ def payload_core(arr: StackyArrangement) -> dict:
                 },
             }
         )
-    return {"chambers": out, "psi_convention": list(arr.psi)}
+    payload = {"chambers": out, "psi_convention": list(arr.psi)}
+    if svg:
+        try:
+            emit_svg(arr, svg)
+        except (UnsupportedDimension, OSError) as e:
+            raise InputError(str(e), path="--svg")
+        payload["svg"] = svg
+    return payload
 
 
 def payload_fan(arr: StackyArrangement) -> dict:
@@ -374,7 +383,7 @@ def _series_payload(series) -> list:
     return out
 
 
-def payload_quantum(arr: StackyArrangement, i: int, j: int, order: int, convention: str) -> dict:
+def payload_quantum_divisor(arr: StackyArrangement, i: int, j: int, order: int, convention: str) -> dict:
     for index, flag in ((i, "--divisor"), (j, "--with")):
         if not 1 <= index <= arr.m:
             raise InputError("divisor indices must be in 1..m", path=flag)
@@ -395,16 +404,7 @@ def payload_quantum(arr: StackyArrangement, i: int, j: int, order: int, conventi
             conv: _series_payload(quantum_divisor_product(qctx, i - 1, x, order, conv))
             for conv in SIGN_CONVENTIONS
         }
-        payload["differential_sign_report"] = [
-            {
-                "circuit": [t + 1 for t in entry["circuit"]],
-                "residue": entry["residue"],
-                "first_divergence_from_calibrated": entry[
-                    "first_divergence_from_calibrated"
-                ],
-            }
-            for entry in differential_sign_report(qctx, order)
-        ]
+        payload["differential_sign_report"] = differential_sign_report(qctx, order)
     else:
         series = quantum_divisor_product(qctx, i - 1, x, order, convention)
         payload["series"] = _series_payload(series)
@@ -465,54 +465,49 @@ def render_text(command: str, payload: dict) -> str:
 # Driver
 
 
+_CIRCUIT_OPTIONS = (
+    ("--circuit", {"type": int, "default": 1}),
+    ("--convention", {"choices": ("standard", "paper"), "default": "standard"}),
+)
+_MAX_Q_ORDER = ("--max-q-order", {"type": int, "default": 6})
+
+# Each command's own options, as (flag, argparse keywords), in the order
+# ``payload_<command>`` takes their values; one that is not required goes into
+# the envelope's flags when it has a value.  ``run`` looks the builder up by
+# name, so a module attribute patched or traced later is the one called.
+COMMANDS = {
+    "gale": (),
+    "circuits": (),
+    "box": (),
+    "core": (("--svg", {}),),
+    "fan": (),
+    "cohomology": (("--convention", {"choices": ("paper", "literal"), "default": "paper"}),),
+    "localize": _CIRCUIT_OPTIONS,
+    "steinberg": _CIRCUIT_OPTIONS,
+    "quantum-divisor": (
+        ("--divisor", {"type": int, "required": True}),
+        ("--with", {"dest": "with_", "type": int, "required": True}),
+        _MAX_Q_ORDER,
+        ("--sign-convention", {"choices": (*SIGN_CONVENTIONS, "all"), "default": "example-calibrated"}),
+    ),
+    "qsr": (_MAX_Q_ORDER,),
+}
+_EXAMPLES_OPTIONS = (("--list", {"action": "store_true"}), ("--show", {}), ("--write-dir", {}))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hypertoric")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, needs_input=True):
-        if needs_input:
+    for name, options in (*COMMANDS.items(), ("examples", _EXAMPLES_OPTIONS)):
+        sp = sub.add_parser(name)
+        if name != "examples":
             sp.add_argument("--input", required=True)
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--timing", action="store_true")
         sp.add_argument("--debug", action="store_true")
-
-    common(sub.add_parser("gale"))
-    common(sub.add_parser("circuits"))
-    common(sub.add_parser("box"))
-    core = sub.add_parser("core")
-    common(core)
-    core.add_argument("--svg")
-    common(sub.add_parser("fan"))
-    coh = sub.add_parser("cohomology")
-    common(coh)
-    coh.add_argument("--convention", choices=("paper", "literal"), default="paper")
-    loc = sub.add_parser("localize")
-    common(loc)
-    loc.add_argument("--circuit", type=int, default=1)
-    loc.add_argument("--convention", choices=("standard", "paper"), default="standard")
-    st = sub.add_parser("steinberg")
-    common(st)
-    st.add_argument("--circuit", type=int, default=1)
-    st.add_argument("--convention", choices=("standard", "paper"), default="standard")
-    qd = sub.add_parser("quantum-divisor")
-    common(qd)
-    qd.add_argument("--divisor", type=int, required=True)
-    qd.add_argument("--with", dest="with_", type=int, required=True)
-    qd.add_argument("--max-q-order", type=int, default=6)
-    qd.add_argument(
-        "--sign-convention",
-        choices=(*SIGN_CONVENTIONS, "all"),
-        default="example-calibrated",
-    )
-    qsr = sub.add_parser("qsr")
-    common(qsr)
-    qsr.add_argument("--max-q-order", type=int, default=6)
-    ex = sub.add_parser("examples")
-    common(ex, needs_input=False)
-    ex.add_argument("--list", action="store_true")
-    ex.add_argument("--show")
-    ex.add_argument("--write-dir")
+        for flag, keywords in options:
+            sp.add_argument(flag, **keywords)
     return p
 
 
@@ -549,45 +544,14 @@ def run(argv) -> int:
         doc = load_document(args.input)
         arr = build_arrangement(doc)
         flags = {"format": args.format}
-        if args.command == "gale":
-            payload = payload_gale(arr)
-        elif args.command == "circuits":
-            payload = payload_circuits(arr)
-        elif args.command == "box":
-            payload = payload_box(arr)
-        elif args.command == "core":
-            payload = payload_core(arr)
-            if args.svg:
-                try:
-                    emit_svg(arr, args.svg)
-                except (UnsupportedDimension, OSError) as e:
-                    raise InputError(str(e), path="--svg")
-                payload["svg"] = args.svg
-                flags["svg"] = args.svg
-        elif args.command == "fan":
-            payload = payload_fan(arr)
-        elif args.command == "cohomology":
-            flags["convention"] = args.convention
-            payload = payload_cohomology(arr, args.convention)
-        elif args.command == "localize":
-            flags["convention"] = args.convention
-            flags["circuit"] = args.circuit
-            payload = payload_localize(arr, args.circuit, args.convention)
-        elif args.command == "steinberg":
-            flags["convention"] = args.convention
-            flags["circuit"] = args.circuit
-            payload = payload_steinberg(arr, args.circuit, args.convention)
-        elif args.command == "quantum-divisor":
-            flags["sign_convention"] = args.sign_convention
-            flags["max_q_order"] = args.max_q_order
-            payload = payload_quantum(
-                arr, args.divisor, args.with_, args.max_q_order, args.sign_convention
-            )
-        elif args.command == "qsr":
-            flags["max_q_order"] = args.max_q_order
-            payload = payload_qsr(arr, args.max_q_order)
-        else:  # pragma: no cover
-            raise InputError(f"unknown command {args.command}")
+        values = []
+        for flag, keywords in COMMANDS[args.command]:
+            dest = keywords.get("dest", flag[2:].replace("-", "_"))
+            value = getattr(args, dest)
+            values.append(value)
+            if not keywords.get("required") and value not in (None, ""):
+                flags[dest] = value
+        payload = globals()["payload_" + args.command.replace("-", "_")](arr, *values)
         timing = int((time.monotonic() - start) * 1000) if args.timing else None
         env = envelope(args.command, doc, flags, payload, timing)
         _print(env, args)

@@ -14,12 +14,12 @@ from fractions import Fraction
 from functools import cached_property
 from math import prod
 
-from hypertoric.arrangement import ArrangementError, StackyArrangement
+from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
 from hypertoric.multifan import BoxElement, box_elements, box_of, circuits
 from hypertoric.polynomials import Poly, PolyRing
 
 
-class UnreducedInput(ArrangementError):
+class UnreducedInput(InvariantError):
     """A sector polynomial contains a monomial that the sector annihilates."""
 
 

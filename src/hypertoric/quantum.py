@@ -389,7 +389,8 @@ def star_word(qctx: QuantumContext, word, order: int, convention="example-calibr
 
 def differential_sign_report(qctx: QuantumContext, order: int):
     """Per circuit and residue class, the first order where each literal
-    reading departs from the calibrated one, or None up to ``order``."""
+    reading departs from the calibrated one, or None up to ``order``.  The
+    circuit's hyperplanes are numbered from 1, as printed."""
     calibrated, *literal = SIGN_CONVENTIONS
     report = []
     for circuit, pairs in zip(qctx.context.circuits, qctx.pairs):
@@ -402,8 +403,9 @@ def differential_sign_report(qctx: QuantumContext, order: int):
                     if _convention_sign(conv, circuit, d) != _convention_sign(calibrated, circuit, d)
                 )
                 divergence[conv] = next(differs, None)
+            support = [t + 1 for t in circuit.support]
             report.append(
-                {"circuit": circuit.support, "residue": r, "first_divergence_from_calibrated": divergence}
+                {"circuit": support, "residue": r, "first_divergence_from_calibrated": divergence}
             )
     return report
 

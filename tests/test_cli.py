@@ -539,6 +539,25 @@ def test_localize_fault_in_quantum_divisor_is_internal(capsys, write_examples, m
     assert captured.err == "internal error: forced\n"
 
 
+def test_unreduced_class_in_a_product_is_internal(capsys, write_examples, monkeypatch):
+    """The commands pass ``cr_multiply`` normal forms only, so an unreduced
+    class reaching it is a program fault: exit 1, not a bad input."""
+    import hypertoric.cli as cli
+    from hypertoric.crring import CRClass, cr_multiply
+
+    def broken(arr, sign):
+        ctx = CohomologyContext(arr)
+        bad = CRClass(ctx, ((ctx.trivial_box(), ctx.u(0) * ctx.u(1)),))
+        return cr_multiply(bad, CRClass.untwisted(ctx, ctx.u(0)))
+
+    monkeypatch.setattr(cli, "payload_cohomology", broken)
+    code = run(["cohomology", "--input", write_examples["cotangent-p12"]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "internal error: sector polynomial contains a vanishing monomial\n"
+
+
 def _call(capsys, argv):
     """Exit code, stdout and stderr of one ``run``; argparse exits itself."""
     try:
@@ -632,6 +651,35 @@ def test_reused_parser_leaks_no_state(capsys, write_examples, tmp_path):
     assert json.loads(reused[7][1])["flags"]["convention"] == "paper"
     assert json.loads(reused[9][1])["flags"]["format"] == "json"
     assert "the following arguments are required: --input" in reused[10][2]
+
+
+def test_flags_echo_the_options_that_are_set(capsys, write_examples, tmp_path):
+    """Each command's envelope echoes its format and every option that is
+    not required and has a value: not --divisor or --with, not an --svg
+    that is absent or empty, and a --max-q-order of 0."""
+    p12, hirz = write_examples["cotangent-p12"], write_examples["hirzebruch"]
+    svg = str(tmp_path / "core.svg")
+    runs = [
+        (["gale", "--input", p12], {"format": "json"}),
+        (["core", "--input", hirz], {"format": "json"}),
+        (["core", "--input", hirz, "--svg", svg], {"format": "json", "svg": svg}),
+        (["core", "--input", hirz, "--svg", ""], {"format": "json"}),
+        (["cohomology", "--input", p12], {"format": "json", "convention": "paper"}),
+        (["localize", "--input", p12], {"format": "json", "circuit": 1, "convention": "standard"}),
+        (
+            ["steinberg", "--input", p12, "--circuit", "1", "--convention", "paper"],
+            {"format": "json", "circuit": 1, "convention": "paper"},
+        ),
+        (
+            ["quantum-divisor", "--input", p12, "--divisor", "2", "--with", "1", "--max-q-order", "3"],
+            {"format": "json", "max_q_order": 3, "sign_convention": "example-calibrated"},
+        ),
+        (["qsr", "--input", p12, "--max-q-order", "0"], {"format": "json", "max_q_order": 0}),
+    ]
+    for argv, flags in runs:
+        code, out = invoke(capsys, argv)
+        assert code == 0, argv
+        assert json.loads(out)["flags"] == flags, argv
 
 
 def test_truncation_too_small_is_input_error(capsys, write_examples):
@@ -753,14 +801,14 @@ def test_validator_matches_jsonschema():
     first error and accepts what jsonschema accepts."""
     import jsonschema
 
-    from hypertoric.cli import ARRANGEMENT_SCHEMA, InputError, schema_errors, validate_document
+    from hypertoric.cli import ARRANGEMENT_SCHEMA, InputError, _schema_errors, validate_document
 
     oracle = jsonschema.Draft202012Validator(ARRANGEMENT_SCHEMA)
     seen = {"valid": 0}
     for doc in _mutated_documents(random.Random(2015), 2500):
         errors = sorted(oracle.iter_errors(doc), key=lambda e: str(e.path))
         expected = [(e.message, "/".join(map(str, e.path)) or "(document)") for e in errors]
-        ours = sorted(schema_errors(ARRANGEMENT_SCHEMA, doc), key=lambda e: repr(list(e[1])))
+        ours = sorted(_schema_errors(ARRANGEMENT_SCHEMA, doc), key=lambda e: repr(list(e[1])))
         assert [(m, "/".join(map(str, p)) or "(document)") for m, p in ours] == expected, doc
         try:
             validate_document(doc)
@@ -775,11 +823,11 @@ def test_validator_matches_jsonschema():
 
 
 def test_validator_rejects_unknown_schema_keywords():
-    from hypertoric.cli import schema_errors
+    from hypertoric.cli import _schema_errors
 
     for schema in ({"type": "number"}, {"maxItems": 3}, {"const": 1}, {"additionalProperties": {}}):
         with pytest.raises(ValueError, match="not supported"):
-            list(schema_errors(schema, 1))
+            list(_schema_errors(schema, 1))
 
 
 def test_integral_floats_hash_as_integers(capsys, tmp_path):

@@ -11,6 +11,9 @@ and its circuits are the cocircuits: the minimal sets meeting every basis.
 Each shipped example with a torsion factor Z/q added keeps the
 relabelling check, and multiplying its torsion row by a unit u mod q
 maps the invariants exactly and each box's torsion coordinates by u.
+Negating psi (and so theta) gives an isomorphic stack: each circuit's
+sides swap, the Lawrence rays z_i and w_i swap, and the boxes and the
+number of bounded chambers stay.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import pytest
 from hypertoric.arrangement import ArrangementError, NonGenericTheta, StackyArrangement
 from hypertoric.examples_data import example_document, example_names
 from hypertoric.exactalg import FgAbelianGroup, GroupHom, IntMatrix, gale_dual
+from hypertoric.lawrence import build_lawrence_fan
 from hypertoric.multifan import box_elements, circuits
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -174,3 +178,51 @@ def test_the_gale_dual(path):
         s for s in subsets if meets_every_basis(s) and not any(meets_every_basis(s - {i}) for i in s)
     }
     assert {frozenset(circuit.support) for circuit in circuits(dual)} == cocircuits
+
+
+# The CI document with torsion Z/3 (six boxes); its psi is lifted from theta.
+Z3_DOCUMENT = {
+    "schema_version": "hypertoric-arrangement/1",
+    "rank": 1,
+    "torsion": [3],
+    "beta": [[2, 0], [1, 1]],
+    "theta": [3],
+}
+
+
+def assert_negated_psi_swaps_the_sides(doc: dict):
+    """The swap (z, w) -> (w, z) carries the theta-semistable points to the
+    (-theta)-semistable ones, so the stacks of psi and -psi are isomorphic
+    (Hausel-Sturmfels; Proudfoot's survey).  Under it each circuit keeps its
+    support and weights with its sides swapped, the Lawrence ray r goes to
+    r + m or r - m (z_i <-> w_i), and the boxes and bounded chamber count
+    do not change."""
+    arr = StackyArrangement.from_data(doc)
+    neg = rewritten({"torsion": [], **doc}, doc["beta"], [-x for x in arr.psi])
+    m = arr.m
+    assert {(c.support, c.weights, c.positive, c.negative) for c in circuits(arr)} == {
+        (c.support, c.weights, c.negative, c.positive) for c in circuits(neg)
+    }
+    cones = build_lawrence_fan(arr).max_cones
+    assert {tuple(sorted((r + m) % (2 * m) for r in cone)) for cone in cones} == set(
+        build_lawrence_fan(neg).max_cones
+    )
+    assert box_elements(neg) == box_elements(arr)
+    assert len(neg.bounded_chambers()) == len(arr.bounded_chambers())
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [json.loads(path.read_text()) for path in sorted(ROOT.glob("arrangements/*.json"))]
+    + [json.loads(path.read_text()) for path in sorted(ROOT.glob("bench/ladder/*.json"))]
+    + [Z3_DOCUMENT],
+    ids=lambda doc: doc.get("name", "z3"),
+)
+def test_negating_psi_swaps_the_sides(doc):
+    assert_negated_psi_swaps_the_sides(doc)
+
+
+def test_negating_psi_in_the_rank3_family(rank3_family):
+    for arr in rank3_family:
+        columns = [arr.beta.column(j) for j in range(arr.m)]
+        assert_negated_psi_swaps_the_sides({"rank": 3, "beta": columns, "theta": arr.theta, "psi": arr.psi})
