@@ -25,6 +25,7 @@ from hypertoric.exactalg import (
     GroupHom,
     IntMatrix,
     NotInImage,
+    Record,
     gale_dual,
     integer_inverse,
     kernel_basis,
@@ -64,7 +65,7 @@ MAX_HYPERPLANES = 16
 # Arrangement data
 
 
-class Chamber:
+class Chamber(Record):
     """A bounded chamber P_U: the hyperplanes in ``flips`` keep their
     coorientation (side 'F', <b_i, v> + psi_i >= 0), the others are
     reversed (side 'G').  ``corners`` pairs each vertex, in sorted order,
@@ -72,15 +73,11 @@ class Chamber:
 
     __slots__ = ("flips", "corners")
 
-    def __init__(self, flips: frozenset, corners: tuple):
-        self.flips = flips
-        self.corners = corners
-
     def vertices(self):
         return [point for point, _ in self.corners]
 
 
-class _Vertex:
+class _Vertex(Record):
     """A vertex of a simple arrangement, stored under its tight set T.
     ``above`` has bit i set when <b_i, v> + psi_i > 0; ``ends[k]`` holds the
     far ends (tight sets, None for an unbounded edge) of the edges along
@@ -89,20 +86,11 @@ class _Vertex:
 
     __slots__ = ("point", "above", "ends")
 
-    def __init__(self, point: tuple, above: int, ends: tuple):
-        self.point = point
-        self.above = above
-        self.ends = ends
 
-
-class NormalFan:
+class NormalFan(Record):
     """Rays (primitive integer vectors) plus maximal cones as ray index sets."""
 
     __slots__ = ("rays", "max_cones")
-
-    def __init__(self, rays: tuple, max_cones: tuple):
-        self.rays = rays
-        self.max_cones = max_cones
 
     @staticmethod
     def of(cones) -> "NormalFan":

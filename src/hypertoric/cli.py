@@ -259,7 +259,7 @@ def payload_core(arr: StackyArrangement, svg=None) -> dict:
             }
         )
     payload = {"chambers": out, "psi_convention": list(arr.psi)}
-    if svg:
+    if svg is not None:
         try:
             emit_svg(arr, svg)
         except (UnsupportedDimension, OSError) as e:
@@ -517,12 +517,12 @@ def run(argv) -> int:
     try:
         if args.command == "examples":
             doc = {"schema_version": SCHEMA_VERSION, "rank": 0, "beta": [[]], "theta": []}
-            if args.show:
+            if args.show is not None:
                 try:
                     payload = example_document(args.show)
                 except KeyError as e:
                     raise InputError(e.args[0], path="--show")
-            elif args.write_dir:
+            elif args.write_dir is not None:
                 written = []
                 try:
                     os.makedirs(args.write_dir, exist_ok=True)
@@ -537,7 +537,7 @@ def run(argv) -> int:
             else:
                 payload = {"examples": list(example_names())}
             flags = {"format": args.format}
-            env = envelope("examples", payload if args.show else doc, flags, payload)
+            env = envelope("examples", payload if args.show is not None else doc, flags, payload)
             _print(env, args)
             return 0
 
@@ -549,7 +549,7 @@ def run(argv) -> int:
             dest = keywords.get("dest", flag[2:].replace("-", "_"))
             value = getattr(args, dest)
             values.append(value)
-            if not keywords.get("required") and value not in (None, ""):
+            if not keywords.get("required") and value is not None:
                 flags[dest] = value
         payload = globals()["payload_" + args.command.replace("-", "_")](arr, *values)
         timing = int((time.monotonic() - start) * 1000) if args.timing else None

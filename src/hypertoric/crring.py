@@ -15,6 +15,7 @@ from functools import cached_property
 from math import prod
 
 from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
+from hypertoric.exactalg import Record
 from hypertoric.multifan import BoxElement, box_elements, box_of, circuits
 from hypertoric.polynomials import Poly, PolyRing
 
@@ -92,14 +93,11 @@ class CohomologyContext:
         return poly.map_terms(keep)
 
 
-class CRClass:
-    """A Chen-Ruan class: one polynomial per sector, trivial box untwisted."""
+class CRClass(Record):
+    """A Chen-Ruan class: one polynomial per sector, trivial box untwisted.
+    ``components`` holds (BoxElement, Poly) pairs, sorted and reduced."""
 
     __slots__ = ("context", "components")
-
-    def __init__(self, context: CohomologyContext, components: tuple):
-        self.context = context
-        self.components = components  # tuple of (BoxElement, Poly), sorted, reduced
 
     @staticmethod
     def build(context: CohomologyContext, parts: dict) -> "CRClass":
@@ -147,16 +145,6 @@ class CRClass:
     def scale_poly(self, poly: Poly) -> "CRClass":
         return CRClass.build(self.context, {b: p * poly for b, p in self.components})
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CRClass)
-            and self.context is other.context
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash(self.components)
-
     def __str__(self):
         if not self.components:
             return "0"
@@ -173,28 +161,17 @@ class CRClass:
 # Presentations
 
 
-class Relation:
-    """One defining relation, printed as ``text``: the sector units
-    ``lhs_boxes`` times ``lhs_poly`` equal ``rhs`` (a class with at most one
-    box symbol)."""
+class Relation(Record):
+    """One defining relation of ``kind`` "monomial", "circuit", "box-u" or
+    "box-box", printed as ``text``: the sector units ``lhs_boxes`` times
+    ``lhs_poly`` (None for 1) equal ``rhs`` (a class with at most one box
+    symbol; None for 0)."""
 
     __slots__ = ("kind", "text", "lhs_boxes", "lhs_poly", "rhs")
 
-    def __init__(self, kind: str, text: str, lhs_boxes: tuple = (),
-                 lhs_poly: Poly | None = None, rhs: CRClass | None = None):
-        self.kind = kind  # "monomial" | "circuit" | "box-u" | "box-box"
-        self.text = text
-        self.lhs_boxes = lhs_boxes
-        self.lhs_poly = lhs_poly
-        self.rhs = rhs
 
-
-class RingPresentation:
+class RingPresentation(Record):
     __slots__ = ("generators", "relations")
-
-    def __init__(self, generators: tuple[str, ...], relations: tuple[Relation, ...]):
-        self.generators = generators
-        self.relations = relations
 
     def texts(self) -> tuple[str, ...]:
         return tuple(r.text for r in self.relations)
@@ -208,7 +185,7 @@ def ht_presentation(context: CohomologyContext) -> RingPresentation:
         poly = context.ring.one()
         for i in c.support:
             poly = poly * context.u(i)
-        rels.append(Relation("monomial", f"{poly} = 0", lhs_poly=poly))
+        rels.append(Relation("monomial", f"{poly} = 0", (), poly, None))
     return RingPresentation(gens, tuple(rels))
 
 
@@ -227,7 +204,7 @@ def htt_presentation(context: CohomologyContext) -> RingPresentation:
     rels = []
     for c in context.circuits:
         poly = circuit_relation_poly(context, c)
-        rels.append(Relation("circuit", f"{poly} = 0", lhs_poly=poly))
+        rels.append(Relation("circuit", f"{poly} = 0", (), poly, None))
     return RingPresentation(gens, tuple(rels))
 
 
@@ -291,25 +268,12 @@ def cr_presentation(
         for i in range(context.arr.m):
             if i in sigma or not context.arr.is_cone(sigma | {i}):
                 rels.append(
-                    Relation(
-                        "box-u",
-                        f"{label}*u{i + 1} = 0",
-                        lhs_boxes=(box,),
-                        lhs_poly=context.u(i),
-                        rhs=zero,
-                    )
+                    Relation("box-u", f"{label}*u{i + 1} = 0", (box,), context.u(i), zero)
                 )
     pairs = itertools.combinations_with_replacement(zip(nontrivial, labels), 2)
     for (b1, label1), (b2, label2) in pairs:
         rhs = _box_pair_product(context, b1, b2, box_square_sign)
-        rels.append(
-            Relation(
-                "box-box",
-                f"{label1}*{label2} = {rhs}",
-                lhs_boxes=(b1, b2),
-                rhs=rhs,
-            )
-        )
+        rels.append(Relation("box-box", f"{label1}*{label2} = {rhs}", (b1, b2), None, rhs))
     return RingPresentation(gens, tuple(rels))
 
 

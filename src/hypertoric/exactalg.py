@@ -14,12 +14,16 @@ one fraction-free Gauss-Jordan kernel: ``rational_rank`` for a rank,
 ``solve_rational_system`` for a solution, ``integer_inverse`` for an
 inverse (integer rows over one positive denominator) and
 ``basis_projection`` for coordinates in a basis.
+
+``Record`` is the base of the package's value records, these matrices and
+groups among them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 
 class ExactAlgError(ValueError):
@@ -38,7 +42,41 @@ class NotInImage(ExactAlgError):
     """No integral solution exists."""
 
 
-class IntMatrix:
+class Record:
+    """A value record whose fields are its ``__slots__``.
+
+    A subclass that defines no ``__init__`` gets one taking the fields in
+    slot order, by position or by name, compiled once per class.  A record
+    equals another record of exactly its class with equal fields, and
+    hashes as the tuple of its fields, so a record holding a dict is
+    unhashable.  A subclass that declares no ``__slots__`` keeps its
+    parent's fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "__slots__" not in cls.__dict__:
+            return
+        fields = cls.__slots__
+        cls._values = attrgetter(*fields)
+        if "__init__" not in cls.__dict__:
+            namespace = {}
+            body = "".join(f"\n    self.{f} = {f}" for f in fields)
+            exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+
+class IntMatrix(Record):
     """Immutable integer matrix; dimensions are explicit so that zero-row
     and zero-column matrices keep their shape."""
 
@@ -52,14 +90,6 @@ class IntMatrix:
             raise ExactAlgError("entries do not match declared shape")
         self.entries = entries
         self.shape = shape
-
-    def __eq__(self, other):
-        if type(other) is not IntMatrix:
-            return NotImplemented
-        return (self.entries, self.shape) == (other.entries, other.shape)
-
-    def __hash__(self):
-        return hash((self.entries, self.shape))
 
     @staticmethod
     def from_rows(rows, ncols: int | None = None) -> "IntMatrix":
@@ -121,7 +151,7 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
 
 
-class FgAbelianGroup:
+class FgAbelianGroup(Record):
     """Z^rank plus cyclic factors Z/d_1 x ... with d_1 | d_2 | ... and d_i >= 2."""
 
     __slots__ = ("rank", "torsion_invariants")
@@ -138,14 +168,6 @@ class FgAbelianGroup:
                 raise ExactAlgError("torsion invariants must form a divisibility chain")
         self.rank = rank
         self.torsion_invariants = invs
-
-    def __eq__(self, other):
-        if type(other) is not FgAbelianGroup:
-            return NotImplemented
-        return (self.rank, self.torsion_invariants) == (other.rank, other.torsion_invariants)
-
-    def __hash__(self):
-        return hash((self.rank, self.torsion_invariants))
 
     @property
     def generator_count(self) -> int:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from hypertoric.arrangement import InvariantError, StackyArrangement
-from hypertoric.exactalg import basis_projection
+from hypertoric.exactalg import Record, basis_projection
 
 
 class OutsideSupport(InvariantError):
@@ -30,19 +30,11 @@ class OutsideSupport(InvariantError):
     it, so this is a fault of the program."""
 
 
-class ConeCoordinates:
-    """Simplicial coordinates of a point in the minimal cone containing it."""
+class ConeCoordinates(Record):
+    """Simplicial coordinates of a point in the minimal cone containing it:
+    ``coefficients`` maps a ray id to its Fraction, zero entries omitted."""
 
     __slots__ = ("max_cone", "coefficients")
-
-    def __init__(self, max_cone: tuple[int, ...], coefficients: dict):
-        self.max_cone = max_cone
-        self.coefficients = coefficients  # ray id -> Fraction, zero entries omitted
-
-    def __eq__(self, other):
-        if type(other) is not ConeCoordinates:
-            return NotImplemented
-        return (self.max_cone, self.coefficients) == (other.max_cone, other.coefficients)
 
     def coefficient(self, ray_id: int) -> Fraction:
         return self.coefficients.get(ray_id, Fraction(0))

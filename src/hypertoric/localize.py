@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from math import prod
 
-from hypertoric.exactalg import rational_rank
+from hypertoric.exactalg import Record, rational_rank
 from hypertoric.polynomials import Poly, PolyRing, RationalFunction, divide_linear
 
 
@@ -120,23 +120,18 @@ def sectors(model: WeightedModel) -> tuple[Sector, ...]:
     return tuple(out)
 
 
-class FixedPoint:
+class FixedPoint(Record):
     """Localization data of one torus-fixed point inside one sector.
 
-    Weights and restrictions are linear forms in the model's ring.  The
-    full normal Euler factor in the cotangent bundle is the product of the
-    base and fiber weights; it is built only when read.
+    Weights and restrictions are linear forms in the model's ring:
+    ``tangent_weights`` along the base directions, ``fiber_weights`` along
+    the cotangent fiber directions, and ``restrictions`` maps a divisor
+    variable name to its Poly.  The full normal Euler factor in the
+    cotangent bundle is the product of the base and fiber weights; it is
+    built only when read.
     """
 
     __slots__ = ("slot", "multiplicity", "tangent_weights", "fiber_weights", "restrictions")
-
-    def __init__(self, slot: int, multiplicity: Fraction, tangent_weights: tuple,
-                 fiber_weights: tuple, restrictions: dict):
-        self.slot = slot
-        self.multiplicity = multiplicity
-        self.tangent_weights = tangent_weights  # Polys, the base directions
-        self.fiber_weights = fiber_weights  # Polys, the cotangent fiber directions
-        self.restrictions = restrictions  # divisor variable name -> Poly
 
     @property
     def euler(self) -> Poly:
@@ -144,13 +139,10 @@ class FixedPoint:
         return prod(self.tangent_weights + self.fiber_weights, start=one)
 
 
-class FixedPointTable:
-    __slots__ = ("convention", "model", "points")
+class FixedPointTable(Record):
+    """``points`` maps a sector class (a Fraction) to its FixedPoints, a tuple."""
 
-    def __init__(self, convention: str, model: WeightedModel, points: dict):
-        self.convention = convention
-        self.model = model
-        self.points = points  # Fraction (sector class) -> tuple[FixedPoint, ...]
+    __slots__ = ("convention", "model", "points")
 
     def sector_points(self, f: Fraction) -> tuple[FixedPoint, ...]:
         try:
@@ -301,21 +293,18 @@ def fiber_class_expr(model: WeightedModel, support=None) -> Poly:
 # Steinberg correspondence
 
 
-class SteinbergOperator:
+class SteinbergOperator(Record):
     """A correspondence operator on the sector basis.
 
-    ``matrix[f2][f1]`` is the Fraction coefficient with which the basis
-    class of sector f1 feeds the basis class of sector f2.
-    ``generator_images`` gives the action on specific named classes when
-    the convention pins them directly (used by the hard-coded table).
+    ``matrix`` has its rows indexed by output sector: ``matrix[f2][f1]`` is
+    the Fraction coefficient with which the basis class of sector f1 feeds
+    the basis class of sector f2.  ``generator_images`` maps a name to a
+    dict, output sector -> coefficient: the action on specific named
+    classes when the convention pins them directly (used by the hard-coded
+    table).
     """
 
     __slots__ = ("sector_order", "matrix", "generator_images")
-
-    def __init__(self, sector_order: tuple, matrix: tuple, generator_images: dict):
-        self.sector_order = sector_order
-        self.matrix = matrix  # rows indexed by output sector
-        self.generator_images = generator_images  # name -> dict output sector -> coeff
 
     def is_injective(self) -> bool:
         return rational_rank(self.matrix) == len(self.matrix)

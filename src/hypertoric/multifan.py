@@ -15,48 +15,21 @@ from fractions import Fraction
 from math import lcm
 
 from hypertoric.arrangement import InvariantError, StackyArrangement
-from hypertoric.exactalg import basis_projection, primitive_vector
+from hypertoric.exactalg import Record, basis_projection, primitive_vector
 
 
-class Circuit:
-    """A minimal dependent subset with its canonical oriented data."""
+class Circuit(Record):
+    """A minimal dependent subset with its canonical oriented data.
+
+    ``weights`` is parallel to ``support``, all > 0; ``beta_S`` lies in
+    Z^m; ``h2_class`` is in the canonical kernel basis; ``root_hyperplane``
+    is the complementary index set.
+    """
 
     __slots__ = (
         "support", "positive", "negative", "weights", "beta_S", "h2_class", "lcm_w",
         "root_hyperplane",
     )
-
-    def __init__(
-        self,
-        support: tuple[int, ...],
-        positive: tuple[int, ...],
-        negative: tuple[int, ...],
-        weights: tuple[int, ...],
-        beta_S: tuple[int, ...],
-        h2_class: tuple[int, ...],
-        lcm_w: int,
-        root_hyperplane: tuple[int, ...],
-    ):
-        self.support = support
-        self.positive = positive
-        self.negative = negative
-        self.weights = weights  # parallel to support, all > 0
-        self.beta_S = beta_S  # in Z^m
-        self.h2_class = h2_class  # in the canonical kernel basis
-        self.lcm_w = lcm_w
-        self.root_hyperplane = root_hyperplane  # complementary index set
-
-    def _key(self):
-        return (self.support, self.positive, self.negative, self.weights, self.beta_S,
-                self.h2_class, self.lcm_w, self.root_hyperplane)
-
-    def __eq__(self, other):
-        if type(other) is not Circuit:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def sign_of(self, i: int) -> int:
         if i in self.positive:
@@ -133,34 +106,16 @@ def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
     return tuple(out)
 
 
-class BoxElement:
+class BoxElement(Record):
     """A pair (v, sigma): sigma a cone, v with fractional coordinates in (0,1).
 
     ``v_free`` is the image of v in the free quotient, ``v_torsion`` the
-    torsion coordinates.  The age equals the number of rays of sigma.
-    Boxes compare and hash by value: a Chen-Ruan class keys its
-    components by box.
+    torsion coordinates, and ``alphas`` holds (hyperplane index, alpha)
+    pairs.  The age equals the number of rays of sigma.  A Chen-Ruan class
+    keys its components by box.
     """
 
     __slots__ = ("v_free", "v_torsion", "sigma", "alphas")
-
-    def __init__(self, v_free: tuple[int, ...], v_torsion: tuple[int, ...], sigma: tuple[int, ...],
-                 alphas: tuple[tuple[int, Fraction], ...]):
-        self.v_free = v_free
-        self.v_torsion = v_torsion
-        self.sigma = sigma
-        self.alphas = alphas  # (hyperplane index, alpha)
-
-    def _key(self):
-        return (self.v_free, self.v_torsion, self.sigma, self.alphas)
-
-    def __eq__(self, other):
-        if type(other) is not BoxElement:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def age(self) -> int:

@@ -28,7 +28,7 @@ from math import lcm
 
 from hypertoric.arrangement import ArrangementError, InvariantError, StackyArrangement
 from hypertoric.crring import CohomologyContext, CRClass, cr_multiply
-from hypertoric.exactalg import row_reduce
+from hypertoric.exactalg import Record, row_reduce
 from hypertoric.lawrence import LawrenceFan, build_lawrence_fan
 from hypertoric.localize import (
     WeightedModel,
@@ -221,15 +221,11 @@ class CircuitModel:
 # Novikov series
 
 
-class NovikovSeries:
-    """Truncated series: multi-exponents over the circuit list -> classes."""
+class NovikovSeries(Record):
+    """Truncated series: multi-exponents over the circuit list -> classes.
+    ``terms`` holds sorted (exponent tuple, CRClass) pairs."""
 
     __slots__ = ("context", "order", "terms")
-
-    def __init__(self, context: CohomologyContext, order: int, terms: tuple):
-        self.context = context
-        self.order = order
-        self.terms = terms  # ((exponent tuple, CRClass), ...) sorted
 
     @staticmethod
     def build(context, order, parts: dict) -> "NovikovSeries":
@@ -414,7 +410,7 @@ def differential_sign_report(qctx: QuantumContext, order: int):
 # Quantum Stanley-Reisner ring
 
 
-class QSRElement:
+class QSRElement(Record):
     """Formal sum of lattice-point symbols with Novikov-weighted coefficients.
 
     Terms are keyed by (lattice point, curve-degree exponent); the
@@ -423,11 +419,7 @@ class QSRElement:
     in hbar alone, in the one ring ``HBAR``.
     """
 
-    __slots__ = ("order", "terms")
-
-    def __init__(self, order: int, terms: tuple):
-        self.order = order
-        self.terms = terms  # ((point tuple, exp tuple), Poly)
+    __slots__ = ("order", "terms")  # terms: ((point tuple, exp tuple), Poly) pairs
 
     @staticmethod
     def build(order, parts: dict) -> "QSRElement":

@@ -341,16 +341,25 @@ def test_svg_rejects_other_dimensions(capsys, write_examples, tmp_path):
 
 def test_unwritable_output_paths_are_input_errors(capsys, write_examples, tmp_path):
     """An --svg file or a --write-dir directory under a regular file cannot
-    be written: the path is at fault, reported at its flag."""
+    be written: the path is at fault, reported at its flag.  An empty
+    --svg, --write-dir or --show is a value like any other, not an absent
+    option: it names no file, directory or example."""
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
-    for argv, flag in (
-        (["core", "--input", write_examples["hirzebruch"], "--svg", str(blocker / "x.svg")], "--svg"),
-        (["examples", "--write-dir", str(blocker / "out")], "--write-dir"),
+    hirz = write_examples["hirzebruch"]
+    no_file = "[Errno 2] No such file or directory: ''"
+    for argv, flag, message in (
+        (["core", "--input", hirz, "--svg", str(blocker / "x.svg")], "--svg", None),
+        (["examples", "--write-dir", str(blocker / "out")], "--write-dir", None),
+        (["core", "--input", hirz, "--svg", ""], "--svg", no_file),
+        (["examples", "--write-dir", ""], "--write-dir", no_file),
+        (["examples", "--show", ""], "--show", "unknown example ''; known: "),
     ):
         code, out = invoke(capsys, argv)
         assert code == 2, argv
-        assert json.loads(out)["error"]["path"] == flag
+        error = json.loads(out)["error"]
+        assert error["path"] == flag, argv
+        assert message is None or error["message"].startswith(message), argv
 
 
 def test_text_format(capsys, write_examples):
@@ -655,15 +664,14 @@ def test_reused_parser_leaks_no_state(capsys, write_examples, tmp_path):
 
 def test_flags_echo_the_options_that_are_set(capsys, write_examples, tmp_path):
     """Each command's envelope echoes its format and every option that is
-    not required and has a value: not --divisor or --with, not an --svg
-    that is absent or empty, and a --max-q-order of 0."""
+    not required and is set: not --divisor or --with, not an absent --svg,
+    and a --max-q-order of 0."""
     p12, hirz = write_examples["cotangent-p12"], write_examples["hirzebruch"]
     svg = str(tmp_path / "core.svg")
     runs = [
         (["gale", "--input", p12], {"format": "json"}),
         (["core", "--input", hirz], {"format": "json"}),
         (["core", "--input", hirz, "--svg", svg], {"format": "json", "svg": svg}),
-        (["core", "--input", hirz, "--svg", ""], {"format": "json"}),
         (["cohomology", "--input", p12], {"format": "json", "convention": "paper"}),
         (["localize", "--input", p12], {"format": "json", "circuit": 1, "convention": "standard"}),
         (
