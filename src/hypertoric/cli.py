@@ -17,6 +17,18 @@ with ``--debug`` its traceback after it.
 
 The argument parser is built on the first ``run`` and reused by every
 later ``run`` in the process; each call parses into a fresh namespace.
+
+Every command reads ``arrangement``, ``exactalg`` and ``examples_data``,
+which are imported as usual.  The other seven modules (``crring``,
+``lawrence``, ``localize``, ``multifan``, ``polynomials``, ``quantum`` and
+``svg``) are registered by ``_lazy``: each is in ``sys.modules`` at once,
+but is compiled and run only when a payload builder first reads one of its
+names, so a cold ``gale`` or ``core`` never compiles the quantum layer.
+The builders reach them through the module (``quantum.QuantumContext``),
+which is also the one binding a test or a tracer has to patch.  Imports
+inside each builder would do the same, but would leave the modules out of
+``sys.modules`` after ``import hypertoric.cli`` and scatter the import list
+over the file.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import importlib.util
 import json
 import os
 import sys
@@ -37,28 +50,33 @@ from hypertoric.arrangement import (
     StackyArrangement,
 )
 from hypertoric.exactalg import ExactAlgError
-from hypertoric.crring import CohomologyContext, CRClass, cr_presentation, ht_presentation
 from hypertoric.examples_data import SCHEMA_VERSION, example_document, example_names
-from hypertoric.lawrence import build_lawrence_fan
-from hypertoric.localize import (
-    WeightedModel,
-    paper_table_p12,
-    standard_table,
-    steinberg_operator,
-)
-from hypertoric.multifan import box_elements, circuits
-from hypertoric.polynomials import sympy_str
-from hypertoric.quantum import (
-    SIGN_CONVENTIONS,
-    QuantumContext,
-    TruncationTooSmall,
-    differential_sign_report,
-    minimal_curve_unit,
-    qsr_circuit_relation_defect,
-    qsr_presentation,
-    quantum_divisor_product,
-)
-from hypertoric.svg import UnsupportedDimension, emit_svg
+
+
+def _lazy(name: str):
+    """The module ``hypertoric.<name>``, in ``sys.modules`` at once but
+    compiled and run only on its first attribute access (the stdlib's
+    lazy-import recipe).  A module already imported is returned as it is,
+    so that no class exists twice."""
+    fullname = f"hypertoric.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules["hypertoric"], name, module)
+    return module
+
+
+crring = _lazy("crring")
+lawrence = _lazy("lawrence")
+localize = _lazy("localize")
+multifan = _lazy("multifan")
+polynomials = _lazy("polynomials")
+quantum = _lazy("quantum")
+svg = _lazy("svg")
 
 # The one copy of the schema, shipped as package data.  Its keywords keep the
 # order in which jsonschema meets them, and so does ``_schema_errors``.
@@ -213,7 +231,7 @@ def payload_gale(arr: StackyArrangement) -> dict:
 
 def payload_circuits(arr: StackyArrangement) -> dict:
     out = []
-    for c in circuits(arr):
+    for c in multifan.circuits(arr):
         out.append(
             {
                 "support": [i + 1 for i in c.support],
@@ -231,7 +249,7 @@ def payload_circuits(arr: StackyArrangement) -> dict:
 
 def payload_box(arr: StackyArrangement) -> dict:
     out = []
-    for b in box_elements(arr):
+    for b in multifan.box_elements(arr):
         out.append(
             {
                 "v_free": list(b.v_free),
@@ -244,7 +262,7 @@ def payload_box(arr: StackyArrangement) -> dict:
     return {"box_elements": out}
 
 
-def payload_core(arr: StackyArrangement, svg=None) -> dict:
+def payload_core(arr: StackyArrangement, svg_path=None) -> dict:
     out = []
     for chamber, fan in arr.core():
         out.append(
@@ -259,17 +277,17 @@ def payload_core(arr: StackyArrangement, svg=None) -> dict:
             }
         )
     payload = {"chambers": out, "psi_convention": list(arr.psi)}
-    if svg is not None:
+    if svg_path is not None:
         try:
-            emit_svg(arr, svg)
-        except (UnsupportedDimension, OSError) as e:
+            svg.emit_svg(arr, svg_path)
+        except (svg.UnsupportedDimension, OSError) as e:
             raise InputError(str(e), path="--svg")
-        payload["svg"] = svg
+        payload["svg"] = svg_path
     return payload
 
 
 def payload_fan(arr: StackyArrangement) -> dict:
-    fan = build_lawrence_fan(arr)
+    fan = lawrence.build_lawrence_fan(arr)
     return {
         "lattice_rank": arr.d + arr.m,
         "rays": [
@@ -289,10 +307,10 @@ def payload_fan(arr: StackyArrangement) -> dict:
 
 
 def payload_cohomology(arr: StackyArrangement, sign: str) -> dict:
-    ctx = CohomologyContext(arr)
-    chen_ruan = cr_presentation(ctx, box_square_sign=sign)
+    ctx = crring.CohomologyContext(arr)
+    chen_ruan = crring.cr_presentation(ctx, box_square_sign=sign)
     return {
-        "torus_presentation": list(ht_presentation(ctx).texts()),
+        "torus_presentation": list(crring.ht_presentation(ctx).texts()),
         "extended_presentation": [r.text for r in chen_ruan.relations if r.kind == "circuit"],
         "chen_ruan_presentation": list(chen_ruan.texts()),
         "generators": list(chen_ruan.generators),
@@ -301,7 +319,7 @@ def payload_cohomology(arr: StackyArrangement, sign: str) -> dict:
 
 
 def _circuit_model(arr: StackyArrangement, index: int, convention: str):
-    cs = circuits(arr)
+    cs = multifan.circuits(arr)
     if not cs:
         raise InputError("arrangement has no circuits", path="--circuit")
     if not (1 <= index <= len(cs)):
@@ -315,10 +333,9 @@ def _circuit_model(arr: StackyArrangement, index: int, convention: str):
                 "the paper convention table is defined only for weights (1, 2)",
                 path="--convention",
             )
-        model = WeightedModel((1, 2))
-        return cs[index - 1], model, paper_table_p12()
-    model = WeightedModel(weights)
-    return cs[index - 1], model, standard_table(model)
+        return cs[index - 1], localize.WeightedModel((1, 2)), localize.paper_table_p12()
+    model = localize.WeightedModel(weights)
+    return cs[index - 1], model, localize.standard_table(model)
 
 
 def payload_localize(arr: StackyArrangement, index: int, convention: str) -> dict:
@@ -332,10 +349,10 @@ def payload_localize(arr: StackyArrangement, index: int, convention: str) -> dic
                     {
                         "slot": p.slot + 1,
                         "multiplicity": _frac(p.multiplicity),
-                        "tangent_weights": [sympy_str(t) for t in p.tangent_weights],
-                        "euler": sympy_str(p.euler),
+                        "tangent_weights": [polynomials.sympy_str(t) for t in p.tangent_weights],
+                        "euler": polynomials.sympy_str(p.euler),
                         "restrictions": {
-                            k: sympy_str(v) for k, v in sorted(p.restrictions.items())
+                            k: polynomials.sympy_str(v) for k, v in sorted(p.restrictions.items())
                         },
                     }
                     for p in points
@@ -352,7 +369,7 @@ def payload_localize(arr: StackyArrangement, index: int, convention: str) -> dic
 
 def payload_steinberg(arr: StackyArrangement, index: int, convention: str) -> dict:
     circuit, model, table = _circuit_model(arr, index, convention)
-    fwd, inv = steinberg_operator(model, table)
+    fwd, inv = localize.steinberg_operator(model, table)
     out = {
         "circuit": [i + 1 for i in circuit.support],
         "weights": list(model.weights),
@@ -387,9 +404,9 @@ def payload_quantum_divisor(arr: StackyArrangement, i: int, j: int, order: int, 
     for index, flag in ((i, "--divisor"), (j, "--with")):
         if not 1 <= index <= arr.m:
             raise InputError("divisor indices must be in 1..m", path=flag)
-    qctx = QuantumContext(arr)
+    qctx = quantum.QuantumContext(arr)
     ctx = qctx.context
-    x = CRClass.untwisted(ctx, ctx.u(j - 1))
+    x = crring.CRClass.untwisted(ctx, ctx.u(j - 1))
     payload = {
         "divisor": i,
         "with": j,
@@ -399,31 +416,35 @@ def payload_quantum_divisor(arr: StackyArrangement, i: int, j: int, order: int, 
             for c in ctx.circuits
         ],
     }
+    conventions = SIGN_CONVENTIONS if convention == "all" else (convention,)
+    try:
+        series = [quantum.quantum_divisor_product(qctx, i - 1, x, order, c) for c in conventions]
+    except quantum.TruncationTooSmall as e:
+        raise InputError(str(e), path="--max-q-order")
     if convention == "all":
-        payload["series"] = {
-            conv: _series_payload(quantum_divisor_product(qctx, i - 1, x, order, conv))
-            for conv in SIGN_CONVENTIONS
-        }
-        payload["differential_sign_report"] = differential_sign_report(qctx, order)
+        payload["series"] = {c: _series_payload(s) for c, s in zip(conventions, series)}
+        payload["differential_sign_report"] = quantum.differential_sign_report(qctx, order)
     else:
-        series = quantum_divisor_product(qctx, i - 1, x, order, convention)
-        payload["series"] = _series_payload(series)
+        payload["series"] = _series_payload(series[0])
         payload["sign_convention"] = convention
     return payload
 
 
 def payload_qsr(arr: StackyArrangement, order: int) -> dict:
-    fan, rels = qsr_presentation(arr, order)
-    cs = circuits(arr)
+    try:
+        fan, rels = quantum.qsr_presentation(arr, order)
+    except quantum.TruncationTooSmall as e:
+        raise InputError(str(e), path="--max-q-order")
+    cs = multifan.circuits(arr)
     checks = [
         {
             "circuit": [t + 1 for t in c.support],
-            "eliminated_relation_vanishes": qsr_circuit_relation_defect(fan, c, order).is_zero(),
+            "eliminated_relation_vanishes": quantum.qsr_circuit_relation_defect(fan, c, order).is_zero(),
         }
         for c in cs
     ]
     # no circuits: no compact curves at all
-    unit = [_frac(x) for x in minimal_curve_unit(fan)] if cs else None
+    unit = [_frac(x) for x in quantum.minimal_curve_unit(fan)] if cs else None
     return {
         "relations": [str(r) for r in rels],
         "relation_count": len(rels),
@@ -470,6 +491,9 @@ _CIRCUIT_OPTIONS = (
     ("--convention", {"choices": ("standard", "paper"), "default": "standard"}),
 )
 _MAX_Q_ORDER = ("--max-q-order", {"type": int, "default": 6})
+# ``quantum.SIGN_CONVENTIONS``, spelled here so that building the parser does
+# not load ``quantum``; a test keeps the two equal.
+SIGN_CONVENTIONS = ("example-calibrated", "theorem-1.2-literal", "eq-5.2-literal")
 
 # Each command's own options, as (flag, argparse keywords), in the order
 # ``payload_<command>`` takes their values; one that is not required goes into
@@ -492,7 +516,23 @@ COMMANDS = {
     ),
     "qsr": (_MAX_Q_ORDER,),
 }
-_EXAMPLES_OPTIONS = (("--list", {"action": "store_true"}), ("--show", {}), ("--write-dir", {}))
+
+
+class _OneOf(argparse.Action):
+    """``store``, or ``store_true`` when it takes no value, that also
+    appends its flag to ``namespace.given``: ``examples`` acts on one of its
+    options, and faults a second at the later flag."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True if self.nargs == 0 else values)
+        namespace.given = (*getattr(namespace, "given", ()), self.option_strings[0])
+
+
+_EXAMPLES_OPTIONS = (
+    ("--list", {"action": _OneOf, "nargs": 0, "default": False}),
+    ("--show", {"action": _OneOf}),
+    ("--write-dir", {"action": _OneOf}),
+)
 
 
 @functools.cache
@@ -517,6 +557,10 @@ def run(argv) -> int:
     try:
         if args.command == "examples":
             doc = {"schema_version": SCHEMA_VERSION, "rank": 0, "beta": [[]], "theta": []}
+            given = tuple(dict.fromkeys(getattr(args, "given", ())))
+            if len(given) > 1:
+                message = f"argument {given[1]}: not allowed with argument {given[0]}"
+                raise InputError(message, path=given[1])
             if args.show is not None:
                 try:
                     payload = example_document(args.show)
@@ -556,8 +600,6 @@ def run(argv) -> int:
         env = envelope(args.command, doc, flags, payload, timing)
         _print(env, args)
         return 0
-    except TruncationTooSmall as e:
-        return _print_error(InputError(str(e), path="--max-q-order"))
     except (InputError, ArrangementError) as e:
         return _print_error(e)
     except Exception as e:  # internal error

@@ -349,7 +349,12 @@ def quantum_divisor_product(
             if pairing == 0:
                 continue
             model = qctx.model(ci)
+            # most f1 components of a class are zero, and so is every gamma through them
+            sectors = {f1 for f1, _, _ in pairs}
+            live = {f1 for f1 in sectors if not base_cls.component(model.box_of_sector(f1)).is_zero()}
             for f1, f2, r in pairs:
+                if f1 not in live:
+                    continue
                 gamma = model.gamma_apply(f1, f2, base_cls)
                 if gamma.is_zero():
                     continue

@@ -54,6 +54,33 @@ def test_examples_show_unknown_prints_the_message_unquoted(capsys):
     assert json.loads(out)["error"] == {"message": f"unknown example 'nope'; known: {known}", "path": "--show"}
 
 
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["--show", "hirzebruch", "--write-dir", "DIR"], "--write-dir"),
+        (["--write-dir", "DIR", "--show", "hirzebruch"], "--show"),
+        (["--list", "--show", "hirzebruch"], "--show"),
+        (["--show", "hirzebruch", "--list"], "--list"),
+        (["--write-dir", "DIR", "--list"], "--list"),
+        (["--list", "--write-dir", "DIR"], "--write-dir"),
+    ],
+)
+def test_examples_options_exclude_each_other(capsys, tmp_path, argv, path):
+    """``examples`` acts on one of --list, --show and --write-dir: a second
+    is an input fault at the later flag, and nothing is written."""
+    target = tmp_path / "out"
+    argv = [str(target) if a == "DIR" else a for a in argv]
+    code, out = invoke(capsys, ["examples", *argv])
+    assert code == 2
+    first = next(a for a in argv if a.startswith("--") and a != path)
+    assert json.loads(out)["error"] == {
+        "message": f"argument {path}: not allowed with argument {first}",
+        "path": path,
+    }
+    assert not target.exists()
+    assert invoke(capsys, ["examples", "--list", "--list"])[0] == 0
+
+
 def test_gale_weighted_line(capsys, write_examples):
     code, out = invoke(capsys, ["gale", "--input", write_examples["cotangent-p12"]])
     assert code == 0
@@ -451,7 +478,7 @@ def test_quantum_divisor_index_out_of_range_names_its_flag(
     def unbuilt(arr):
         raise AssertionError("QuantumContext built before the indices were checked")
 
-    monkeypatch.setattr("hypertoric.cli.QuantumContext", unbuilt)
+    monkeypatch.setattr("hypertoric.quantum.QuantumContext", unbuilt)
     argv = ["quantum-divisor", "--input", write_examples["cotangent-p1"], "--divisor", divisor, "--with", with_]
     code, out = invoke(capsys, argv)
     assert code == 2
@@ -736,21 +763,27 @@ print(json.dumps(loaded))
 """
 
 
+def _fresh_process(script, *args):
+    """What ``script`` prints as JSON, run in a fresh interpreter that
+    imports this package from its source tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypertoric.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    ).stdout
+    return json.loads(out)
+
+
 def test_commands_do_not_import_sympy():
     """Neither sympy nor jsonschema is ever loaded: not by the CLI import,
     and not by any command, the paper convention's localize and steinberg
     included.  Nor is ``dataclasses`` (and with it ``inspect``), whose class
     creation was the largest import cost of the package itself.  It runs in
     a fresh process, as pytest loads all four."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hypertoric.__file__)))
     root = os.path.join(os.path.dirname(__file__), "..", "arrangements")
     docs = [os.path.join(root, f"{name}.json") for name in ("hirzebruch", "cotangent-p12")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run(
-        [sys.executable, "-c", SYMPY_FREE_SCRIPT, *docs],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    ).stdout
-    loaded = json.loads(out)
+    loaded = _fresh_process(SYMPY_FREE_SCRIPT, *docs)
     assert loaded.pop("import") == []
     assert loaded == {
         cmd: [0, []]
@@ -760,6 +793,60 @@ def test_commands_do_not_import_sympy():
             "steinberg --convention paper",
         )
     }
+
+
+DEFERRED = ("crring", "lawrence", "localize", "multifan", "polynomials", "quantum", "svg")
+LAZY_SCRIPT = """
+import contextlib, io, json, sys, types
+import hypertoric.cli
+
+def executed():
+    deferred = %r
+    return [m for m in deferred if type(sys.modules["hypertoric." + m]) is types.ModuleType]
+
+imported = executed()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = hypertoric.cli.run(sys.argv[1:])
+print(json.dumps({"import": imported, "exit": code, "executed": executed()}))
+""" % (DEFERRED,)
+
+
+@pytest.mark.parametrize(
+    "argv, code, executed",
+    [
+        (["gale"], 0, []),
+        (["core"], 0, []),
+        (["circuits"], 0, ["multifan"]),
+        (["box"], 0, ["multifan"]),
+        (["fan"], 0, ["lawrence"]),
+        (["cohomology"], 0, ["crring", "multifan", "polynomials"]),
+        (["localize"], 0, ["localize", "multifan", "polynomials"]),
+        (["steinberg"], 0, ["localize", "multifan", "polynomials"]),
+        (["gale", "schema"], 2, []),
+    ],
+)
+def test_each_command_runs_only_the_modules_it_reads(tmp_path, argv, code, executed):
+    """``import hypertoric.cli`` puts every module in ``sys.modules`` but runs
+    none of the seven deferred ones, and a cold command runs only those it
+    reads: ``gale`` and ``core`` none, ``circuits`` and ``box`` only
+    ``multifan``, ``fan`` only ``lawrence``, and the Chen-Ruan and
+    localization commands neither ``quantum``, ``lawrence`` nor ``svg``.  A
+    document that fails the schema runs none."""
+    doc = os.path.join(os.path.dirname(__file__), "..", "arrangements", "hirzebruch.json")
+    if argv[1:] == ["schema"]:
+        doc = tmp_path / "bad.json"
+        doc.write_text('{"rank": 1}', encoding="utf-8")
+    out = _fresh_process(LAZY_SCRIPT, argv[0], "--input", str(doc))
+    assert out["import"] == []
+    assert (out["exit"], out["executed"]) == (code, executed)
+
+
+def test_parser_spells_the_sign_conventions_of_quantum():
+    """The parser's choices are ``cli``'s copy of the sign conventions, so
+    that building it does not load ``quantum``; the copy is the original."""
+    from hypertoric import cli, quantum
+
+    assert cli.SIGN_CONVENTIONS == quantum.SIGN_CONVENTIONS
 
 
 def _mutated_documents(rng, count):
@@ -858,7 +945,7 @@ def test_integral_floats_hash_as_integers(capsys, tmp_path):
 def test_localize_prints_as_sympy(monkeypatch):
     """Every localize payload of the shipped examples, in both conventions,
     is the one printed through sympy."""
-    from hypertoric import cli
+    from hypertoric import cli, polynomials
     from sympy_bridge import poly_to_sympy
 
     cases = []
@@ -870,7 +957,7 @@ def test_localize_prints_as_sympy(monkeypatch):
                     cases.append((arr, index, convention, cli.payload_localize(arr, index, convention)))
                 except cli.InputError:
                     assert convention == "paper"
-    monkeypatch.setattr(cli, "sympy_str", lambda p: str(poly_to_sympy(p)))
+    monkeypatch.setattr(polynomials, "sympy_str", lambda p: str(poly_to_sympy(p)))
     for arr, index, convention, payload in cases:
         assert payload == cli.payload_localize(arr, index, convention)
     assert sum(c[2] == "paper" for c in cases) >= 1 and len(cases) >= 8

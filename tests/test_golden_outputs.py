@@ -93,7 +93,7 @@ def test_quantum_divisor_enumerates_no_box_table(monkeypatch):
     def enumerated(arr):
         raise AssertionError("quantum-divisor enumerated the box table")
 
-    for module in ("multifan", "crring", "cli"):
+    for module in ("multifan", "crring"):
         monkeypatch.setattr(f"hypertoric.{module}.box_elements", enumerated)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     docs = documents()
