@@ -1,17 +1,23 @@
 """Stacky hyperplane arrangements: genericity, lifting, bases, chambers, core.
 
 The arrangement owns its matroid: ``bases`` holds one integer inverse per
-basis of the normals, and the independent sets (cones) are their faces;
-circuits, boxes, vertices and the Lawrence charts all read this table.
-``vertex_values`` adds each basis's vertex and the hyperplane values
-there, from which ``build`` decides genericity and the Lawrence fan its cones.
-The geometry is done with exact rational arithmetic.  A generic
-stability vector makes the arrangement simple: every vertex lies on
-exactly d hyperplanes, with independent normals.  The bounded chambers
-come from a walk over the vertex graph, solved once per arrangement: the
-2d edges at a vertex run along the columns of the inverse of its tight
-normals and end at the nearest hyperplane they cross, and a chamber is
-bounded exactly when the walk around it meets no unbounded edge.
+basis of the normals, ``tableau`` the coordinates of every normal in that
+basis, and the independent sets (cones) are their faces; circuits, boxes,
+vertices and the Lawrence charts all read these tables.  Both come from
+one walk over the basis-exchange graph, as the simplex method pivots: one
+reduction gives the first basis, and each further basis is one exact
+pivot of a neighbour's tableau, so no singular d-subset is reduced.
+``vertex_values`` reads each basis's vertex and the hyperplane values
+there off the tableau; ``build`` decides genericity from them and the
+Lawrence fan its cones.  The geometry is done with exact rational
+arithmetic.  A generic stability vector makes the arrangement simple:
+every vertex lies on exactly d hyperplanes, with independent normals.
+The bounded chambers come from a walk over the vertex graph, solved once
+per arrangement: the 2d edges at a vertex run along the columns of the
+inverse of its tight normals, each hyperplane changes along them at the
+rate its tableau entry gives, and an edge ends at the nearest hyperplane
+it crosses; a chamber is bounded exactly when the walk around it meets
+no unbounded edge.
 """
 
 from __future__ import annotations
@@ -27,11 +33,11 @@ from hypertoric.exactalg import (
     NotInImage,
     Record,
     gale_dual,
-    integer_inverse,
     kernel_basis,
     presentation_matrix,
     primitive_vector,
     rational_rank,
+    row_reduce,
     solve_integer,
 )
 
@@ -223,11 +229,77 @@ class StackyArrangement:
     # -- the matroid ---------------------------------------------------------
 
     @cached_property
+    def _exchange_walk(self) -> tuple[dict, dict]:
+        """``(bases, tableau)`` from one walk over the basis-exchange graph.
+
+        One reduction of [normals as columns | I] gives the first basis in
+        lexicographic order (its pivot columns) and, times the sign of its
+        last pivot, its rows [X | A^T]: s times its coordinate functionals
+        on the normals and on the unit vectors.  A nonzero p = X[k][j]
+        with j outside B names the neighbour B - B_k + j, with s' = |p|
+        and rows sign(p) row_k (for j) and sign(p) (p row_i - X[i][j]
+        row_k) / s, the division exact.  The exchange graph of a matroid's
+        bases is connected, so the walk meets every basis and reduces no
+        singular subset; both tables are empty when the normals do not
+        span Q^d.
+        """
+        d, m = self.d, self.m
+        identity = [[int(i == j) for j in range(d)] for i in range(d)]
+        pivots, reduced, det = row_reduce(list(zip(*self._normals)), identity)
+        if len(pivots) < d:
+            return {}, {}
+        sign = 1 if det > 0 else -1
+        start = tuple(pivots)
+        found = {start: (sign * det, [[sign * x for x in row] for row in reduced])}
+        seen = {sum(1 << i for i in start)}
+        todo = [start]
+        while todo:
+            basis = todo.pop()
+            scale, rows = found[basis]
+            bits = sum(1 << i for i in basis)
+            for k, row in enumerate(rows):
+                drop = bits ^ 1 << basis[k]
+                for j in range(m):
+                    p = row[j]
+                    if not p or bits >> j & 1 or drop | 1 << j in seen:
+                        continue
+                    seen.add(drop | 1 << j)
+                    size = abs(p)
+                    flip = 1 if p > 0 else -1
+                    pivoted = []
+                    for i, other in enumerate(rows):
+                        if i == k:
+                            pivoted.append(row if flip > 0 else [-x for x in row])
+                        else:
+                            c = flip * other[j]
+                            pivoted.append([(size * a - c * b) // scale for a, b in zip(other, row)])
+                    members = list(basis)
+                    members[k] = j
+                    pairs = sorted(zip(members, pivoted))
+                    neighbour = tuple(i for i, _ in pairs)
+                    found[neighbour] = size, [r for _, r in pairs]
+                    todo.append(neighbour)
+        bases, tableau = {}, {}
+        for basis in sorted(found):
+            scale, rows = found[basis]
+            bases[basis] = tuple(zip(*(row[m:] for row in rows))), scale
+            tableau[basis] = tuple(tuple(row[:m]) for row in rows)
+        return bases, tableau
+
+    @cached_property
     def bases(self) -> dict:
-        """Each basis, in lexicographic order, with ``integer_inverse`` of its normals as rows."""
-        subsets = itertools.combinations(range(self.m), self.d)
-        inverses = ((s, integer_inverse([self._normals[i] for i in s])) for s in subsets)
-        return {s: inverse for s, inverse in inverses if inverse is not None}
+        """Each basis, in lexicographic order, with ``(A, s)``: s = |det B|
+        and A / s the inverse of the matrix whose rows are B's normals."""
+        return self._exchange_walk[0]
+
+    @cached_property
+    def tableau(self) -> dict:
+        """Each basis B, in the order of ``bases``, with its d rows of
+        length m: X[k][j] = s times the coordinate of b_j on b_{B_k}, so
+        sum_k X[k][j] b_{B_k} = s b_j, and for j outside B a nonzero
+        X[k][j] is, up to sign, the s of the basis B - B_k + j (the
+        exchange identity), a zero one says that set is no basis."""
+        return self._exchange_walk[1]
 
     @cached_property
     def cones(self) -> tuple[tuple[int, ...], ...]:
@@ -250,14 +322,20 @@ class StackyArrangement:
     @cached_property
     def vertex_values(self) -> dict:
         """Per basis B: its vertex v and the value <b_j, v> + psi_j of every
-        hyperplane j (0 on B), scaled by the denominator s of B's inverse.
-        As beta_dual takes the values to -s theta, those off B are -s times
+        hyperplane j (0 on B), scaled by B's s.  The vertex is -A psi_B and,
+        as sum_k X[k][j] b_{B_k} = s b_j, the values are
+        s psi_j - sum_k X[k][j] psi_{B_k}, read off the tableau.  As
+        beta_dual takes the values to -s theta, those off B are -s times
         the coefficients of theta in the complementary dual basis."""
-        normals, psi = self._normals, self.psi
+        psi, tableau = self.psi, self.tableau
         table = {}
         for tight, (inverse, scale) in self.bases.items():
-            point = tuple(-sum(a * psi[i] for a, i in zip(row, tight)) for row in inverse)
-            values = [sum(a * x for a, x in zip(b, point)) + p * scale for b, p in zip(normals, psi)]
+            weights = [psi[i] for i in tight]
+            point = tuple(-sum(a * w for a, w in zip(row, weights)) for row in inverse)
+            values = [scale * p for p in psi]
+            for w, row in zip(weights, tableau[tight]):
+                if w:
+                    values = [v - w * x for v, x in zip(values, row)]
             table[tight] = point, values
         return table
 
@@ -273,25 +351,26 @@ class StackyArrangement:
     @cached_property
     def _vertex_graph(self) -> dict:
         """Every vertex, keyed by its tight set and in the order of the
-        points, with the far ends of its edges.  The ratio test runs on the
-        scaled integer values.  A further hyperplane through a vertex (which
-        ``build`` rejects) or a tie in the ratio test means the arrangement
-        is not simple, which a generic theta rules out."""
-        normals, m = self._normals, self.m
+        points, with the far ends of its edges.  Along column k of the
+        inverse, hyperplane j changes at the rate X[k][j] of the tableau,
+        and the ratio test runs on the scaled integer values.  A further
+        hyperplane through a vertex (which ``build`` rejects) or a tie in
+        the ratio test means the arrangement is not simple, which a generic
+        theta rules out."""
+        m, tableau = self.m, self.tableau
         graph = {}
         for tight, (point, values) in self.vertex_values.items():
-            inverse, scale = self.bases[tight]
+            scale = self.bases[tight][1]
             others = [j for j in range(m) if j not in tight]
             if any(values[j] == 0 for j in others):
                 raise InvariantError(
                     f"vertex {tight} lies on a further hyperplane: the arrangement is not simple"
                 )
             ends = []
-            for k in range(len(tight)):
-                column = [row[k] for row in inverse]
+            for k, rates in enumerate(tableau[tight]):
                 nearest = [None, None]  # (|value|, |rate|, j) along -e_k, +e_k
                 for j in others:
-                    rate = sum(a * x for a, x in zip(normals[j], column))
+                    rate = rates[j]
                     if rate == 0:
                         continue
                     side = (values[j] > 0) != (rate > 0)  # 1: crossed along +e_k

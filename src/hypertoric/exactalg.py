@@ -11,9 +11,9 @@ Lattice problems (Smith and Hermite forms, integer kernels and
 solutions) work on integer matrices.  Over the rationals each question
 has one routine, and each is a thin wrapper around ``row_reduce``, the
 one fraction-free Gauss-Jordan kernel: ``rational_rank`` for a rank,
-``solve_rational_system`` for a solution, ``integer_inverse`` for an
-inverse (integer rows over one positive denominator) and
-``basis_projection`` for coordinates in a basis.
+``solve_rational_system`` for a solution and ``basis_projection`` for
+coordinates in a basis.  The arrangement's basis table reads its first
+inverse and tableau off one ``row_reduce`` of [normals | I].
 
 ``Record`` is the base of the package's value records, these matrices and
 groups among them.
@@ -503,17 +503,6 @@ def solve_rational_system(rows, rhs):
     for c, row in zip(pivots, m):
         x[c] = Fraction(row[ncols], d)
     return tuple(x)
-
-
-def integer_inverse(rows):
-    """``(A, s)`` with integer rows A, s > 0 and A / s the inverse of a square
-    rational matrix (s = |det| for integers); None if singular."""
-    n = len(rows)
-    pivots, m, d = row_reduce(rows, [[int(i == j) for j in range(n)] for i in range(n)])
-    if len(pivots) < n:
-        return None
-    sign = 1 if d > 0 else -1
-    return tuple(tuple(sign * x for x in row[n:]) for row in m), sign * d
 
 
 def primitive_vector(vec) -> tuple[int, ...]:

@@ -1,9 +1,9 @@
 """Matroid circuits and box elements of an arrangement.
 
 Both read the arrangement's basis table.  Circuits (the minimal non-faces
-of its cones) are read off it as fundamental circuits, one per basis and
-element outside it, with their canonical two-sided splitting, positive
-weights and curve class.  Box elements index the twisted sectors; they
+of its cones) are read off its tableau as fundamental circuits, one per
+basis and element outside it, with their canonical two-sided splitting,
+positive weights and curve class.  Box elements index the twisted sectors; they
 are read off it as one subgroup walk per basis, in integers over the
 basis's denominator, with no Smith form.
 """
@@ -44,8 +44,8 @@ def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
 
     Every circuit C is the fundamental circuit of some basis: C minus one
     of its elements c is independent and extends to a basis B that
-    excludes c.  So each basis B, with (A, s) from the basis table, and
-    each j outside B give one: with x_k = sum_r b_j[r] A[r][k],
+    excludes c.  So each basis B, with s from the basis table, and each j
+    outside B give one: column j of B's tableau holds the x_k with
     s b_j = sum_k x_k b_{B_k}, and the support is j with the B_k where
     x_k is not zero.  The weight vector w is the primitive vector with x
     on B and -s at j; a support met again from another basis spans the
@@ -63,12 +63,12 @@ def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
     curve_class = basis_projection(arr.normal_kernel)
     normals = [arr.b_bar(i) for i in range(arr.m)]
     kernels = {}
-    for basis, (inverse, scale) in arr.bases.items():
-        columns = tuple(zip(*inverse))
+    for basis, rows in arr.tableau.items():
+        scale = arr.bases[basis][1]
         for j in range(arr.m):
             if j in basis:
                 continue
-            coeffs = dict(zip(basis, (sum(a * b for a, b in zip(normals[j], col)) for col in columns)))
+            coeffs = {i: row[j] for i, row in zip(basis, rows)}
             coeffs[j] = -scale
             support = tuple(sorted(i for i, x in coeffs.items() if x))
             if support not in kernels:

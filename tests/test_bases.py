@@ -1,15 +1,28 @@
 """The arrangement's basis table and the layers that read it, against
 oracles that decide independence on their own: a Laplace determinant per
-d-subset, a rank per subset, and the Smith form of each Lawrence cone."""
+d-subset, a rank per subset, an inverse per d-subset (the reference for
+the exchange walk) and the Smith form of each Lawrence cone."""
 
 from __future__ import annotations
 
 import itertools
+import random
+from fractions import Fraction
 from math import prod
 
 import pytest
 
-from hypertoric.exactalg import IntMatrix, rational_rank, smith_normal_form
+from hypertoric.arrangement import NonGenericTheta, StackyArrangement
+from hypertoric.exactalg import (
+    ExactAlgError,
+    FgAbelianGroup,
+    GroupHom,
+    IntMatrix,
+    gale_dual,
+    rational_rank,
+    row_reduce,
+    smith_normal_form,
+)
 from hypertoric.lawrence import build_lawrence_fan
 from hypertoric.multifan import circuits
 
@@ -18,6 +31,52 @@ from hypertoric.multifan import circuits
 def wide(shipped, ladder, rank3_family):
     """The shipped examples, every ladder rung and the seeded rank-3 family."""
     return [*shipped.values(), *ladder.values(), *rank3_family]
+
+
+def seeded_draws(rank, count, seed, max_m=12):
+    """Seeded generic arrangements of the given rank with m <= max_m,
+    entries in [-2, 2] (so many d-subsets are singular) and psi in
+    [-1000, 1000]."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = rng.randint(rank + 1, max_m)
+        cols = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(m)]
+        psi = tuple(rng.randint(-1000, 1000) for _ in range(m))
+        group = FgAbelianGroup(rank)
+        try:
+            dual = gale_dual(GroupHom(FgAbelianGroup(m), group, IntMatrix.from_rows(tuple(zip(*cols)))))
+            theta = tuple(-x for x in dual.matrix.apply(psi))
+            out.append(StackyArrangement.build(group, cols, theta, psi))
+        except (ExactAlgError, NonGenericTheta):  # a zero column, an infinite cokernel or a wall
+            continue
+    return out
+
+
+@pytest.fixture(scope="module")
+def walked(wide, a_n):
+    """Every arrangement the exchange walk is checked on: ``wide``, the
+    A_n family and seeded rank-4 and rank-5 draws with m <= 12."""
+    return [*wide, *a_n.values(), *seeded_draws(4, 4, seed=29), *seeded_draws(5, 3, seed=31)]
+
+
+def integer_inverse(rows):
+    """``(A, s)`` with integer rows A, s > 0 and A / s the inverse of a square
+    rational matrix (s = |det| for integers); None if singular."""
+    n = len(rows)
+    pivots, m, d = row_reduce(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+    if len(pivots) < n:
+        return None
+    sign = 1 if d > 0 else -1
+    return tuple(tuple(sign * x for x in row[n:]) for row in m), sign * d
+
+
+def subset_bases(arr):
+    """Reference basis table: ``integer_inverse`` of every d-subset of the
+    normals, in ``combinations`` order, the singular ones left out."""
+    subsets = itertools.combinations(range(arr.m), arr.d)
+    inverses = ((s, integer_inverse([arr.b_bar(i) for i in s])) for s in subsets)
+    return {s: inverse for s, inverse in inverses if inverse is not None}
 
 
 def laplace_det(rows):
@@ -91,3 +150,72 @@ def test_lawrence_cones_read_the_bases(wide):
             located = fan.locate(point)
             assert located.max_cone == cone
             assert located.coefficients == weights
+
+
+def test_integer_inverse_matches_sympy():
+    """The reference inverse against sympy's, on seeded square int/Fraction
+    matrices with entries in [-3, 3], a third of them made singular."""
+    import sympy
+
+    rng = random.Random(20151)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else rng.randint(-3, 3)
+
+    counts = {"singular": 0, "regular": 0}
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        rows = [[entry() for _ in range(k)] for _ in range(k)]
+        if rng.random() < 0.33:
+            coeffs = [rng.randint(-2, 2) for _ in rows[:-1]]
+            rows[-1] = [sum((c * r[j] for c, r in zip(coeffs, rows)), 0) for j in range(k)]
+        entries = [Fraction(x) for row in rows for x in row]
+        S = sympy.Matrix(k, k, [sympy.Rational(x.numerator, x.denominator) for x in entries])
+        if S.det() == 0:
+            counts["singular"] += 1
+            assert integer_inverse(rows) is None
+            continue
+        counts["regular"] += 1
+        inv = S.inv()
+        got, s = integer_inverse(rows)
+        assert s > 0 and all(type(x) is int for row in got for x in row)
+        assert tuple(tuple(Fraction(x, s) for x in row) for row in got) == tuple(
+            tuple(Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in range(k)) for i in range(k)
+        )
+    assert all(n >= 50 for n in counts.values()), counts
+
+
+def test_exchange_walk_matches_the_subset_table(walked):
+    """The walk over the basis-exchange graph finds every basis, with the
+    inverse of one reduction per d-subset, in the same key order."""
+    for arr in walked:
+        want = subset_bases(arr)
+        assert list(arr.bases.items()) == list(want.items())
+        assert list(arr.tableau) == list(want)
+
+
+def test_tableau_identities(walked):
+    """Two identities that hold whatever the pivots: each column of the
+    tableau combines the basis's normals into s times that normal, and a
+    nonzero entry off the basis is the s of the exchanged basis, a zero one
+    says the exchanged set is singular (both read against the subset table)."""
+    checked = 0
+    for arr in walked:
+        want = subset_bases(arr)
+        normals = [arr.b_bar(j) for j in range(arr.m)]
+        for basis, rows in arr.tableau.items():
+            scale = arr.bases[basis][1]
+            assert len(rows) == arr.d and all(len(row) == arr.m for row in rows)
+            for j, normal in enumerate(normals):
+                combined = [sum(row[j] * normals[i][r] for i, row in zip(basis, rows)) for r in range(arr.d)]
+                assert combined == [scale * x for x in normal]
+                if j in basis:
+                    continue
+                for k, row in enumerate(rows):
+                    exchanged = tuple(sorted(basis[:k] + basis[k + 1 :] + (j,)))
+                    if row[j]:
+                        assert want[exchanged][1] == abs(row[j])
+                    else:
+                        assert exchanged not in want
+                    checked += 1
+    assert checked > 10_000

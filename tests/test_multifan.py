@@ -85,13 +85,20 @@ def fresh(arr):
 def with_corrupted_inverse(arr, corrupt):
     """A copy of ``arr`` whose basis table holds ``corrupt(A)`` in place of
     the inverse A of its first basis, which is first for the supports of its
-    fundamental circuits."""
+    fundamental circuits, and whose tableau holds that basis's rows read off
+    the corrupted inverse, X = A^T N, as ``circuits`` reads the tableau."""
     copy = fresh(arr)
-    table = dict(arr.bases)
+    table, tableau = dict(arr.bases), dict(arr.tableau)
     first = next(iter(table))
     inverse, scale = table[first]
-    table[first] = tuple(map(tuple, corrupt([list(row) for row in inverse]))), scale
+    inverse = tuple(map(tuple, corrupt([list(row) for row in inverse])))
+    table[first] = inverse, scale
+    normals = [arr.b_bar(j) for j in range(arr.m)]
+    tableau[first] = tuple(
+        tuple(sum(a * b for a, b in zip(col, normal)) for normal in normals) for col in zip(*inverse)
+    )
     copy.__dict__["bases"] = table
+    copy.__dict__["tableau"] = tableau
     return copy
 
 
