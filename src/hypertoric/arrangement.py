@@ -57,6 +57,13 @@ class NoIntegralLift(ArrangementError):
 class DimensionTooLarge(ArrangementError):
     """Guard for the chamber enumeration: d <= 6 and m <= 16 only."""
 
+    @staticmethod
+    def check(d: int, m: int) -> None:
+        if d > MAX_DIM or m > MAX_HYPERPLANES:
+            raise DimensionTooLarge(
+                f"chamber enumeration is guarded to d <= {MAX_DIM}, m <= {MAX_HYPERPLANES}"
+            )
+
 
 class InvariantError(RuntimeError):
     """An internal invariant failed: a fault of the program, never of the
@@ -415,10 +422,7 @@ class StackyArrangement:
         signs it takes on the other hyperplanes.  Each chamber not yet
         seen is walked once.
         """
-        if self.d > MAX_DIM or self.m > MAX_HYPERPLANES:
-            raise DimensionTooLarge(
-                f"chamber enumeration is guarded to d <= {MAX_DIM}, m <= {MAX_HYPERPLANES}"
-            )
+        DimensionTooLarge.check(self.d, self.m)
         graph = self._vertex_graph
         order = {tight: k for k, tight in enumerate(graph)}
         found = []

@@ -45,6 +45,7 @@ from fractions import Fraction
 
 from hypertoric.arrangement import (
     ArrangementError,
+    DimensionTooLarge,
     NoIntegralLift,
     NonGenericTheta,
     StackyArrangement,
@@ -586,6 +587,8 @@ def run(argv) -> int:
             return 0
 
         doc = load_document(args.input)
+        if args.command == "core":  # the guard, before the basis table is built
+            DimensionTooLarge.check(doc["rank"], len(doc["beta"]))
         arr = build_arrangement(doc)
         flags = {"format": args.format}
         values = []

@@ -10,7 +10,15 @@ and nothing more.
 
 Tables hold exact ``Poly`` linear forms, and every integral is exact
 polynomial arithmetic: a compact sector integral is a ``Poly``, and an
-integral over the whole cotangent sector a ``RationalFunction``.
+integral over the whole cotangent sector a ``RationalFunction``.  On the
+standard table the compact sector integral is one divided difference of
+the class along the line u_i = lam_i - w_i t, at the nodes lam_k / w_k
+(see ``integrate_base``): it needs no common denominator and no exact
+division, and the divided difference of a polynomial is a polynomial, so
+it cannot fail to be one.  ``_localize``, the common-denominator sum
+with exact division by each Euler form, serves the cotangent integral
+and the hard-coded table, and is the tests' reference for the divided
+difference.
 """
 
 from __future__ import annotations
@@ -265,13 +273,56 @@ def integrate_base(
     poly: Poly, table: FixedPointTable, sector_class: Fraction = Fraction(0)
 ) -> Poly:
     """Integral over the compact zero section of a sector: Euler factors are
-    the base tangent weights only.  A polynomial class integrates to a
-    polynomial; a denominator left over raises NotPolynomial."""
+    the base tangent weights only.
+
+    On the standard table the sum is a divided difference.  With
+    x_k = lam_k / w_k the tangent weight at slot k toward j is
+    w_j (x_j - x_k) and u_i restricts to lam_i - w_i x_k, so with
+    G(t) = poly(u_i -> lam_i - w_i t) over a support S of n + 1 slots
+
+        integral = (-1)^n / prod_S w_k * sum_(a >= n) G_a h_(a-n)(x_S),
+
+    G_a the coefficient of t^a and h_r the complete homogeneous symmetric
+    polynomial.  The divided difference of a polynomial is a polynomial,
+    so NotPolynomial cannot arise there, and a class whose degree in the
+    u's is below n integrates to 0.  Any other table goes through the
+    common-denominator sum, where a denominator left over raises
+    NotPolynomial."""
     points = table.sector_points(sector_class)
-    numerator, left = _localize(poly, points, [pt.tangent_weights for pt in points])
-    if left:
-        raise NotPolynomial("sector integral is not polynomial")
-    return numerator
+    if table.convention != "standard":
+        numerator, left = _localize(poly, points, [pt.tangent_weights for pt in points])
+        if left:
+            raise NotPolynomial("sector integral is not polynomial")
+        return numerator
+    if any(t.is_zero() for pt in points for t in pt.tangent_weights):
+        raise ZeroEuler("vanishing Euler factor")
+    return _divided_difference(poly, table.model, [pt.slot for pt in points])
+
+
+def _divided_difference(poly: Poly, model: WeightedModel, support) -> Poly:
+    """The standard table's sector integral, as in ``integrate_base``."""
+    ring, w, lam = model.ring, model.weights, model.lam_forms
+    n = len(support) - 1
+    slot_of = {ring.index[name]: i for i, name in enumerate(model.u_names)}
+    zero = ring.zero()
+    G: dict = {}  # a -> G_a, for a >= n
+    for mono, c in poly.terms.items():
+        if sum(mono[v] for v in slot_of) < n:
+            continue  # this term feeds only G_a with a < n
+        series = [Poly(ring, {tuple(0 if v in slot_of else e for v, e in enumerate(mono)): c})]
+        for v, i in slot_of.items():
+            for _ in range(mono[v]):  # times lam_i - w_i t
+                shifted = [zero] + [s * -w[i] for s in series]
+                series = [s * lam[i] + r for s, r in zip(series + [zero], shifted)]
+        for a in range(n, len(series)):
+            G[a] = G[a] + series[a] if a in G else series[a]
+    h = [ring.one()] + [zero] * (max(G, default=n) - n)  # h_r of the x's taken so far
+    for k in support:
+        x = lam[k] * Fraction(1, w[k])
+        for r in range(1, len(h)):
+            h[r] = h[r] + x * h[r - 1]
+    total = sum((g * h[a - n] for a, g in G.items()), zero)
+    return total * Fraction((-1) ** n, prod(w[k] for k in support))
 
 
 def fiber_class_expr(model: WeightedModel, support=None) -> Poly:

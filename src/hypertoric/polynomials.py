@@ -26,7 +26,10 @@ from operator import add
 
 
 def _exact(c):
-    """``Fraction(c)``, returned as an int when it is integral."""
+    """``Fraction(c)``, returned as an int when it is integral; an int is
+    returned as it is."""
+    if type(c) is int:
+        return c
     if isinstance(c, float):
         raise TypeError(f"inexact coefficient {c!r}")
     c = Fraction(c)
@@ -120,7 +123,7 @@ class Poly:
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("polynomials from different rings")
 
     def __add__(self, other):

@@ -12,6 +12,7 @@ import pytest
 
 import hypertoric
 
+from hypertoric.arrangement import StackyArrangement
 from hypertoric.cli import build_arrangement, run
 from hypertoric.crring import CohomologyContext
 from hypertoric.multifan import circuits
@@ -271,6 +272,30 @@ def test_rank_zero_column_is_torsion(capsys, tmp_path):
         code, out = invoke(capsys, [command, "--input", str(p)])
         assert code == 2
         assert json.loads(out)["error"]["message"] == "column 1 is torsion"
+
+
+@pytest.mark.parametrize("rank, m", [(7, 8), (1, 17)])
+def test_core_past_the_guard_exits_before_the_build(capsys, tmp_path, monkeypatch, rank, m):
+    """core checks the rank and the number of beta columns against the
+    chamber guard before the arrangement (and its basis table) is built."""
+
+    def unbuilt(*args):
+        raise AssertionError("core built the arrangement past the guard")
+
+    monkeypatch.setattr(StackyArrangement, "build", unbuilt)
+    beta = [[int(i == j) for i in range(rank)] for j in range(m - 1)] + [[-1] * rank]
+    doc = {
+        "schema_version": "hypertoric-arrangement/1",
+        "rank": rank,
+        "beta": beta,
+        "theta": [1] * (m - rank),
+    }
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = invoke(capsys, ["core", "--input", str(p)])
+    assert code == 2
+    message = "chamber enumeration is guarded to d <= 6, m <= 16"
+    assert json.loads(out) == {"error": {"message": message, "path": "(input data)"}}
 
 
 def test_svg_planar(capsys, write_examples, tmp_path):

@@ -11,6 +11,8 @@ import sympy
 from hypertoric.localize import (
     NotPolynomial,
     WeightedModel,
+    ZeroEuler,
+    _localize,
     box_square_sign_oracle,
     fiber_class_expr,
     integrate,
@@ -21,7 +23,7 @@ from hypertoric.localize import (
     standard_table,
     steinberg_operator,
 )
-from hypertoric.polynomials import Poly, divide_linear
+from hypertoric.polynomials import Poly, PolyRing, divide_linear
 from sympy_bridge import poly_to_sympy, rational_to_sympy
 
 # sympy symbols, for the oracle values of ``integrate``
@@ -236,7 +238,7 @@ def _sympy_localization_sum(weights, f, cls):
 
 
 def test_integrate_base_matches_sympy_localization():
-    """Differential check of the exact-division integral against a sympy
+    """Differential check of the divided-difference integral against a sympy
     localization sum, on seeded weight vectors, every sector and random
     polynomial classes."""
     rng = random.Random(20151)
@@ -314,3 +316,68 @@ def test_integrate_base_rejects_non_polynomial_integrand():
         integrate_base(RING2.one(), paper_table_p12(), Fraction(0))
     with pytest.raises(NotPolynomial):
         integrate_base(P_U1 * P_HBAR, paper_table_p12(), Fraction(0))
+
+
+def _embedded_model(rng):
+    """A model built as ``quantum.CircuitModel`` builds one: the ring of a
+    six-hyperplane arrangement, torus parameters lam_i or hbar - lam_i,
+    and the divisors of a subset of the slots."""
+    ring = PolyRing([f"u{i + 1}" for i in range(6)] + ["hbar"] + [f"lam{i + 1}" for i in range(6)])
+    slots = sorted(rng.sample(range(6), rng.randint(2, 5)))
+    hbar = ring.var("hbar")
+    lams = [ring.var(f"lam{i + 1}") for i in slots]
+    lam_forms = tuple(hbar - lam if rng.random() < 0.5 else lam for lam in lams)
+    weights = tuple(rng.randint(1, 4) for _ in slots)
+    return WeightedModel(weights, ring, lam_forms, tuple(f"u{i + 1}" for i in slots))
+
+
+def _random_class(rng, ring, degree):
+    """A sum of up to three monomials of total degree ``degree`` in every
+    variable of the ring, with Fraction coefficients."""
+    cls = ring.zero()
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * len(ring.names)
+        for _ in range(degree):
+            exps[rng.randrange(len(ring.names))] += 1
+        cls = cls + ring.monomial(exps, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return cls
+
+
+def test_integrate_base_matches_the_localization_kernel():
+    """On standard tables the divided difference equals, term for term, the
+    numerator of the common-denominator sum, which leaves no form in the
+    denominator: seeded weights with 2 to 5 slots, every sector, classes
+    of every degree up to n + 2, on default and embedded models.  A class
+    of degree below n in the model's divisors integrates to 0."""
+    rng = random.Random(20153)
+    seen = {"default": 0, "embedded": 0, "zero": 0, "nonzero": 0}
+    for draw in range(24):
+        if draw % 2:
+            model, kind = _embedded_model(rng), "embedded"
+        else:
+            weights = tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 5)))
+            model, kind = WeightedModel(weights), "default"
+        table = standard_table(model)
+        for sec in sectors(model):
+            points = table.sector_points(sec.f)
+            n = len(sec.support) - 1
+            for degree in range(n + 3):
+                cls = _random_class(rng, model.ring, degree)
+                numerator, left = _localize(cls, points, [pt.tangent_weights for pt in points])
+                value = integrate_base(cls, table, sec.f)
+                assert not left and value.terms == numerator.terms, (model.weights, sec.f, cls)
+                if degree < n:
+                    assert value.is_zero()
+                seen[kind] += 1
+                seen["zero" if value.is_zero() else "nonzero"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_integrate_base_raises_on_coinciding_nodes():
+    """Two slots whose torus parameters over their weights agree give a zero
+    tangent weight, on the standard table as on any other."""
+    ring = WeightedModel((1, 2)).ring
+    lam1 = ring.var("lam1")
+    model = WeightedModel((1, 2), ring, (lam1, 2 * lam1))
+    with pytest.raises(ZeroEuler):
+        integrate_base(ring.var("u1"), standard_table(model))
