@@ -328,19 +328,16 @@ def _circuit_model(arr: StackyArrangement, index: int, convention: str):
             f"circuit index {index} out of range 1..{len(cs)}", path="--circuit"
         )
     weights = cs[index - 1].weights
-    if convention == "paper":
-        if tuple(weights) != (1, 2):
-            raise InputError(
-                "the paper convention table is defined only for weights (1, 2)",
-                path="--convention",
-            )
-        return cs[index - 1], localize.WeightedModel((1, 2)), localize.paper_table_p12()
-    model = localize.WeightedModel(weights)
-    return cs[index - 1], model, localize.standard_table(model)
+    if convention == "paper" and tuple(weights) != (1, 2):
+        raise InputError(
+            "the paper convention table is defined only for weights (1, 2)", path="--convention"
+        )
+    return cs[index - 1], localize.WeightedModel(weights)
 
 
 def payload_localize(arr: StackyArrangement, index: int, convention: str) -> dict:
-    circuit, model, table = _circuit_model(arr, index, convention)
+    circuit, model = _circuit_model(arr, index, convention)
+    table = localize.paper_table_p12() if convention == "paper" else localize.standard_table(model)
     sectors_out = []
     for f, points in sorted(table.points.items()):
         sectors_out.append(
@@ -369,12 +366,12 @@ def payload_localize(arr: StackyArrangement, index: int, convention: str) -> dic
 
 
 def payload_steinberg(arr: StackyArrangement, index: int, convention: str) -> dict:
-    circuit, model, table = _circuit_model(arr, index, convention)
-    fwd, inv = localize.steinberg_operator(model, table)
+    circuit, model = _circuit_model(arr, index, convention)
+    fwd, inv = localize.steinberg_operator(model, convention)
     out = {
         "circuit": [i + 1 for i in circuit.support],
         "weights": list(model.weights),
-        "convention": table.convention,
+        "convention": convention,
         "sector_order": [_frac(f) for f in fwd.sector_order],
         "forward_matrix": [[str(e) for e in row] for row in fwd.matrix],
         "inverse_matrix": [[str(e) for e in row] for row in inv.matrix],

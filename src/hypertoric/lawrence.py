@@ -11,13 +11,15 @@ l-pairing measures the failure of two lattice points to share a cone and
 returns its curve degree on the kernel basis of the lifted map, which is
 the canonical kernel basis of the normals, each vector k written as
 (k, -k), times one sign per basis vector.  One pass over the nonfacial ray
-pairs sets those signs and finds the minimal curve degree.
+pairs sets those signs and finds the minimal curve degree.  The l-pairing
+and a word of generators read their degrees off one integer projection.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from hypertoric.arrangement import InvariantError, StackyArrangement
@@ -58,8 +60,8 @@ class LawrenceFan:
     cone pair nonnegatively (the effective orientation), and
     ``minimal_curve_degree``, the first smallest positive curve degree of
     such a pair, or None.  The projection onto the unflipped basis is set
-    up once, and the fan remembers the cone coordinates of each point the
-    l-pairing has located.
+    up once, and the fan remembers the cone coordinates of each point it
+    has located for a degree.
     """
 
     def __init__(self, arrangement: StackyArrangement):
@@ -104,6 +106,14 @@ class LawrenceFan:
     def ray_vector(self, ray_id: int) -> tuple[int, ...]:
         return self.rays[ray_id]
 
+    @cached_property
+    def divisor_rays(self) -> dict:
+        """Which ray realizes the i-th divisor class: the side whose variable
+        alone appears in the irrelevant monomials, else the z side."""
+        labels = {label for mono in self.irrelevant_monomials for label in mono}
+        w_only = [f"w{i + 1}" in labels and f"z{i + 1}" not in labels for i in range(self.m)]
+        return {i: self.w_ray(i) if w else self.z_ray(i) for i, w in enumerate(w_only)}
+
     # -- queries -------------------------------------------------------------
 
     def locate(self, point) -> ConeCoordinates:
@@ -141,23 +151,30 @@ class LawrenceFan:
     def l_pairing(self, c1, c2) -> tuple[Fraction, ...]:
         """The coordinates in ``h2_basis`` (the curve degree) of the
         correction vector in Q^m + Q^m, the located coordinates of c1 and c2
-        less those of c1 + c2.
+        less those of c1 + c2; only the returned numbers are Fractions."""
+        located = (self._locate_once(c1).coefficients, self._locate_once(c2).coefficients)
+        numerators, den = self.degree_numerators(located, tuple(a + b for a, b in zip(c1, c2)))
+        return tuple(Fraction(x, den) for x in numerators)
 
-        The three locations are put over one common denominator, and the
-        projection and the check that the vector lies in the curve lattice
-        run in integers; only the returned numbers are Fractions."""
-        total = tuple(a + b for a, b in zip(c1, c2))
-        located = [self._locate_once(p).coefficients for p in (c1, c2, total)]
-        den = lcm(*(x.denominator for coeffs in located for x in coeffs.values()))
+    def degree_numerators(self, vectors, point) -> tuple[list[int], int]:
+        """The curve degree of the sum of ``vectors`` (ray id -> int or
+        Fraction) less the located coordinates of ``point``: integer
+        numerators over one positive denominator.  The vectors are put over
+        one common denominator, and the projection and the check that the
+        vector lies in the curve lattice run in integers."""
+        signed = [(coeffs, 1) for coeffs in vectors]
+        signed.append((self._locate_once(point).coefficients, -1))
+        den = lcm(*(x.denominator for coeffs, _ in signed for x in coeffs.values()))
         vec = [0] * (2 * self.m)
-        for coeffs, sign in zip(located, (1, 1, -1)):
+        for coeffs, sign in signed:
             for r, x in coeffs.items():
                 vec[r] += sign * x.numerator * (den // x.denominator)
         projected = self._h2_coordinates(vec)
         if projected is None:
             raise InvariantError("l-pairing vector is outside the curve lattice")
         coords, last = projected
-        return tuple(Fraction(s * x, last * den) for s, x in zip(self.signs, coords))
+        sign = 1 if last > 0 else -1
+        return [sign * s * x for s, x in zip(self.signs, coords)], abs(last) * den
 
     def nonfacial_ray_pairs(self):
         """Ray pairs contained in no common maximal cone."""

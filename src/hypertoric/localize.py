@@ -10,15 +10,17 @@ and nothing more.
 
 Tables hold exact ``Poly`` linear forms, and every integral is exact
 polynomial arithmetic: a compact sector integral is a ``Poly``, and an
-integral over the whole cotangent sector a ``RationalFunction``.  On the
-standard table the compact sector integral is one divided difference of
-the class along the line u_i = lam_i - w_i t, at the nodes lam_k / w_k
-(see ``integrate_base``): it needs no common denominator and no exact
-division, and the divided difference of a polynomial is a polynomial, so
-it cannot fail to be one.  ``_localize``, the common-denominator sum
-with exact division by each Euler form, serves the cotangent integral
-and the hard-coded table, and is the tests' reference for the divided
-difference.
+integral over the whole cotangent sector a ``RationalFunction``.  Under
+the standard convention the compact sector integral is one divided
+difference of the class along the line u_i = lam_i - w_i t, at the nodes
+lam_k / w_k (see ``integrate_base``): it needs no common denominator and
+no exact division, and the divided difference of a polynomial is a
+polynomial, so it cannot fail to be one.  It reads only a model's
+weights, torus parameters and sector support, so the circuit models and
+the standard Steinberg operator build no table.  ``_localize``, the
+common-denominator sum with exact division by each Euler form, serves
+the cotangent integral and the hard-coded table, and is the tests'
+reference for the divided difference.
 """
 
 from __future__ import annotations
@@ -269,39 +271,43 @@ def integrate(
     return RationalFunction(numerator, prod((f**k for f, k in left.items()), start=poly.ring.one()))
 
 
-def integrate_base(
-    poly: Poly, table: FixedPointTable, sector_class: Fraction = Fraction(0)
-) -> Poly:
+def integrate_base(poly: Poly, source, sector=Fraction(0)) -> Poly:
     """Integral over the compact zero section of a sector: Euler factors are
     the base tangent weights only.
 
-    On the standard table the sum is a divided difference.  With
-    x_k = lam_k / w_k the tangent weight at slot k toward j is
+    ``source`` is a fixed-point table and ``sector`` its sector class, or a
+    WeightedModel and ``sector`` one of its ``sectors``: the standard
+    convention needs no table.  There the sum is a divided difference.
+    With x_k = lam_k / w_k the tangent weight at slot k toward j is
     w_j (x_j - x_k) and u_i restricts to lam_i - w_i x_k, so with
     G(t) = poly(u_i -> lam_i - w_i t) over a support S of n + 1 slots
 
         integral = (-1)^n / prod_S w_k * sum_(a >= n) G_a h_(a-n)(x_S),
 
     G_a the coefficient of t^a and h_r the complete homogeneous symmetric
-    polynomial.  The divided difference of a polynomial is a polynomial,
-    so NotPolynomial cannot arise there, and a class whose degree in the
-    u's is below n integrates to 0.  Any other table goes through the
-    common-denominator sum, where a denominator left over raises
-    NotPolynomial."""
-    points = table.sector_points(sector_class)
-    if table.convention != "standard":
+    polynomial.  Two equal nodes, w_k lam_j = w_j lam_k on S, are a zero
+    tangent weight and raise ZeroEuler.  The divided difference of a
+    polynomial is a polynomial, so NotPolynomial cannot arise there, and
+    a class whose degree in the u's is below n integrates to 0.  Any other
+    table goes through the common-denominator sum, where a denominator
+    left over raises NotPolynomial."""
+    if isinstance(source, WeightedModel):
+        return _divided_difference(poly, source, sector.support)
+    points = source.sector_points(sector)
+    if source.convention != "standard":
         numerator, left = _localize(poly, points, [pt.tangent_weights for pt in points])
         if left:
             raise NotPolynomial("sector integral is not polynomial")
         return numerator
-    if any(t.is_zero() for pt in points for t in pt.tangent_weights):
-        raise ZeroEuler("vanishing Euler factor")
-    return _divided_difference(poly, table.model, [pt.slot for pt in points])
+    return _divided_difference(poly, source.model, [pt.slot for pt in points])
 
 
 def _divided_difference(poly: Poly, model: WeightedModel, support) -> Poly:
-    """The standard table's sector integral, as in ``integrate_base``."""
+    """The standard sector integral over ``support``, as in ``integrate_base``."""
     ring, w, lam = model.ring, model.weights, model.lam_forms
+    nodes = [lam[k] * Fraction(1, w[k]) for k in support]
+    if len(set(nodes)) < len(nodes):
+        raise ZeroEuler("vanishing Euler factor")
     n = len(support) - 1
     slot_of = {ring.index[name]: i for i, name in enumerate(model.u_names)}
     zero = ring.zero()
@@ -316,9 +322,8 @@ def _divided_difference(poly: Poly, model: WeightedModel, support) -> Poly:
                 series = [s * lam[i] + r for s, r in zip(series + [zero], shifted)]
         for a in range(n, len(series)):
             G[a] = G[a] + series[a] if a in G else series[a]
-    h = [ring.one()] + [zero] * (max(G, default=n) - n)  # h_r of the x's taken so far
-    for k in support:
-        x = lam[k] * Fraction(1, w[k])
+    h = [ring.one()] + [zero] * (max(G, default=n) - n)  # h_r of the nodes taken so far
+    for x in nodes:
         for r in range(1, len(h)):
             h[r] = h[r] + x * h[r - 1]
     total = sum((g * h[a - n] for a, g in G.items()), zero)
@@ -386,31 +391,32 @@ def sector_inverse(f: Fraction) -> Fraction:
 
 
 def steinberg_operator(
-    model: WeightedModel, table: FixedPointTable
+    model: WeightedModel, convention: str = "standard"
 ) -> tuple[SteinbergOperator, SteinbergOperator]:
-    """Assemble the correspondence operator and its inverse from the table.
+    """Assemble the correspondence operator and its inverse, by convention.
 
-    With the standard table every entry is computed, and the operator is
-    its own inverse, so the one matrix is returned twice: the component
-    for a sector pair integrates against the zero-section class of the
-    input factor and emits the zero-section class of the output factor,
-    with the parity sign of the two ages and the output read through the
-    sector inversion.  With the paper table the quoted generator images
-    of both directions are returned verbatim, and the sector-basis matrix
-    entry that the quoted set leaves unstated is completed by the compact
-    base integral (which is exactly zero there).
+    With the standard convention every entry is computed from the model,
+    without a table, and the operator is its own inverse, so the one
+    matrix is returned twice: the component for a sector pair integrates
+    against the zero-section class of the input factor and emits the
+    zero-section class of the output factor, with the parity sign of the
+    two ages and the output read through the sector inversion.  With the
+    paper convention the quoted generator images of both directions are
+    returned verbatim, and the sector-basis matrix entry that the quoted
+    set leaves unstated is completed by the compact base integral (which
+    is exactly zero there).
     """
     secs = sectors(model)
     order = tuple(s.f for s in secs)
-    if table.convention == "paper":
-        return _paper_steinberg(model, table, order)
+    if convention == "paper":
+        return _paper_steinberg(model, order)
     idx = {f: i for i, f in enumerate(order)}
     rows = [[Fraction(0)] * len(order) for _ in order]
     for s_in in secs:
         # pairing of the sector basis class against the correspondence:
         # integrate it over the compact zero section of the input factor
         phi_in = fiber_class_expr(model, s_in.support)
-        weight = integrate_base(phi_in, table, s_in.f).constant_value()
+        weight = integrate_base(phi_in, model, s_in).constant_value()
         for s_out in secs:
             sign = (-1) ** (s_in.age + s_out.age)
             target = idx[sector_inverse(s_out.f)]
@@ -419,13 +425,13 @@ def steinberg_operator(
     return operator, operator
 
 
-def _paper_steinberg(model, table, order):
+def _paper_steinberg(model, order):
     """The quoted values, forward and inverse, on the basis of the fiber
     class hbar - u1 - u2 and the unit of the half sector ("box")."""
     lam1, lam2 = model.lam_forms
     half = Fraction(1, 2)
     halves = {"fiber": half, "box": half}
-    I = integrate((model.hbar_form() - lam1 - lam2) ** 2, table, Fraction(0))
+    I = integrate((model.hbar_form() - lam1 - lam2) ** 2, paper_table_p12(), Fraction(0))
     # the one matrix entry the quoted values leave unstated is completed by
     # the compact base integral of the fiber class
     mixed = integrate_base(fiber_class_expr(model), standard_table(model)).constant_value()

@@ -16,7 +16,8 @@ calibrated so that the worked example series are reproduced at low
 order, and the other two literal readings are available for
 differential testing.  The quantum Stanley-Reisner ring reads only the
 arrangement's Lawrence fan, with coefficients in hbar alone; a word of
-its generators is one monomial, carried without ring products.
+its generators is one monomial, carried without ring products, its
+degree one integer projection per letter.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from hypertoric.localize import (
     integrate_base,
     sector_inverse,
     sectors,
-    standard_table,
 )
 from hypertoric.multifan import BoxElement, Circuit, box_of
 from hypertoric.polynomials import Poly, PolyRing
@@ -100,7 +100,9 @@ class CircuitModel:
     outside the circuit support are eliminated through the context's
     ``linear_relations`` when possible; the replacements of all of them
     come from one reduction of their normals, when the model is built.
-    ``pairs`` are the circuit's sector pairs, solved by the caller.
+    ``pairs`` are the circuit's sector pairs, solved by the caller.  The
+    model keeps no fixed-point table: its compact integrals read only its
+    WeightedModel and the sector (``integrate_base``).
     """
 
     def __init__(self, context: CohomologyContext, circuit: Circuit, pairs: tuple):
@@ -117,10 +119,9 @@ class CircuitModel:
         )
         u_names = tuple(f"u{i + 1}" for i in self.slots)
         self.model = WeightedModel(circuit.weights, context.ring, lam_forms, u_names)
-        self.table = standard_table(self.model)
         self._sectors = {sec.f: sec for sec in sectors(self.model)}
         self._elimination = self._build_elimination()
-        self._sector_boxes = {f: self._box_of_fraction(f) for f in self._sectors}
+        self._sector_boxes = {}  # f -> the sector's box
         self.sector_pairs = pairs
         self._integrals = {}  # (f1, component) -> integral over the f1 factor
         self._outputs = {}  # f2 -> (out box, zero-section class of the f2 factor)
@@ -176,17 +177,18 @@ class CircuitModel:
 
     # -- sector/box dictionary ------------------------------------------------
 
-    def _box_of_fraction(self, f: Fraction) -> BoxElement:
-        """Sector f's box: <f w_i> on the positive side, 1 - <f w_i> on the negative
-        side, no torsion; integral, as the signed w_i b̄_i sum to 0."""
-        alphas = []
-        for i, w in zip(self.slots, self.circuit.weights):
-            a = (f * w) % 1
-            if a:
-                alphas.append((i, a if self.circuit.sign_of(i) > 0 else 1 - a))
-        return box_of(self.context.arr, alphas, self.context.trivial_box().v_torsion)
-
     def box_of_sector(self, f: Fraction) -> BoxElement:
+        """Sector f's box, built on first use: <f w_i> on the positive side,
+        1 - <f w_i> on the negative side, no torsion; integral, as the
+        signed w_i b̄_i sum to 0."""
+        if f not in self._sector_boxes:
+            alphas = []
+            for i, w in zip(self.slots, self.circuit.weights):
+                a = (f * w) % 1
+                if a:
+                    alphas.append((i, a if self.circuit.sign_of(i) > 0 else 1 - a))
+            box = box_of(self.context.arr, alphas, self.context.trivial_box().v_torsion)
+            self._sector_boxes[f] = box
         return self._sector_boxes[f]
 
     # -- the correspondence ----------------------------------------------------
@@ -205,7 +207,7 @@ class CircuitModel:
         key = (f1, comp)
         if key not in self._integrals:
             integrand = self.fiber_dual(self.eliminate_outside(comp))
-            self._integrals[key] = integrate_base(integrand, self.table, f1)
+            self._integrals[key] = integrate_base(integrand, self.model, self._sectors[f1])
         scalar = self._integrals[key]
         sign = (-1) ** (self._sectors[f1].age + self._sectors[f2].age)
         if f2 not in self._outputs:
@@ -500,43 +502,28 @@ def qsr_presentation(arr: StackyArrangement, order=6):
     return fan, tuple(rels)
 
 
-def divisor_ray_side(fan: LawrenceFan) -> dict:
-    """Which ray realizes the i-th divisor class: the side whose variable
-    appears in the irrelevant monomials (the side with empty common zero)."""
-    varset = set()
-    for mono in fan.irrelevant_monomials:
-        varset.update(mono)
-    side = {}
-    for i in range(fan.m):
-        z_used = f"z{i + 1}" in varset
-        w_used = f"w{i + 1}" in varset
-        if z_used and not w_used:
-            side[i] = fan.z_ray(i)
-        elif w_used and not z_used:
-            side[i] = fan.w_ray(i)
-        else:
-            side[i] = fan.z_ray(i)  # mixed: pick the z side deterministically
-    return side
-
-
 def qsr_word(fan: LawrenceFan, word, order) -> QSRElement:
     """Product over ("u", i) / ("hu", i) tokens inside the semigroup ring,
-    using the divisor-to-ray dictionary and the hyperplane relations.
+    using the fan's divisor-to-ray dictionary and the hyperplane relations.
     The product of generators is one monomial: its point is the sum of
-    the rays, and its exponent adds the l-pairing of the point so far
-    with each next ray.  It is zero once the exponent passes ``order``."""
-    side = divisor_ray_side(fan)
-    point, exp = (0,) * len(fan.rays[0]), (0,) * len(fan.signs)
+    the rays.  The l-pairings of its letters telescope, so its exponent
+    after each letter is the curve degree of the count of each ray added
+    less the located point, read in integers; the word is zero once that
+    passes ``order``."""
+    side = fan.divisor_rays
+    point, count = (0,) * len(fan.rays[0]), {}
+    numerators, den = (0,) * len(fan.signs), 1  # the empty word's degree
     for kind, i in word:
-        if sum(exp) > order:
-            break
         ray = side[i]
         if kind == "hu":
             ray = fan.w_ray(i) if ray == fan.z_ray(i) else fan.z_ray(i)
-        vector = fan.ray_vector(ray)
-        exp = tuple(e + x for e, x in zip(exp, fan.l_pairing(point, vector)))
-        point = tuple(x + y for x, y in zip(point, vector))
-    return QSRElement(order, (((point, exp), HBAR.one()),) if sum(exp) <= order else ())
+        count[ray] = count.get(ray, 0) + 1
+        point = tuple(x + y for x, y in zip(point, fan.ray_vector(ray)))
+        numerators, den = fan.degree_numerators((count,), point)
+        if sum(numerators) > order * den:
+            return QSRElement(order, ())
+    exp = tuple(Fraction(x, den) for x in numerators)
+    return QSRElement(order, (((point, exp), HBAR.one()),))
 
 
 def qsr_circuit_relation_defect(fan: LawrenceFan, circuit: Circuit, order) -> QSRElement:

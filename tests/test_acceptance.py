@@ -172,7 +172,7 @@ def test_criterion_5_steinberg():
     stated = sympy.Rational(1, 2) * ((h - lam2) / lam1 + (h - lam1) / lam2 - 2)
     assert sympy.simplify(integral - stated) == 0
     half = Fraction(1, 2)
-    L, Linv = steinberg_operator(model, table)
+    L, Linv = steinberg_operator(model, "paper")
     assert L.generator_images["u1"] == {"fiber": half, "box": half}
     assert L.generator_images["u2"] == {"fiber": 1, "box": half}
     assert L.generator_images["box"] == {"fiber": half, "box": half}

@@ -22,6 +22,8 @@ from hypertoric.lawrence import (
     OutsideSupport,
     build_lawrence_fan,
 )
+from hypertoric.multifan import circuits
+from hypertoric.quantum import qsr_word
 
 
 def test_tp1_fan_shape(tp1):
@@ -307,9 +309,33 @@ def test_l_pairing_matches_rational_coordinates(wide_fans):
     assert paired > 1000
 
 
+def test_degrees_do_not_depend_on_the_sign_of_the_last_pivot(hirzebruch_weighted):
+    """The projection's last pivot may be negative: negating it with the
+    coordinates leaves every l-pairing and every circuit word as it was,
+    truncation included, since a word compares its degree with the order
+    over a positive denominator."""
+    fan = build_lawrence_fan(hirzebruch_weighted)
+    pairs = [(fan.ray_vector(a), fan.ray_vector(b)) for a, b in itertools.combinations(range(2 * fan.m), 2)]
+    words = [
+        [(kind, i) for i, w in zip(c.support, c.weights) for _ in range(w)]
+        for c in circuits(hirzebruch_weighted)
+        for kind in ("u", "hu")
+    ]
+    expected = [fan.l_pairing(p, q) for p, q in pairs], [qsr_word(fan, w, 6).terms for w in words]
+    project = fan._h2_coordinates
+
+    def negated(vec):
+        coords, last = project(vec)
+        return [-x for x in coords], -last
+
+    fan._h2_coordinates = negated
+    assert ([fan.l_pairing(p, q) for p, q in pairs], [qsr_word(fan, w, 6).terms for w in words]) == expected
+
+
 def test_l_pairing_outside_curve_lattice_is_internal(tp1, monkeypatch):
     fan = build_lawrence_fan(tp1)
     (pair,) = fan.nonfacial_ray_pairs()
+    (circuit,) = circuits(tp1)
     real = row_reduce
 
     def wrong_last_pivot(rows, right=()):
@@ -321,6 +347,9 @@ def test_l_pairing_outside_curve_lattice_is_internal(tp1, monkeypatch):
     fresh = LawrenceFan(tp1)
     with pytest.raises(InvariantError, match="curve lattice"):
         fresh.l_pairing(fan.ray_vector(pair[0]), fan.ray_vector(pair[1]))
+    # a word of generators reads its degree through the same projection
+    with pytest.raises(InvariantError, match="curve lattice"):
+        qsr_word(fresh, [("u", i) for i in circuit.support], 6)
 
 
 def test_outside_support(tp1):

@@ -23,7 +23,9 @@ from hypertoric.localize import (
     standard_table,
     steinberg_operator,
 )
+from hypertoric.crring import CohomologyContext
 from hypertoric.polynomials import Poly, PolyRing, divide_linear
+from hypertoric.quantum import CircuitModel
 from sympy_bridge import poly_to_sympy, rational_to_sympy
 
 # sympy symbols, for the oracle values of ``integrate``
@@ -160,7 +162,7 @@ def test_fiber_class_restrictions():
 def test_steinberg_paper_values():
     model = WeightedModel((1, 2))
     table = paper_table_p12()
-    L, Linv = steinberg_operator(model, table)
+    L, Linv = steinberg_operator(model, "paper")
     half = Fraction(1, 2)
     assert L.generator_images["u1"] == {"fiber": half, "box": half}
     assert L.generator_images["u2"] == {"fiber": 1, "box": half}
@@ -177,7 +179,7 @@ def test_steinberg_paper_values():
 
 def test_steinberg_standard_matrix_shape():
     model = WeightedModel((1, 2))
-    L, Linv = steinberg_operator(model, standard_table(model))
+    L, Linv = steinberg_operator(model)
     assert len(L.matrix) == 2
     assert L.sector_order == (Fraction(0), Fraction(1, 2))
     half = Fraction(1, 2)
@@ -186,7 +188,7 @@ def test_steinberg_standard_matrix_shape():
     assert Linv.matrix == L.matrix
     assert not L.is_identity_matrix(Linv.compose(L))
     line = WeightedModel((1, 1))
-    L1, _ = steinberg_operator(line, standard_table(line))
+    L1, _ = steinberg_operator(line)
     assert L1.matrix == ((Fraction(-2),),)
     assert L1.is_injective()
     assert L1.is_identity_matrix(((Fraction(1),),))
@@ -373,11 +375,50 @@ def test_integrate_base_matches_the_localization_kernel():
     assert min(seen.values()) >= 50, seen
 
 
+def test_circuit_model_integral_matches_its_standard_table(shipped, ladder, rank3_family):
+    """The table-free integral, a circuit model with one of its sectors,
+    equals term for term the numerator of the common-denominator sum on
+    the model's standard table, which leaves no form in the denominator:
+    every sector of every circuit model of the shipped examples, the
+    non-probe ladder and the rank-3 family, with the models' own
+    ``lam_forms`` (lam_i on the positive side, hbar - lam_i on the
+    negative), on seeded classes of degree n and n + 1 in the model's
+    divisors, hbar and its torus parameters."""
+    rng = random.Random(20154)
+    arrs = [arr for name, arr in [*shipped.items(), *ladder.items()] if not name.startswith("probe-")]
+    seen = {"zero": 0, "nonzero": 0, "mixed lam_forms": 0}
+    for arr in [*arrs, *rank3_family]:
+        context = CohomologyContext(arr)
+        for circuit in context.circuits:
+            model = CircuitModel(context, circuit, ()).model
+            table = standard_table(model)
+            names = [*model.u_names, "hbar", *(f"lam{i + 1}" for i in circuit.support)]
+            seen["mixed lam_forms"] += len({circuit.sign_of(i) for i in circuit.support}) == 2
+            for sec in sectors(model):
+                points = table.sector_points(sec.f)
+                n = len(sec.support) - 1
+                for degree in (n, n + 1):
+                    cls = model.ring.zero()
+                    for _ in range(2):
+                        exps = [0] * len(model.ring.names)
+                        for _ in range(degree):
+                            exps[model.ring.index[rng.choice(names)]] += 1
+                        cls = cls + model.ring.monomial(exps, Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+                    numerator, left = _localize(cls, points, [pt.tangent_weights for pt in points])
+                    value = integrate_base(cls, model, sec)
+                    assert not left and value.terms == numerator.terms, (model.weights, sec.f, cls)
+                    seen["zero" if value.is_zero() else "nonzero"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
 def test_integrate_base_raises_on_coinciding_nodes():
     """Two slots whose torus parameters over their weights agree give a zero
-    tangent weight, on the standard table as on any other."""
+    tangent weight, on the standard table as on any other, and so does the
+    table-free integral of the model."""
     ring = WeightedModel((1, 2)).ring
     lam1 = ring.var("lam1")
     model = WeightedModel((1, 2), ring, (lam1, 2 * lam1))
     with pytest.raises(ZeroEuler):
         integrate_base(ring.var("u1"), standard_table(model))
+    with pytest.raises(ZeroEuler):
+        integrate_base(ring.var("u1"), model, sectors(model)[0])

@@ -14,7 +14,7 @@ from hypertoric.cli import run
 from hypertoric.crring import CohomologyContext, CRClass, cr_multiply
 from hypertoric.lawrence import LawrenceFan, build_lawrence_fan
 from hypertoric.exactalg import solve_rational_system
-from hypertoric.localize import fiber_class_expr, integrate, integrate_base, sectors
+from hypertoric.localize import fiber_class_expr, integrate, integrate_base, sectors, standard_table
 from hypertoric.multifan import circuits
 from hypertoric.quantum import (
     HBAR,
@@ -25,7 +25,6 @@ from hypertoric.quantum import (
     QuantumContext,
     TruncationTooSmall,
     differential_sign_report,
-    divisor_ray_side,
     minimal_curve_unit,
     qsr_circuit_relation_defect,
     qsr_multiply,
@@ -333,12 +332,13 @@ def test_additive_in_divisor(q12):
 
 def test_gamma_apply_integrates_once_per_component(tp12, hirzebruch_weighted, monkeypatch):
     """gamma_apply remembers the integral of each (f1, component), and on
-    seeded classes its output equals the correspondence computed afresh."""
+    seeded classes its output equals the correspondence computed afresh,
+    integrated on the model's standard table."""
     calls = []
 
-    def counting(poly, table, f):
+    def counting(poly, source, sector):
         calls.append(1)
-        return integrate_base(poly, table, f)
+        return integrate_base(poly, source, sector)
 
     monkeypatch.setattr("hypertoric.quantum.integrate_base", counting)
     rng = random.Random(11)
@@ -353,6 +353,7 @@ def test_gamma_apply_integrates_once_per_component(tp12, hirzebruch_weighted, mo
             })
             for ci in range(len(ctx.circuits)):
                 model = q.model(ci)
+                table = standard_table(model.model)
                 secs = {sec.f: sec for sec in sectors(model.model)}
                 for f1, f2, _ in model.sector_pairs:
                     comp = x.component(model.box_of_sector(f1))
@@ -361,13 +362,13 @@ def test_gamma_apply_integrates_once_per_component(tp12, hirzebruch_weighted, mo
                     else:
                         keys.add((id(model), f1, comp))
                         integrand = model.fiber_dual(model.eliminate_outside(comp))
-                        scalar = integrate_base(integrand, model.table, f1)
+                        scalar = integrate_base(integrand, table, f1)
                         sign = (-1) ** (secs[f1].age + secs[f2].age)
                         out_box = model.box_of_sector(Fraction(0) if f2 == 0 else 1 - f2)
                         out = model.fiber_dual(fiber_class_expr(model.model, secs[f2].support))
                         expected = CRClass.build(ctx, {out_box: out * scalar * sign})
                     assert model.gamma_apply(f1, f2, x) == expected
-        assert keys and len(calls) == len(keys)
+        assert calls and len(calls) == len(keys)
         calls.clear()
 
 
@@ -555,54 +556,61 @@ def test_qsr_associative_sampled(tp1):
         assert (lhs - rhs).is_zero()
 
 
-def product_word(fan, word, order):
-    """Reference: the product of a word's generators taken letter by letter
-    with ``qsr_multiply``, starting from the unit."""
-    side = divisor_ray_side(fan)
-    result = QSRElement.unit(fan, order)
+def product_prefixes(fan, word, order):
+    """Reference: the products of a word's prefixes, taken letter by letter
+    with ``qsr_multiply`` from the unit, each truncated at ``order``, up to
+    the first that is zero (every longer prefix is zero too)."""
+    side = fan.divisor_rays
+    result, prefixes = QSRElement.unit(fan, order), []
     for kind, i in word:
         ray = side[i]
         if kind == "hu":
             ray = fan.w_ray(i) if ray == fan.z_ray(i) else fan.z_ray(i)
         result = qsr_multiply(result, QSRElement.generator(fan, order, ray), fan, order)
-    return result
+        prefixes.append(result)
+        if result.is_zero():
+            break
+    return prefixes
 
 
 def test_qsr_word_matches_the_product_of_its_letters(shipped, ladder, rank3_family, monkeypatch):
     """A word of generators is one monomial: the u-word and the
     (hbar - u)-word of every circuit give the terms of the letter-by-letter
-    product, through the same l-pairings in the same order, at orders 0, 2
-    and 6, on the shipped examples, the non-probe ladder and the rank-3
-    family.  The l-pairing is pure, so each fan's degrees are computed once
-    and the reference reads them back."""
-    calls, degrees = [], {}
+    product at orders 0 to 6, on the shipped examples, the non-probe ladder
+    and the rank-3 family.  On words of at most 24 letters so does every
+    prefix, so truncation is decided as that product decides it after each
+    letter; each prefix is a call of its own, so longer words, up to 133
+    letters, are checked whole.  The l-pairing is pure, so the reference
+    computes each fan's degrees once."""
+    degrees = {}
     l_pairing = LawrenceFan.l_pairing
 
-    def recording(fan, c1, c2):
-        calls.append((c1, c2))
+    def remembered(fan, c1, c2):
         if (c1, c2) not in degrees:
             degrees[c1, c2] = l_pairing(fan, c1, c2)
         return degrees[c1, c2]
 
-    monkeypatch.setattr(LawrenceFan, "l_pairing", recording)
+    monkeypatch.setattr(LawrenceFan, "l_pairing", remembered)
     arrs = [arr for name, arr in [*shipped.items(), *ladder.items()] if not name.startswith("probe-")]
-    vanished = 0
+    seen = {"zero": 0, "nonzero": 0, "whole word": 0}
     for arr in [*arrs, *rank3_family]:
         fan = build_lawrence_fan(arr)
         degrees.clear()
         for circuit in circuits(arr):
             for kind in ("u", "hu"):
                 word = [(kind, i) for i, w in zip(circuit.support, circuit.weights) for _ in range(w)]
-                for order in (0, 2, 6):
-                    calls.clear()
-                    got = qsr_word(fan, word, order)
-                    made = list(calls)
-                    calls.clear()
-                    want = product_word(fan, word, order)
-                    assert (got.order, got.terms) == (want.order, want.terms), (circuit.support, kind, order)
-                    assert made == calls
-                    vanished += got.is_zero()
-    assert vanished
+                lengths = range(1, len(word) + 1) if len(word) <= 24 else [len(word)]
+                seen["whole word"] += len(word) > 24
+                for order in range(7):
+                    wants = product_prefixes(fan, word, order)
+                    for k in lengths:
+                        want = wants[k - 1] if k <= len(wants) else QSRElement(order, ())
+                        got = qsr_word(fan, word[:k], order)
+                        assert (got.order, got.terms) == (want.order, want.terms), (
+                            circuit.support, kind, order, k,
+                        )
+                        seen["zero" if got.is_zero() else "nonzero"] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_qsr_eliminated_relations(tp1, tp12):
@@ -672,9 +680,10 @@ def _pairing(qctx: QuantumContext):
     ctx = qctx.context
     assert len(ctx.circuits) == 1
     model, box, zero = qctx.model(0), ctx.trivial_box(), ctx.ring.zero()
+    table = standard_table(model.model)
 
     def integral(p):
-        return integrate(model.fiber_dual(p), model.table, Fraction(0))
+        return integrate(model.fiber_dual(p), table, Fraction(0))
 
     def paired(x, y, a: CRClass, b: CRClass) -> list:
         """(int x_k a, int y_k b) for each Novikov key k of the series x or y."""
