@@ -6,12 +6,12 @@ basis, and the independent sets (cones) are their faces; circuits, boxes,
 vertices and the Lawrence charts all read these tables.  Both come from
 one walk over the basis-exchange graph, as the simplex method pivots: one
 reduction gives the first basis, and each further basis is one exact
-pivot of a neighbour's tableau, so no singular d-subset is reduced.
-``vertex_values`` reads each basis's vertex and the hyperplane values
-there off the tableau; ``build`` decides genericity from them and the
-Lawrence fan its cones.  The geometry is done with exact rational
-arithmetic.  A generic stability vector makes the arrangement simple:
-every vertex lies on exactly d hyperplanes, with independent normals.
+pivot of a neighbour's tableau, so no singular d-subset is reduced.  The
+walk pivots the objective row too, which holds each basis's vertex and
+the hyperplane values there (``vertex_values``); ``build`` decides
+genericity from them and the Lawrence fan its cones.  The geometry is
+exact.  A generic stability vector makes the arrangement simple: every
+vertex lies on exactly d hyperplanes, with independent normals.
 The bounded chambers come from a walk over the vertex graph, solved once
 per arrangement: the 2d edges at a vertex run along the columns of the
 inverse of its tight normals, each hyperplane changes along them at the
@@ -230,41 +230,49 @@ class StackyArrangement:
     def normal_kernel(self) -> tuple[tuple[int, ...], ...]:
         """The canonical (Hermite) kernel basis of the normals, the integer
         relations sum x_i b_i = 0: the basis of the circuits' curve classes
-        and, as (k, -k), of the Lawrence curve lattice."""
-        return kernel_basis(self.beta.free_part())
+        and, as (k, -k), of the Lawrence curve lattice.  Without torsion in
+        N, ``gale_dual`` wrote this basis as the free rows of ``beta_dual``."""
+        if self.beta_dual is None or self.group_N.torsion_invariants:
+            return kernel_basis(self.beta.free_part())
+        return self.beta_dual.free_part().entries
 
     # -- the matroid ---------------------------------------------------------
 
     @cached_property
-    def _exchange_walk(self) -> tuple[dict, dict]:
-        """``(bases, tableau)`` from one walk over the basis-exchange graph.
+    def _exchange_walk(self) -> tuple[dict, dict, dict]:
+        """``(bases, tableau, vertex_values)`` from one walk over the
+        basis-exchange graph, as the simplex method pivots.
 
         One reduction of [normals as columns | I] gives the first basis in
         lexicographic order (its pivot columns) and, times the sign of its
         last pivot, its rows [X | A^T]: s times its coordinate functionals
-        on the normals and on the unit vectors.  A nonzero p = X[k][j]
-        with j outside B names the neighbour B - B_k + j, with s' = |p|
-        and rows sign(p) row_k (for j) and sign(p) (p row_i - X[i][j]
-        row_k) / s, the division exact.  The exchange graph of a matroid's
+        on the normals and on the unit vectors.  Below them is the objective
+        row o = s (psi, 0) - sum_k psi_{B_k} row_k.  A nonzero p = X[k][j]
+        with j outside B names the neighbour B - B_k + j, with s' = |p| and
+        rows sign(p) row_k (for j) and sign(p) (p row_i - X[i][j] row_k) / s,
+        o among them, the division exact.  The exchange graph of a matroid's
         bases is connected, so the walk meets every basis and reduces no
-        singular subset; both tables are empty when the normals do not
-        span Q^d.
+        singular subset; the tables are empty when the normals do not span.
         """
-        d, m = self.d, self.m
+        d, m, psi = self.d, self.m, self.psi
         identity = [[int(i == j) for j in range(d)] for i in range(d)]
         pivots, reduced, det = row_reduce(list(zip(*self._normals)), identity)
         if len(pivots) < d:
-            return {}, {}
+            return {}, {}, {}
         sign = 1 if det > 0 else -1
         start = tuple(pivots)
-        found = {start: (sign * det, [[sign * x for x in row] for row in reduced])}
+        rows = [[sign * x for x in row] for row in reduced]
+        objective = [sign * det * p for p in psi] + [0] * d
+        for i, row in zip(start, rows):
+            objective = [o - psi[i] * x for o, x in zip(objective, row)]
+        found = {start: (sign * det, rows + [objective])}
         seen = {sum(1 << i for i in start)}
         todo = [start]
         while todo:
             basis = todo.pop()
             scale, rows = found[basis]
             bits = sum(1 << i for i in basis)
-            for k, row in enumerate(rows):
+            for k, row in enumerate(rows[:d]):
                 drop = bits ^ 1 << basis[k]
                 for j in range(m):
                     p = row[j]
@@ -284,14 +292,15 @@ class StackyArrangement:
                     members[k] = j
                     pairs = sorted(zip(members, pivoted))
                     neighbour = tuple(i for i, _ in pairs)
-                    found[neighbour] = size, [r for _, r in pairs]
+                    found[neighbour] = size, [r for _, r in pairs] + [pivoted[d]]
                     todo.append(neighbour)
-        bases, tableau = {}, {}
+        bases, tableau, values = {}, {}, {}
         for basis in sorted(found):
             scale, rows = found[basis]
-            bases[basis] = tuple(zip(*(row[m:] for row in rows))), scale
-            tableau[basis] = tuple(tuple(row[:m]) for row in rows)
-        return bases, tableau
+            bases[basis] = tuple(zip(*(row[m:] for row in rows[:d]))), scale
+            tableau[basis] = tuple(tuple(row[:m]) for row in rows[:d])
+            values[basis] = tuple(rows[d][m:]), rows[d][:m]
+        return bases, tableau, values
 
     @cached_property
     def bases(self) -> dict:
@@ -328,23 +337,12 @@ class StackyArrangement:
 
     @cached_property
     def vertex_values(self) -> dict:
-        """Per basis B: its vertex v and the value <b_j, v> + psi_j of every
-        hyperplane j (0 on B), scaled by B's s.  The vertex is -A psi_B and,
-        as sum_k X[k][j] b_{B_k} = s b_j, the values are
-        s psi_j - sum_k X[k][j] psi_{B_k}, read off the tableau.  As
-        beta_dual takes the values to -s theta, those off B are -s times
+        """Per basis B: its vertex v = -A psi_B and the value <b_j, v> + psi_j
+        of every hyperplane j (0 on B), scaled by B's s, as the exchange
+        walk's objective row holds them (s psi_j - sum_k X[k][j] psi_{B_k}).
+        As beta_dual takes the values to -s theta, those off B are -s times
         the coefficients of theta in the complementary dual basis."""
-        psi, tableau = self.psi, self.tableau
-        table = {}
-        for tight, (inverse, scale) in self.bases.items():
-            weights = [psi[i] for i in tight]
-            point = tuple(-sum(a * w for a, w in zip(row, weights)) for row in inverse)
-            values = [scale * p for p in psi]
-            for w, row in zip(weights, tableau[tight]):
-                if w:
-                    values = [v - w * x for v, x in zip(values, row)]
-            table[tight] = point, values
-        return table
+        return self._exchange_walk[2]
 
     def is_generic(self) -> bool:
         """Whether theta is on no wall (by Gale duality, no vertex lies on a

@@ -535,26 +535,28 @@ def presentation_matrix(group: FgAbelianGroup, hom_matrix: IntMatrix) -> IntMatr
 def gale_dual(beta: GroupHom) -> GroupHom:
     """The Gale dual map from the source of ``beta`` onto its dual group.
 
-    Requires finite cokernel and nontorsion columns.  The free part of
+    Requires nontorsion columns (checked first) and a finite cokernel,
+    read off the one Smith form that gives the dual.  The free part of
     the dual group is presented on the canonical Hermite kernel basis of
     the presentation matrix, so dual coordinates are reproducible.
     """
     m = beta.source.rank
-    nbar_rank = beta.target.rank
     free = beta.free_part()
     for j in range(m):
         if all(x == 0 for x in free.col(j)):
             raise TorsionColumn(f"column {j + 1} is torsion")
-    if rational_rank(free.entries) < nbar_rank:
-        raise InfiniteCokernel("rank of the map is smaller than the rank of the target")
     pres = presentation_matrix(beta.target, beta.matrix)
     # The cokernel of the presentation, from one Smith form U pres^T V = D
     # of rank r: rows r.. of U span ker(pres), and their Hermite form is
     # the canonical kernel basis that projects the free part; the torsion
-    # is read off the invariants of D that are at least 2.
+    # is read off the invariants of D that are at least 2.  The torsion block
+    # of pres is diagonal and nonzero, so r counts every target generator
+    # exactly when the cokernel is finite.
     u, d, _ = smith_normal_form(pres.transpose())
     diagonal = [d[i, i] for i in range(min(d.nrows, d.ncols))]
     r = sum(1 for x in diagonal if x)
+    if r < beta.target.generator_count:
+        raise InfiniteCokernel("rank of the map is smaller than the rank of the target")
     free_rows = hermite_row_basis(u.row(i) for i in range(r, u.nrows))
     torsion = [(u.row(i), x) for i, x in enumerate(diagonal) if x >= 2]
     dg = FgAbelianGroup(len(free_rows), tuple(o for _, o in torsion))

@@ -19,12 +19,15 @@ from hypertoric.exactalg import (
     GroupHom,
     IntMatrix,
     gale_dual,
+    kernel_basis,
     rational_rank,
     row_reduce,
     smith_normal_form,
 )
 from hypertoric.lawrence import build_lawrence_fan
 from hypertoric.multifan import circuits
+from test_arrangement import raw_arrangement
+from test_multifan import z_plus_z2
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +61,34 @@ def walked(wide, a_n):
     """Every arrangement the exchange walk is checked on: ``wide``, the
     A_n family and seeded rank-4 and rank-5 draws with m <= 12."""
     return [*wide, *a_n.values(), *seeded_draws(4, 4, seed=29), *seeded_draws(5, 3, seed=31)]
+
+
+def square_arrangements():
+    """Arrangements with m = d: one basis, a finite dual group (trivial for
+    the unimodular one) and no relations among the normals."""
+    out = []
+    for cols, psi in (([(1, 0), (0, 1)], (3, -2)), ([(2, 1), (1, 3)], (5, -7)), ([(2,)], (1,)),
+                      ([(1, 1, 0), (0, 2, 1), (1, 0, 3)], (1, 2, -4))):
+        group = FgAbelianGroup(len(cols))
+        dual = gale_dual(GroupHom(group, group, IntMatrix.from_rows(tuple(zip(*cols)))))
+        theta = tuple(-x for x in dual.matrix.apply(psi))
+        out.append(StackyArrangement.build(group, cols, theta, psi))
+    return out
+
+
+def tableau_vertex_values(arr):
+    """Reference vertex values, one pass per tableau row: per basis B the
+    vertex -A psi_B and the values s psi_j - sum_k X[k][j] psi_{B_k}."""
+    psi, table = arr.psi, {}
+    for tight, (inverse, scale) in arr.bases.items():
+        weights = [psi[i] for i in tight]
+        point = tuple(-sum(a * w for a, w in zip(row, weights)) for row in inverse)
+        values = [scale * p for p in psi]
+        for w, row in zip(weights, arr.tableau[tight]):
+            if w:
+                values = [v - w * x for v, x in zip(values, row)]
+        table[tight] = point, values
+    return table
 
 
 def integer_inverse(rows):
@@ -219,3 +250,35 @@ def test_tableau_identities(walked):
                         assert exchanged not in want
                     checked += 1
     assert checked > 10_000
+
+
+def test_walk_vertex_values_match_the_tableau_formula(walked):
+    """The objective row that the exchange walk pivots gives each basis's
+    vertex and hyperplane values, in the order of ``bases``, as the
+    tableau formula does."""
+    count = 0
+    for arr in [*walked, *square_arrangements()]:
+        assert list(arr.vertex_values.items()) == list(tableau_vertex_values(arr).items())
+        count += len(arr.bases)
+    assert count > 1_500
+
+
+def test_normal_kernel_is_the_kernel_of_the_normals(walked):
+    """The normal kernel is the Hermite kernel basis of the normals: read off
+    the free rows of ``beta_dual`` when N has no torsion (the dual group
+    has torsion in some of ``walked``), taken by ``kernel_basis`` when it
+    has or when there is no ``beta_dual``, and empty when m = d."""
+    rank1_z3 = {"schema_version": "hypertoric-arrangement/1", "rank": 1, "torsion": [3],
+                "beta": [[2, 0], [1, 1]], "theta": [3]}
+    torsion = [z_plus_z2(), StackyArrangement.from_data(rank1_z3)]
+    square = square_arrangements()
+    for arr in [*walked, *square, *torsion]:
+        assert arr.normal_kernel == kernel_basis(arr.beta.free_part())
+    assert any(arr.beta_dual.target.torsion_invariants for arr in walked)
+    assert all(arr.normal_kernel == () for arr in square)
+    assert all(len(arr.normal_kernel) == arr.m - arr.d for arr in torsion)
+    arr = raw_arrangement([(1, 0), (-1, 0), (0, 1), (0, -1)], [0, 1, 0, 1])
+    assert arr.normal_kernel == ((1, 1, 0, 0), (0, 0, 1, 1))
+    graph = arr._vertex_graph
+    assert list(graph) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+    assert [vertex.point for vertex in graph.values()] == [(0, 0), (0, 1), (1, 0), (1, 1)]

@@ -182,9 +182,20 @@ def test_gale_dual_kernel_from_one_smith_form():
 
 
 def test_gale_dual_errors():
-    with pytest.raises(InfiniteCokernel):
+    """An infinite cokernel is read off the Smith form, with or without
+    torsion in the target; a torsion column is reported first."""
+    infinite = "rank of the map is smaller than the rank of the target"
+    with pytest.raises(InfiniteCokernel, match=infinite):
         gale_dual(
             GroupHom(FgAbelianGroup(1), FgAbelianGroup(2), IntMatrix.from_rows([[1], [0]]))
+        )
+    with pytest.raises(InfiniteCokernel, match=infinite):
+        gale_dual(
+            GroupHom(
+                FgAbelianGroup(3),
+                FgAbelianGroup(2, (2,)),
+                IntMatrix.from_rows([[1, 2, 3], [0, 0, 0], [0, 1, 0]]),
+            )
         )
     with pytest.raises(TorsionColumn):
         gale_dual(
@@ -192,6 +203,14 @@ def test_gale_dual_errors():
                 FgAbelianGroup(1),
                 FgAbelianGroup(1, (2,)),
                 IntMatrix.from_rows([[0], [1]]),
+            )
+        )
+    with pytest.raises(TorsionColumn, match="column 2 is torsion"):
+        gale_dual(
+            GroupHom(
+                FgAbelianGroup(2),
+                FgAbelianGroup(2, (2,)),
+                IntMatrix.from_rows([[1, 0], [0, 0], [0, 1]]),
             )
         )
 
