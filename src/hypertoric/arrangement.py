@@ -232,7 +232,7 @@ class StackyArrangement:
         relations sum x_i b_i = 0: the basis of the circuits' curve classes
         and, as (k, -k), of the Lawrence curve lattice.  Without torsion in
         N, ``gale_dual`` wrote this basis as the free rows of ``beta_dual``."""
-        if self.beta_dual is None or self.group_N.torsion_invariants:
+        if self.group_N.torsion_invariants:
             return kernel_basis(self.beta.free_part())
         return self.beta_dual.free_part().entries
 

@@ -1,26 +1,24 @@
 """Fixed-point localization for cotangent bundles of weighted projective stacks.
 
 Two table conventions ship.  The "standard" table is derived from the
-quotient construction and is defined for every weight vector; all
-quantum computations run on it.  The "paper" table is a hard-coded
-convention island for weights (1, 2) that reproduces a specific set of
-quoted identities verbatim; those identities overdetermine any
-single self-consistent table, so it stores exactly the stated values
-and nothing more.
+quotient construction and is defined for every weight vector.  The
+"paper" table is a hard-coded convention island for weights (1, 2) that
+reproduces a specific set of quoted identities verbatim; those
+identities overdetermine any single self-consistent table, so it stores
+exactly the stated values and nothing more.
 
-Tables hold exact ``Poly`` linear forms, and every integral is exact
-polynomial arithmetic: a compact sector integral is a ``Poly``, and an
-integral over the whole cotangent sector a ``RationalFunction``.  Under
-the standard convention the compact sector integral is one divided
-difference of the class along the line u_i = lam_i - w_i t, at the nodes
-lam_k / w_k (see ``integrate_base``): it needs no common denominator and
-no exact division, and the divided difference of a polynomial is a
-polynomial, so it cannot fail to be one.  It reads only a model's
-weights, torus parameters and sector support, so the circuit models and
-the standard Steinberg operator build no table.  ``_localize``, the
-common-denominator sum with exact division by each Euler form, serves
-the cotangent integral and the hard-coded table, and is the tests'
-reference for the divided difference.
+Every integral is exact polynomial arithmetic.  A model integrates over
+the compact zero section of a sector by one divided difference of the
+class along the line u_i = lam_i - w_i t, at the nodes lam_k / w_k (see
+``integrate_base``): it reads only the model's weights, torus parameters
+and sector support, needs no common denominator and no exact division,
+and the divided difference of a polynomial is a polynomial.  A table
+integrates over a whole cotangent sector (``integrate``) by
+``_localize``, the common-denominator sum with exact division by each
+Euler form, to a ``RationalFunction``; ``_localize`` is also the tests'
+reference for the divided difference.  The quantum computations and
+both Steinberg conventions build no table: one is built only to be
+printed by ``localize``.
 """
 
 from __future__ import annotations
@@ -38,11 +36,7 @@ class LocalizeError(ValueError):
 
 
 class ZeroEuler(LocalizeError):
-    """An Euler factor vanished identically; the table is corrupted."""
-
-
-class NotPolynomial(LocalizeError):
-    """A compact sector integral did not reduce to a polynomial."""
+    """An Euler factor vanished identically: the table or model is degenerate."""
 
 
 class WeightedModel:
@@ -93,28 +87,23 @@ class WeightedModel:
 
 
 class Sector:
-    """A twisted sector: reduced fraction class, order, support slots.
+    """A twisted sector: reduced fraction class and support slots.
 
-    The age counts the slots whose weight the order does not divide.
+    The age counts the slots whose weight the order of f does not divide.
     """
 
-    __slots__ = ("f", "order", "support", "total_slots")
+    __slots__ = ("f", "support", "total_slots")
 
-    def __init__(self, f: Fraction, order: int, support: tuple[int, ...], total_slots: int):
+    def __init__(self, f: Fraction, support: tuple[int, ...], total_slots: int):
         if not support:
             raise LocalizeError("sector support is empty")
         self.f = f
-        self.order = order
         self.support = support  # weight slots whose weight the order divides
         self.total_slots = total_slots
 
     @property
-    def support_complement(self) -> tuple[int, ...]:
-        return tuple(k for k in range(self.total_slots) if k not in self.support)
-
-    @property
     def age(self) -> int:
-        return len(self.support_complement)
+        return self.total_slots - len(self.support)
 
 
 def sectors(model: WeightedModel) -> tuple[Sector, ...]:
@@ -126,7 +115,7 @@ def sectors(model: WeightedModel) -> tuple[Sector, ...]:
     for f in fracs:
         d = f.denominator
         support = tuple(k for k, w in enumerate(model.weights) if w % d == 0)
-        out.append(Sector(f, d, support, len(model.weights)))
+        out.append(Sector(f, support, len(model.weights)))
     return tuple(out)
 
 
@@ -161,13 +150,6 @@ class FixedPointTable(Record):
             raise LocalizeError(f"no table data for sector {f}") from None
 
 
-def tangent_weight(model: WeightedModel, at_slot: int, toward: int) -> Poly:
-    """Weight of the base direction toward another fixed point."""
-    w = model.weights
-    lam = model.lam_forms
-    return lam[toward] - lam[at_slot] * Fraction(w[toward], w[at_slot])
-
-
 def standard_table(model: WeightedModel) -> FixedPointTable:
     """The derived, globally self-consistent table.
 
@@ -176,10 +158,11 @@ def standard_table(model: WeightedModel) -> FixedPointTable:
     point multiplicity is 1/w_k, and the divisor class u_i restricts to
     the tangent weight in its own direction (zero for i = k).
     """
-    slots = range(len(model.weights))
+    w, lam = model.weights, model.lam_forms
+    slots = range(len(w))
     hbar = model.hbar_form()
     toward = {
-        k: [model.ring.zero() if i == k else tangent_weight(model, k, i) for i in slots]
+        k: [model.ring.zero() if i == k else lam[i] - lam[k] * Fraction(w[i], w[k]) for i in slots]
         for k in slots
     }
     pts: dict = {}
@@ -271,40 +254,21 @@ def integrate(
     return RationalFunction(numerator, prod((f**k for f, k in left.items()), start=poly.ring.one()))
 
 
-def integrate_base(poly: Poly, source, sector=Fraction(0)) -> Poly:
-    """Integral over the compact zero section of a sector: Euler factors are
-    the base tangent weights only.
-
-    ``source`` is a fixed-point table and ``sector`` its sector class, or a
-    WeightedModel and ``sector`` one of its ``sectors``: the standard
-    convention needs no table.  There the sum is a divided difference.
-    With x_k = lam_k / w_k the tangent weight at slot k toward j is
-    w_j (x_j - x_k) and u_i restricts to lam_i - w_i x_k, so with
-    G(t) = poly(u_i -> lam_i - w_i t) over a support S of n + 1 slots
+def integrate_base(poly: Poly, model: WeightedModel, sector: Sector) -> Poly:
+    """Integral over the compact zero section of a sector of the model:
+    Euler factors are the base tangent weights only, and the sum is a
+    divided difference.  With x_k = lam_k / w_k the tangent weight at
+    slot k toward j is w_j (x_j - x_k) and u_i restricts to
+    lam_i - w_i x_k, so with G(t) = poly(u_i -> lam_i - w_i t) over the
+    sector's support S of n + 1 slots
 
         integral = (-1)^n / prod_S w_k * sum_(a >= n) G_a h_(a-n)(x_S),
 
     G_a the coefficient of t^a and h_r the complete homogeneous symmetric
     polynomial.  Two equal nodes, w_k lam_j = w_j lam_k on S, are a zero
-    tangent weight and raise ZeroEuler.  The divided difference of a
-    polynomial is a polynomial, so NotPolynomial cannot arise there, and
-    a class whose degree in the u's is below n integrates to 0.  Any other
-    table goes through the common-denominator sum, where a denominator
-    left over raises NotPolynomial."""
-    if isinstance(source, WeightedModel):
-        return _divided_difference(poly, source, sector.support)
-    points = source.sector_points(sector)
-    if source.convention != "standard":
-        numerator, left = _localize(poly, points, [pt.tangent_weights for pt in points])
-        if left:
-            raise NotPolynomial("sector integral is not polynomial")
-        return numerator
-    return _divided_difference(poly, source.model, [pt.slot for pt in points])
-
-
-def _divided_difference(poly: Poly, model: WeightedModel, support) -> Poly:
-    """The standard sector integral over ``support``, as in ``integrate_base``."""
-    ring, w, lam = model.ring, model.weights, model.lam_forms
+    tangent weight and raise ZeroEuler.  A class whose degree in the u's
+    is below n integrates to 0."""
+    ring, w, lam, support = model.ring, model.weights, model.lam_forms, sector.support
     nodes = [lam[k] * Fraction(1, w[k]) for k in support]
     if len(set(nodes)) < len(nodes):
         raise ZeroEuler("vanishing Euler factor")
@@ -433,8 +397,8 @@ def _paper_steinberg(model, order):
     halves = {"fiber": half, "box": half}
     I = integrate((model.hbar_form() - lam1 - lam2) ** 2, paper_table_p12(), Fraction(0))
     # the one matrix entry the quoted values leave unstated is completed by
-    # the compact base integral of the fiber class
-    mixed = integrate_base(fiber_class_expr(model), standard_table(model)).constant_value()
+    # the compact base integral of the fiber class over the untwisted sector
+    mixed = integrate_base(fiber_class_expr(model), model, sectors(model)[0]).constant_value()
     images = {"u1": halves, "u2": {"fiber": 1, "box": half}, "box": halves}
     forward = PaperSteinbergOperator(order, ((I, half), (mixed, half)), images)
     images = {"fiber": {"fiber": I, "box": I}, "box": halves}
@@ -455,17 +419,16 @@ def orbifold_degrees(model: WeightedModel):
 
 def box_square_sign_oracle(model: WeightedModel) -> str:
     """Whether the standard table gives some self-inverse sector a
-    non-positive total multiplicity: "literal" if so, else "paper".
+    non-positive total multiplicity, the sum of 1 / w_k over its support:
+    "literal" if so, else "paper".
 
-    It does not decide the sign of a self-inverse sector square.
-    ``standard_table`` gives every fixed point the multiplicity 1 / w_k,
-    which is positive, so this returns "paper" for every model.  No
-    oracle in the package decides that sign.
+    It does not decide the sign of a self-inverse sector square.  Every
+    multiplicity 1 / w_k is positive, so this returns "paper" for every
+    model.  No oracle in the package decides that sign.
     """
-    table = standard_table(model)
     for sec in sectors(model):
         if sec.f == 0 or sector_inverse(sec.f) != sec.f:
             continue
-        if sum(pt.multiplicity for pt in table.sector_points(sec.f)) <= 0:
+        if sum(Fraction(1, model.weights[k]) for k in sec.support) <= 0:
             return "literal"
     return "paper"

@@ -383,12 +383,17 @@ def chamber_system(normals, offsets, flips):
 
 def raw_arrangement(normals, psi):
     """An arrangement straight from normals and lifts, bypassing the
-    genericity and lifting checks of ``build``."""
+    genericity and lifting checks of ``build``.  Its ``beta_dual`` is
+    None when the normals have no Gale dual (they do not span)."""
     dim = len(normals[0])
     beta = GroupHom(
         FgAbelianGroup(len(normals)), FgAbelianGroup(dim), IntMatrix.from_rows(tuple(zip(*normals)))
     )
-    return StackyArrangement(FgAbelianGroup(dim), beta, (), tuple(psi), None)
+    try:
+        beta_dual = gale_dual(beta)
+    except ExactAlgError:
+        beta_dual = None
+    return StackyArrangement(FgAbelianGroup(dim), beta, (), tuple(psi), beta_dual)
 
 
 def random_family(rank, count, seed, max_m):

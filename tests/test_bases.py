@@ -266,8 +266,9 @@ def test_walk_vertex_values_match_the_tableau_formula(walked):
 def test_normal_kernel_is_the_kernel_of_the_normals(walked):
     """The normal kernel is the Hermite kernel basis of the normals: read off
     the free rows of ``beta_dual`` when N has no torsion (the dual group
-    has torsion in some of ``walked``), taken by ``kernel_basis`` when it
-    has or when there is no ``beta_dual``, and empty when m = d."""
+    has torsion in some of ``walked``; ``raw_arrangement`` takes its
+    ``beta_dual`` from ``gale_dual``), taken by ``kernel_basis`` when it
+    has, and empty when m = d."""
     rank1_z3 = {"schema_version": "hypertoric-arrangement/1", "rank": 1, "torsion": [3],
                 "beta": [[2, 0], [1, 1]], "theta": [3]}
     torsion = [z_plus_z2(), StackyArrangement.from_data(rank1_z3)]

@@ -582,13 +582,13 @@ def test_failed_location_in_qsr_is_internal(capsys, write_examples, monkeypatch)
 
 
 def test_localize_fault_in_quantum_divisor_is_internal(capsys, write_examples, monkeypatch):
-    """The circuit models and their tables are the program's own, so a
+    """The circuit models are the program's own, so a
     localization failure inside a command is a program fault: exit 1."""
     from hypertoric import quantum
-    from hypertoric.localize import NotPolynomial
+    from hypertoric.localize import ZeroEuler
 
     def fail(*args):
-        raise NotPolynomial("forced")
+        raise ZeroEuler("forced")
 
     monkeypatch.setattr(quantum, "integrate_base", fail)
     code = run(
@@ -598,6 +598,28 @@ def test_localize_fault_in_quantum_divisor_is_internal(capsys, write_examples, m
     assert code == 1
     assert captured.out == ""
     assert captured.err == "internal error: forced\n"
+
+
+def test_integral_commands_build_no_fixed_point_table(monkeypatch):
+    """steinberg under both conventions, quantum-divisor and qsr integrate
+    without a fixed-point table, so they print the golden bytes while
+    building the standard table raises.  Each exits 0 but the paper
+    steinberg on hirzebruch-weighted, whose first circuit's weights are
+    not (1, 2): it exits 2 at ``--convention``."""
+    from test_golden_outputs import GOLDEN, QUANTUM, documents, outcome
+
+    def built(model):
+        raise AssertionError("a command built the standard table")
+
+    monkeypatch.setattr("hypertoric.localize.standard_table", built)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    docs = documents()
+    commands = (("steinberg", "--convention", "standard"), ("steinberg", "--convention", "paper"), QUANTUM, ("qsr",))
+    for name in ("cotangent-p12", "hirzebruch-weighted"):
+        for args in commands:
+            expected = golden[f"{' '.join(args)} @ {name}"]
+            assert expected["exit"] == (2 if (args[-1], name) == ("paper", "hirzebruch-weighted") else 0)
+            assert outcome([args[0], "--input", str(docs[name]), *args[1:]]) == expected, (args, name)
 
 
 def test_unreduced_class_in_a_product_is_internal(capsys, write_examples, monkeypatch):

@@ -9,7 +9,6 @@ import pytest
 import sympy
 
 from hypertoric.localize import (
-    NotPolynomial,
     WeightedModel,
     ZeroEuler,
     _localize,
@@ -39,9 +38,9 @@ P_U1, P_U2, P_HBAR, P_LAM1, P_LAM2 = (RING2.var(n) for n in ("u1", "u2", "hbar",
 def test_sectors_of_12():
     m = WeightedModel((1, 2))
     secs = sectors(m)
-    assert [(s.f, s.order, s.support, s.age) for s in secs] == [
-        (Fraction(0), 1, (0, 1), 0),
-        (Fraction(1, 2), 2, (1,), 1),
+    assert [(s.f, s.support, s.age) for s in secs] == [
+        (Fraction(0), (0, 1), 0),
+        (Fraction(1, 2), (1,), 1),
     ]
 
 
@@ -113,23 +112,23 @@ def test_euler_characteristic_count():
     # their multiplicities
     for weights in ((1, 1), (1, 2), (2, 3), (1, 2, 2)):
         model = WeightedModel(weights)
-        table = standard_table(model)
         us = [model.u_form(i) for i in range(len(weights))]
         top = model.ring.zero()
         for c in itertools.combinations(us, len(weights) - 1):
             top = top + math.prod(c, start=model.ring.one())
-        val = integrate_base(top, table)
+        val = integrate_base(top, model, sectors(model)[0])
         expected = sum(Fraction(1, w) for w in weights)
         assert val == model.ring.const(expected)
 
 
 def test_base_degrees():
-    table = standard_table(WeightedModel((1, 2)))
-    assert integrate_base(P_U1, table) == RING2.const(Fraction(1, 2))
-    assert integrate_base(P_U2, table) == RING2.one()
-    phi = fiber_class_expr(WeightedModel((1, 2)))
+    model = WeightedModel((1, 2))
+    untwisted = sectors(model)[0]
+    assert integrate_base(P_U1, model, untwisted) == RING2.const(Fraction(1, 2))
+    assert integrate_base(P_U2, model, untwisted) == RING2.one()
+    phi = fiber_class_expr(model)
     assert phi == P_HBAR - P_U1 - P_U2
-    assert integrate_base(phi, table) == RING2.const(Fraction(-3, 2))
+    assert integrate_base(phi, model, untwisted) == RING2.const(Fraction(-3, 2))
 
 
 def test_gkm_edge_divisibility():
@@ -208,14 +207,17 @@ def test_box_square_sign_oracle_positive():
 def test_conventions_agree_on_shared_quantities():
     """The standard and hard-coded tables agree on the quantities that are
     pinned in both: the sector decomposition and the twisted-sector unit
-    integral.  Untwisted multiplicities and restrictions are convention
-    islands and deliberately not compared."""
+    integral, on the hard-coded table by the localization kernel, which
+    leaves no form over.  Untwisted multiplicities and restrictions are
+    convention islands and deliberately not compared."""
     model = WeightedModel((1, 2))
     std = standard_table(model)
     paper = paper_table_p12()
     assert set(std.points) == set(paper.points)
-    std_half = integrate_base(RING2.one(), std, Fraction(1, 2))
-    paper_half = integrate_base(RING2.one(), paper, Fraction(1, 2))
+    std_half = integrate_base(RING2.one(), model, sectors(model)[1])
+    points = paper.sector_points(Fraction(1, 2))
+    paper_half, left = _localize(RING2.one(), points, [pt.tangent_weights for pt in points])
+    assert not left
     assert std_half == paper_half == RING2.const(Fraction(1, 2))
     for table in (std, paper):
         pts = table.sector_points(Fraction(1, 2))
@@ -248,7 +250,6 @@ def test_integrate_base_matches_sympy_localization():
     for _ in range(15):
         weights = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 4)))
         model = WeightedModel(weights)
-        table = standard_table(model)
         ring = model.ring
         for sec in sectors(model):
             for _ in range(2):
@@ -258,7 +259,7 @@ def test_integrate_base_matches_sympy_localization():
                     for _ in range(rng.randint(0, 4)):
                         exps[rng.randrange(len(ring.names))] += 1
                     cls = cls + ring.monomial(exps, rng.randint(-3, 3))
-                value = integrate_base(cls, table, sec.f)
+                value = integrate_base(cls, model, sec)
                 expected = _sympy_localization_sum(weights, sec.f, poly_to_sympy(cls))
                 assert sympy.expand(poly_to_sympy(value) - expected) == 0, (weights, sec.f, cls)
                 checked += 1
@@ -311,13 +312,14 @@ def test_integrate_matches_sympy_value_and_string():
     assert len(cases) > 100 and min(seen.values()) >= 5, seen
 
 
-def test_integrate_base_rejects_non_polynomial_integrand():
+def test_localize_leaves_a_form_over_on_the_paper_untwisted_points():
     # the hard-coded table's untwisted points have tangent weights lam1 and
-    # lam2, so the unit integrates to (1/lam1 + 1/lam2) / 2
-    with pytest.raises(NotPolynomial):
-        integrate_base(RING2.one(), paper_table_p12(), Fraction(0))
-    with pytest.raises(NotPolynomial):
-        integrate_base(P_U1 * P_HBAR, paper_table_p12(), Fraction(0))
+    # lam2, so the unit integrates to (1/lam1 + 1/lam2) / 2: no polynomial
+    points = paper_table_p12().sector_points(Fraction(0))
+    tangents = [pt.tangent_weights for pt in points]
+    for cls in (RING2.one(), P_U1 * P_HBAR):
+        _, left = _localize(cls, points, tangents)
+        assert left, cls
 
 
 def _embedded_model(rng):
@@ -346,9 +348,9 @@ def _random_class(rng, ring, degree):
 
 
 def test_integrate_base_matches_the_localization_kernel():
-    """On standard tables the divided difference equals, term for term, the
-    numerator of the common-denominator sum, which leaves no form in the
-    denominator: seeded weights with 2 to 5 slots, every sector, classes
+    """A model's divided difference equals, term for term, the numerator of
+    the common-denominator sum on its standard table, which leaves no form
+    in the denominator: seeded weights with 2 to 5 slots, every sector, classes
     of every degree up to n + 2, on default and embedded models.  A class
     of degree below n in the model's divisors integrates to 0."""
     rng = random.Random(20153)
@@ -366,7 +368,7 @@ def test_integrate_base_matches_the_localization_kernel():
             for degree in range(n + 3):
                 cls = _random_class(rng, model.ring, degree)
                 numerator, left = _localize(cls, points, [pt.tangent_weights for pt in points])
-                value = integrate_base(cls, table, sec.f)
+                value = integrate_base(cls, model, sec)
                 assert not left and value.terms == numerator.terms, (model.weights, sec.f, cls)
                 if degree < n:
                     assert value.is_zero()
@@ -413,12 +415,13 @@ def test_circuit_model_integral_matches_its_standard_table(shipped, ladder, rank
 
 def test_integrate_base_raises_on_coinciding_nodes():
     """Two slots whose torus parameters over their weights agree give a zero
-    tangent weight, on the standard table as on any other, and so does the
-    table-free integral of the model."""
+    tangent weight: the localization kernel on the standard table raises,
+    and so does the table-free integral of the model."""
     ring = WeightedModel((1, 2)).ring
     lam1 = ring.var("lam1")
     model = WeightedModel((1, 2), ring, (lam1, 2 * lam1))
+    points = standard_table(model).sector_points(Fraction(0))
     with pytest.raises(ZeroEuler):
-        integrate_base(ring.var("u1"), standard_table(model))
+        _localize(ring.var("u1"), points, [pt.tangent_weights for pt in points])
     with pytest.raises(ZeroEuler):
         integrate_base(ring.var("u1"), model, sectors(model)[0])
