@@ -178,24 +178,29 @@ class RingPresentation(Record):
 
 
 def ht_presentation(context: CohomologyContext) -> RingPresentation:
-    """Divisor generators with the squarefree circuit monomial relations."""
+    """Divisor generators with the squarefree circuit monomial relations,
+    each one monomial u_C of the circuit's support C."""
     gens = tuple(f"u{i + 1}" for i in range(context.arr.m))
     rels = []
     for c in context.circuits:
-        poly = context.ring.one()
-        for i in c.support:
-            poly = poly * context.u(i)
+        poly = context.ring.monomial([int(i in c.support) for i in range(len(context.ring.names))])
         rels.append(Relation("monomial", f"{poly} = 0", (), poly, None))
     return RingPresentation(gens, tuple(rels))
 
 
 def circuit_relation_poly(context: CohomologyContext, circuit) -> Poly:
-    poly = context.ring.one()
-    for i in circuit.positive:
-        poly = poly * context.u(i)
-    for j in circuit.negative:
-        poly = poly * (context.hbar() - context.u(j))
-    return poly
+    """The split relation u_P (h - u_N) of a circuit with sides P and N,
+    written out as its 2^|N| terms: the subset S of N gives
+    (-1)^|S| u_P u_S h^(|N| - |S|)."""
+    m = context.arr.m  # u_i is variable i of the ring, hbar variable m
+    terms = {}
+    for picks in itertools.product((0, 1), repeat=len(circuit.negative)):
+        mono = [0] * len(context.ring.names)
+        for i in (*circuit.positive, *itertools.compress(circuit.negative, picks)):
+            mono[i] = 1
+        mono[m] = len(picks) - sum(picks)
+        terms[tuple(mono)] = (-1) ** sum(picks)
+    return Poly(context.ring, terms)
 
 
 def htt_presentation(context: CohomologyContext) -> RingPresentation:
@@ -254,6 +259,8 @@ def cr_presentation(
 ) -> RingPresentation:
     """Sector generators and the four orbifold relation families.
 
+    A sector unit 1_v of face sigma times u_i is 0 when i is in sigma or
+    sigma + i is no cone; those hyperplanes are listed once per face.
     The self-inverse sector squares carry a documented sign flag:
     "paper" ships the positively-signed square, "literal" the
     (-1)^|J|-signed variant.
@@ -263,13 +270,13 @@ def cr_presentation(
     gens = tuple(f"u{i + 1}" for i in range(context.arr.m)) + ("hbar",) + tuple(labels)
     rels = list(htt_presentation(context).relations)
     zero = CRClass.zero(context)
+    killed = {
+        sigma: [i for i in range(context.arr.m) if i in sigma or not context.arr.is_cone({*sigma, i})]
+        for sigma in {b.sigma for b in nontrivial}
+    }
     for box, label in zip(nontrivial, labels):
-        sigma = set(box.sigma)
-        for i in range(context.arr.m):
-            if i in sigma or not context.arr.is_cone(sigma | {i}):
-                rels.append(
-                    Relation("box-u", f"{label}*u{i + 1} = 0", (box,), context.u(i), zero)
-                )
+        for i in killed[box.sigma]:
+            rels.append(Relation("box-u", f"{label}*u{i + 1} = 0", (box,), context.u(i), zero))
     pairs = itertools.combinations_with_replacement(zip(nontrivial, labels), 2)
     for (b1, label1), (b2, label2) in pairs:
         rhs = _box_pair_product(context, b1, b2, box_square_sign)

@@ -5,7 +5,8 @@ of its cones) are read off its tableau as fundamental circuits, one per
 basis and element outside it, with their canonical two-sided splitting,
 positive weights and curve class.  Box elements index the twisted sectors; they
 are read off it as one subgroup walk per basis, in integers over the
-basis's denominator, with no Smith form.
+basis's denominator, with no Smith form: each point kept is one product of
+the basis's matrix of normals with the walk's numerators.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from hypertoric.arrangement import InvariantError, StackyArrangement
 from hypertoric.exactalg import Record, basis_projection, primitive_vector
@@ -144,14 +146,18 @@ def _torsion_elements(group):
     return list(itertools.product(*map(range, group.torsion_invariants)))
 
 
-def _box_vector(arr: StackyArrangement, indices, numerators, n: int) -> tuple[int, ...]:
-    """The point sum_t (numerators[t] / n) * b̄_{indices[t]}, which is integral
-    for every box (basis walk, inverse or closing box): else a program fault."""
-    cols = [arr.b_bar(i) for i in indices]
-    out = [divmod(sum(a * col[r] for a, col in zip(numerators, cols)), n) for r in range(arr.d)]
-    if any(rem for _, rem in out):
+def _box_point(sums: list[int], n: int) -> tuple[int, ...]:
+    """The integer sums over n, which divide exactly for every box (basis
+    walk, inverse or closing box): else a program fault."""
+    if any(x % n for x in sums):
         raise InvariantError("non-integral box candidate")
-    return tuple(q for q, _ in out)
+    return tuple([x // n for x in sums])
+
+
+def _box_vector(arr: StackyArrangement, indices, numerators, n: int) -> tuple[int, ...]:
+    """The point sum_t (numerators[t] / n) * b̄_{indices[t]}."""
+    cols = [arr.b_bar(i) for i in indices]
+    return _box_point([sum(a * col[r] for a, col in zip(numerators, cols)) for r in range(arr.d)], n)
 
 
 def _subgroup(rows, s: int) -> list[tuple[int, ...]]:
@@ -162,7 +168,7 @@ def _subgroup(rows, s: int) -> list[tuple[int, ...]]:
     for row in rows:
         coset = members
         while True:
-            coset = [tuple((x + y) % s for x, y in zip(e, row)) for e in coset]
+            coset = [tuple([(x + y) % s for x, y in zip(e, row)]) for e in coset]
             if coset[0] in seen:
                 break
             members.extend(coset)
@@ -176,28 +182,33 @@ def box_elements(arr: StackyArrangement) -> tuple[BoxElement, ...]:
     They are read off the basis table.  For a basis B with (A, s), s times
     the coordinates in B of the lattice points, mod s, form the subgroup of
     (Z/s)^d spanned by the rows of A, of order s = |det B|.  Its element
-    with support sigma is the box point of the face sigma with
-    alpha_i = a_i / s.  Every basis that contains a face meets the same box
-    points of it, so they are kept from the first basis in the table whose
-    walk meets the face, and each box comes once.  The boxes of a face share
-    one cone tuple, and its torsion copies share its point and Fractions.
+    a with support sigma is the box point N a / s of the face sigma, with
+    N the matrix of B's normals as columns, and alpha_i = a_i / s.  Every
+    basis that contains a face meets the same box points of it, so they are
+    kept from the first basis in the table whose walk meets the face, and
+    each box comes once.  The boxes of a face share one cone tuple, its
+    torsion copies its point, and all one Fraction per (a_i, s).
     """
     torsion = _torsion_elements(arr.group_N)
     out = [BoxElement((0,) * arr.d, tor, (), ()) for tor in torsion]
     owners = {}  # face -> (first basis that meets it, the face's one tuple)
+    fractions = {}  # s -> the Fractions a / s for a in [0, s)
     for basis, (inverse, scale) in arr.bases.items():
         if scale == 1:
             continue
+        matrix = tuple(zip(*(arr.b_bar(i) for i in basis)))  # N, row by row
+        if scale not in fractions:
+            fractions[scale] = [Fraction(a, scale) for a in range(scale)]
+        alpha = fractions[scale]
         for nums in _subgroup(inverse, scale):
-            support = tuple(i for i, a in zip(basis, nums) if a)
+            support = tuple(itertools.compress(basis, nums))
             if not support:
                 continue
             owner, sigma = owners.setdefault(support, (basis, support))
             if owner != basis:
                 continue
-            nums = [a for a in nums if a]
-            v_free = _box_vector(arr, sigma, nums, scale)
-            alphas = tuple(zip(sigma, (Fraction(a, scale) for a in nums)))
+            v_free = _box_point([sum(map(mul, row, nums)) for row in matrix], scale)
+            alphas = tuple(zip(sigma, [alpha[a] for a in nums if a]))
             out.extend(BoxElement(v_free, tor, sigma, alphas) for tor in torsion)
     out.sort(key=lambda b: b.sort_key())
     return tuple(out)

@@ -13,6 +13,7 @@ from hypertoric.crring import (
     CRClass,
     UnreducedInput,
     _box_pair_product,
+    circuit_relation_poly,
     cr_multiply,
     cr_presentation,
     ht_presentation,
@@ -251,6 +252,71 @@ def test_extended_presentation_reads_the_circuit_relations(shipped):
         ctx = CohomologyContext(arr)
         payload = payload_cohomology(arr, "paper")
         assert payload["extended_presentation"] == list(htt_presentation(ctx).texts())
+
+
+def product_circuit_relation(ctx, circuit):
+    """Reference: u_P (h - u_N) as the product of its factors."""
+    poly = ctx.ring.one()
+    for i in circuit.positive:
+        poly = poly * ctx.u(i)
+    for j in circuit.negative:
+        poly = poly * (ctx.hbar() - ctx.u(j))
+    return poly
+
+
+def test_circuit_relations_match_the_product_of_factors(shipped, ladder, rank3_family):
+    """The expanded circuit relations and squarefree monomials equal the
+    products of their factors, as polynomials and as printed."""
+    one_sided = 0
+    for arr in [*shipped.values(), *ladder.values(), *rank3_family]:
+        ctx = CohomologyContext(arr)
+        monomials = ht_presentation(ctx).relations
+        assert len(monomials) == len(ctx.circuits)
+        for c, rel in zip(ctx.circuits, monomials):
+            squarefree = ctx.ring.one()
+            for i in c.support:
+                squarefree = squarefree * ctx.u(i)
+            assert rel.lhs_poly == squarefree
+            assert rel.text == f"{squarefree} = 0"
+            expected = product_circuit_relation(ctx, c)
+            got = circuit_relation_poly(ctx, c)
+            assert got == expected
+            assert str(got) == str(expected)
+            one_sided += not c.negative
+    assert one_sided
+
+
+def box_u_reference(ctx, box):
+    """Reference: the hyperplanes that kill a sector unit, per box."""
+    sigma = set(box.sigma)
+    return [i for i in range(ctx.arr.m) if i in sigma or not ctx.arr.is_cone(sigma | {i})]
+
+
+def test_box_u_relations_per_face_match_per_box(ladder, rank3_family, monkeypatch):
+    """The box-u relations, with each face's hyperplanes listed once, are
+    the relations of each box computed on its own.  The box-box products
+    are replaced by zero, so the rungs whose closing box is missing
+    (ROADMAP 2(a)) finish the presentation."""
+    monkeypatch.setattr(
+        "hypertoric.crring._box_pair_product", lambda ctx, b1, b2, sign: CRClass.zero(ctx)
+    )
+    checked = 0
+    for arr in [*ladder.values(), *rank3_family]:
+        ctx = CohomologyContext(arr)
+        got = [
+            (rel.lhs_boxes, rel.lhs_poly, rel.text)
+            for rel in cr_presentation(ctx).relations
+            if rel.kind == "box-u"
+        ]
+        expected = [
+            ((box,), ctx.u(i), f"{box.label()}*u{i + 1} = 0")
+            for box in ctx.boxes
+            if not box.is_trivial()
+            for i in box_u_reference(ctx, box)
+        ]
+        assert got == expected
+        checked += len(expected)
+    assert checked
 
 
 def _forged(box):

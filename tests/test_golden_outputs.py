@@ -93,7 +93,10 @@ def test_quantum_divisor_enumerates_no_box_table(monkeypatch):
     def enumerated(arr):
         raise AssertionError("quantum-divisor enumerated the box table")
 
-    for module in ("multifan", "crring"):
+    # crring first: while it is still an unloaded lazy module, patching
+    # multifan first would let crring's own import copy the patched function,
+    # and undo would then "restore" crring.box_elements to that copy
+    for module in ("crring", "multifan"):
         monkeypatch.setattr(f"hypertoric.{module}.box_elements", enumerated)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     docs = documents()

@@ -454,6 +454,29 @@ def test_box_elements_read_the_cached_cone_table(hirzebruch_weighted):
     assert box_elements(arr) == box_elements(fresh(arr))
 
 
+def with_wrong_scale(arr):
+    """A copy of ``arr`` whose basis table gives the first basis with s > 1
+    the denominator s + 1, so its walk reaches non-integral points."""
+    copy = fresh(arr)
+    table = dict(arr.bases)
+    basis = next(b for b, (_, s) in table.items() if s > 1)
+    inverse, scale = table[basis]
+    table[basis] = inverse, scale + 1
+    copy.__dict__["bases"] = table
+    return copy
+
+
+@pytest.mark.parametrize("name", ["cotangent-p12", "hirzebruch-weighted", "tp1123", "d3m9"])
+def test_box_walk_with_a_wrong_scale_is_internal(shipped, ladder, name):
+    """Each point the walk keeps is one integer product divided exactly by
+    s; a basis table entry with the wrong s gives a remainder, which is a
+    program fault."""
+    arr = {**shipped, **ladder}[name]
+    with pytest.raises(InvariantError, match="non-integral box candidate"):
+        box_elements(with_wrong_scale(arr))
+    assert box_elements(arr) == box_elements(fresh(arr))
+
+
 # -- circuits against the minimal non-faces of the cones ----------------------
 
 
