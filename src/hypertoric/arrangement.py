@@ -165,13 +165,15 @@ class StackyArrangement:
 
     Invariants are enforced at construction: every defining vector is
     nontorsion, the cokernel is finite, theta is generic and equals
-    -beta_dual(psi) exactly.
+    -beta_dual(psi) exactly.  ``m``, the number of hyperplanes, is set
+    here; ``d`` reads the rank of N.
     """
 
     def __init__(self, group_N: FgAbelianGroup, beta: GroupHom, theta: tuple[int, ...],
                  psi: tuple[int, ...], beta_dual: GroupHom):
         self.group_N = group_N
         self.beta = beta
+        self.m = beta.source.rank
         self.theta = theta
         self.psi = psi
         self.beta_dual = beta_dual
@@ -209,10 +211,6 @@ class StackyArrangement:
         return arr
 
     # -- basic views ---------------------------------------------------------
-
-    @property
-    def m(self) -> int:
-        return self.beta.matrix.ncols
 
     @property
     def d(self) -> int:

@@ -16,7 +16,12 @@ coordinates in a basis.  The arrangement's basis table reads its first
 inverse and tableau off one ``row_reduce`` of [normals | I].
 
 ``Record`` is the base of the package's value records, these matrices and
-groups among them.
+groups among them.  Each record is checked once, where it is made:
+``IntMatrix(entries, shape)`` checks its shape, ``IntMatrix.from_rows``
+makes each entry an int and checks each row's width, and the Smith factors
+U, D and V of a checked matrix take their shapes by construction, unchecked
+again.  ``GroupHom`` checks its matrix against the generators of source
+and target and reduces its torsion rows, one row at a time.
 """
 
 from __future__ import annotations
@@ -92,15 +97,26 @@ class IntMatrix(Record):
         self.shape = shape
 
     @staticmethod
+    def _of(entries, shape) -> "IntMatrix":
+        """The matrix of int rows whose shape its caller has already
+        checked (``from_rows``) or built from a checked matrix (its Smith
+        factors, its torsion rows reduced), so it is not checked again."""
+        matrix = object.__new__(IntMatrix)
+        matrix.entries = entries
+        matrix.shape = shape
+        return matrix
+
+    @staticmethod
     def from_rows(rows, ncols: int | None = None) -> "IntMatrix":
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
+        """The matrix of ``rows``, each entry made an int and each row's
+        width checked once; ``ncols`` sets the width of a matrix with no
+        rows."""
+        rows = tuple([tuple([int(x) for x in row]) for row in rows])
+        width = len(rows[0]) if rows else ncols or 0
+        for row in rows:
+            if len(row) != width:
                 raise ExactAlgError("ragged matrix")
-        else:
-            width = 0 if ncols is None else ncols
-        return IntMatrix(rows, (len(rows), width if rows else (ncols or 0)))
+        return IntMatrix._of(rows, (len(rows), width))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -186,8 +202,10 @@ class FgAbelianGroup(Record):
 class GroupHom:
     """Homomorphism between presented groups, as a matrix in generator bases.
 
-    Columns are images of the source generators; torsion rows of the
-    target are stored reduced modulo the invariant orders.
+    Columns are images of the source generators.  The matrix, already
+    checked as an ``IntMatrix``, is checked against the generators of
+    source and target, and each torsion row of the target is stored
+    reduced modulo its invariant order, into [0, q).
     """
 
     __slots__ = ("source", "target", "matrix")
@@ -199,11 +217,14 @@ class GroupHom:
             raise ExactAlgError("only free sources are supported")
         if matrix.ncols != source.rank:
             raise ExactAlgError("matrix cols must match source generators")
-        reduced = tuple(target.reduce_vector(matrix.col(j)) for j in range(matrix.ncols))
-        rows = tuple(zip(*reduced)) if (reduced and target.generator_count) else ()
+        if target.torsion_invariants:
+            rows = matrix.entries
+            rank = target.rank
+            reduced = [tuple([x % q for x in row]) for row, q in zip(rows[rank:], target.torsion_invariants)]
+            matrix = IntMatrix._of(rows[:rank] + tuple(reduced), matrix.shape)
         self.source = source
         self.target = target
-        self.matrix = IntMatrix(rows, (target.generator_count, source.rank))
+        self.matrix = matrix
 
     def column(self, j: int) -> tuple[int, ...]:
         return self.matrix.col(j)
@@ -248,12 +269,15 @@ def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     d_1 | d_2 | ... .  Clearing is done with extended-gcd block
     transforms (one unimodular 2x2 step per entry) and smallest-pivot
     selection, which keeps intermediate entries manageable; the
-    procedure is deterministic for a given input.
+    procedure is deterministic for a given input.  U and V start as
+    plain identity lists, every step is integer, and the three results
+    take the shapes n x n, n x m and m x m of the checked input A
+    without being checked again.
     """
     n, m = A.nrows, A.ncols
     a = [list(row) for row in A.entries]
-    u = [list(row) for row in IntMatrix.identity(n).entries]
-    v = [list(row) for row in IntMatrix.identity(m).entries]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [[int(i == j) for j in range(m)] for i in range(m)]
 
     def pivot(k):
         best = None
@@ -346,7 +370,11 @@ def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 u[k][t] = -u[k][t]
         k += 1
 
-    return IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v)
+    return (
+        IntMatrix._of(tuple(map(tuple, u)), (n, n)),
+        IntMatrix._of(tuple(map(tuple, a)), (n, m)),
+        IntMatrix._of(tuple(map(tuple, v)), (m, m)),
+    )
 
 
 def hermite_row_basis(rows) -> tuple[tuple[int, ...], ...]:
@@ -541,9 +569,9 @@ def gale_dual(beta: GroupHom) -> GroupHom:
     the presentation matrix, so dual coordinates are reproducible.
     """
     m = beta.source.rank
-    free = beta.free_part()
-    for j in range(m):
-        if all(x == 0 for x in free.col(j)):
+    free = beta.matrix.entries[: beta.target.rank]
+    for j, col in enumerate(zip(*free) if free else [()] * m):
+        if not any(col):
             raise TorsionColumn(f"column {j + 1} is torsion")
     pres = presentation_matrix(beta.target, beta.matrix)
     # The cokernel of the presentation, from one Smith form U pres^T V = D
@@ -560,16 +588,10 @@ def gale_dual(beta: GroupHom) -> GroupHom:
     free_rows = hermite_row_basis(u.row(i) for i in range(r, u.nrows))
     torsion = [(u.row(i), x) for i, x in enumerate(diagonal) if x >= 2]
     dg = FgAbelianGroup(len(free_rows), tuple(o for _, o in torsion))
-    cols = []
-    for j in range(m):
-        coord = [fr[j] for fr in free_rows]
-        coord += [tr[j] % o for tr, o in torsion]
-        cols.append(coord)
-    if dg.generator_count == 0:
-        matrix = IntMatrix.zero(0, m)
-    else:
-        matrix = IntMatrix.from_rows(tuple(zip(*cols)))
-    return GroupHom(FgAbelianGroup(m), dg, matrix)
+    # one row per dual generator, its first m coordinates; GroupHom
+    # reduces the torsion rows modulo their orders
+    rows = [row[:m] for row in free_rows] + [row[:m] for row, _ in torsion]
+    return GroupHom(FgAbelianGroup(m), dg, IntMatrix.from_rows(rows, ncols=m))
 
 
 def basis_projection(basis_rows):

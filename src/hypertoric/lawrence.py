@@ -46,7 +46,8 @@ class LawrenceFan:
     """Rays, maximal cones and irrelevant monomials of the Lawrence lift.
 
     Ray ids: 0..m-1 are the z-side rays (b_i, e_i), m..2m-1 the w-side
-    rays (0, e_i).  The cone of a basis B omits z_j for each j outside B
+    rays (0, e_i); their labels z1..zm, w1..wm are made once, here, as is
+    ``m``.  The cone of a basis B omits z_j for each j outside B
     with a negative vertex value and w_j for each with a positive one
     (``build`` rejects a zero); the omitted rays make its irrelevant
     monomial.  Its chart holds B, the one-sided z indices (the j outside B
@@ -66,7 +67,8 @@ class LawrenceFan:
 
     def __init__(self, arrangement: StackyArrangement):
         self.arrangement = arr = arrangement
-        m = arr.m
+        self.m = m = arr.m
+        self._labels = tuple(f"z{i + 1}" for i in range(m)) + tuple(f"w{i + 1}" for i in range(m))
         self.rays = lawrence_rays(arr)
         charts, monomials = {}, []
         for tight, (_, values) in arr.vertex_values.items():
@@ -75,7 +77,7 @@ class LawrenceFan:
             inverse, det = arr.bases[tight]
             z_side = tuple(j for j in range(m) if j not in tight and values[j] > 0)
             charts[cone] = (tight, z_side, tuple(zip(*inverse)), det)
-            monomials.append(tuple(sorted(map(self.ray_label, omitted))))
+            monomials.append(tuple(sorted(self._labels[r] for r in omitted)))
         self._charts = dict(sorted(charts.items()))
         self.max_cones = tuple(self._charts)
         self.irrelevant_monomials = tuple(sorted(monomials))
@@ -86,16 +88,11 @@ class LawrenceFan:
         self._located = {}
 
     @property
-    def m(self) -> int:
-        return self.arrangement.m
-
-    @property
     def h2_basis(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(s * x for x in vec) for s, vec in zip(self.signs, self._kernel))
 
     def ray_label(self, ray_id: int) -> str:
-        m = self.m
-        return f"z{ray_id + 1}" if ray_id < m else f"w{ray_id - m + 1}"
+        return self._labels[ray_id]
 
     def z_ray(self, i: int) -> int:
         return i

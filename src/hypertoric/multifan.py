@@ -2,11 +2,12 @@
 
 Both read the arrangement's basis table.  Circuits (the minimal non-faces
 of its cones) are read off its tableau as fundamental circuits, one per
-basis and element outside it, with their canonical two-sided splitting,
-positive weights and curve class.  Box elements index the twisted sectors; they
-are read off it as one subgroup walk per basis, in integers over the
-basis's denominator, with no Smith form: each point kept is one product of
-the basis's matrix of normals with the walk's numerators.
+basis and element outside it, each support built once, with their
+canonical two-sided splitting, positive weights and curve class.  Box
+elements index the twisted sectors; they are read off it as one subgroup
+walk per basis, in integers over the basis's denominator, with no Smith
+form: each point kept is one product of the basis's matrix of normals with
+the walk's numerators.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
     s b_j = sum_k x_k b_{B_k}, and the support is j with the B_k where
     x_k is not zero.  The weight vector w is the primitive vector with x
     on B and -s at j; a support met again from another basis spans the
-    same kernel line, so the first vector found is kept.  Of its two
+    same kernel line, so only the first is built: a pair's support is
+    read as a bitmask, and its coefficients, sorted tuple and primitive
+    vector are made only when the mask is new.  Of its two
     signings exactly one makes the mixed halfspace intersection empty
     (side 'G' of the positive hyperplanes, side 'F' of the negative
     ones), and that signing is the canonical split.  Since
@@ -65,16 +68,23 @@ def circuits(arr: StackyArrangement) -> tuple[Circuit, ...]:
     curve_class = basis_projection(arr.normal_kernel)
     normals = [arr.b_bar(i) for i in range(arr.m)]
     kernels = {}
+    seen = set()  # the supports met so far, as bitmasks
     for basis, rows in arr.tableau.items():
         scale = arr.bases[basis][1]
         for j in range(arr.m):
             if j in basis:
                 continue
-            coeffs = {i: row[j] for i, row in zip(basis, rows)}
+            mask = 1 << j
+            for i, row in zip(basis, rows):
+                if row[j]:
+                    mask |= 1 << i
+            if mask in seen:
+                continue
+            seen.add(mask)
+            coeffs = {i: row[j] for i, row in zip(basis, rows) if row[j]}
             coeffs[j] = -scale
-            support = tuple(sorted(i for i, x in coeffs.items() if x))
-            if support not in kernels:
-                kernels[support] = primitive_vector([coeffs[i] for i in support])
+            support = tuple(sorted(coeffs))
+            kernels[support] = primitive_vector([coeffs[i] for i in support])
     out = []
     for support in sorted(kernels, key=lambda s: (len(s), s)):
         w = kernels[support]

@@ -27,7 +27,7 @@ from hypertoric.exactalg import (
 from hypertoric.lawrence import build_lawrence_fan
 from hypertoric.multifan import circuits
 from test_arrangement import raw_arrangement
-from test_multifan import z_plus_z2
+from test_multifan import scan_circuits, z_plus_z2
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +162,25 @@ def test_circuits_are_the_minimal_dependent_sets(wide):
             and all(independent(arr, f) for f in itertools.combinations(s, size - 1))
         ]
         assert [c.support for c in circuits(arr)] == want
+
+
+def test_circuits_match_the_scan_of_every_pair(walked):
+    """``circuits`` builds a support's vector only the first time its
+    bitmask is met; the reference scan builds one per (basis, j) pair.
+    Both keep the first vector of each support, so the circuits are the
+    scan's supports in (size, support) order, each with its vector signed
+    to pair positively with psi."""
+    repeated = 0
+    for arr in walked:
+        kernels, pairs = scan_circuits(arr)
+        got = circuits(arr)
+        assert [c.support for c in got] == sorted(kernels, key=lambda s: (len(s), s))
+        for c in got:
+            w = kernels[c.support]
+            sign = 1 if sum(x * arr.psi[i] for i, x in zip(c.support, w)) > 0 else -1
+            assert tuple(c.beta_S[i] for i in c.support) == tuple(sign * x for x in w)
+        repeated += pairs - len(kernels)
+    assert repeated > 1000
 
 
 def test_lawrence_cones_read_the_bases(wide):

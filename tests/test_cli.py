@@ -1101,6 +1101,43 @@ def test_examples_write_dir_writes_indented_sorted_json(capsys, tmp_path):
         assert text == (root / f"{name}.json").read_text(encoding="utf-8")
 
 
+# sha256 of the stdout of each command on two documents with torsion on
+# one side of the Gale duality: Z/3 in N, and a dual group Z + Z/2 whose
+# torsion row [1, 0] is read reduced into [0, 2)
+TORSION_DOCUMENTS = {
+    "z3": {"schema_version": "hypertoric-arrangement/1", "rank": 1, "torsion": [3], "beta": [[2, 0], [1, 1]], "theta": [3]},
+    "dual-z2": {"schema_version": "hypertoric-arrangement/1", "rank": 1, "beta": [[2], [2]], "theta": [1, 1]},
+}
+TORSION_DIGESTS = {
+    "gale @ z3": "953ca937e5e463ce9dfd6568599efa7cf3567e3cfca5cae7114c5b67f4827d37",
+    "circuits @ z3": "cc024cc693b016f9a4eb9ffa642216817470dfb88da27ae2da16c77135568898",
+    "box @ z3": "3fce716fa0fcc24882f387fb69887270438a4ed4ff1828a3d613cb375166628d",
+    "core @ z3": "14e3bfa594d72fc28766fb3b8424f0ef9560d4fdacedca6fa78eb556edf9b4d4",
+    "fan @ z3": "e70873e332a0e22959605d32bf88d4197e675aa6b7cb1360f82f0777f59720f5",
+    "gale @ dual-z2": "a20e647adc5ec0df221876680777edb880e7cd816cd9b84d25df0851836e2204",
+    "circuits @ dual-z2": "b808e539e7c5b2434c4457a07c89e76cef5327333af0a11ad1ff92d179c7a7ec",
+    "box @ dual-z2": "02cc5c42fe9b0a0065bde333eeda176cfc9dbfc6083181ffca63bc30a6069e55",
+    "core @ dual-z2": "a7dea9f60111e84ee374223df002dc75bd315e30236bb734de677b83544c339f",
+    "fan @ dual-z2": "f63bac2d9f25ab10c03fd5cd01de768bc9bcfb12b555965dfcd61a3436abca37",
+}
+
+
+def test_torsion_outputs_match_their_digests(capsys, tmp_path):
+    """No golden or benchmark document has torsion on either side of the
+    Gale duality, so these two pin the torsion path byte for byte."""
+    for name, doc in TORSION_DOCUMENTS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("gale", "circuits", "box", "core", "fan"):
+            code, out = invoke(capsys, [command, "--input", str(path)])
+            assert code == 0, (command, name)
+            assert hashlib.sha256(out.encode()).hexdigest() == TORSION_DIGESTS[f"{command} @ {name}"], (command, name)
+        if name == "dual-z2":
+            payload = json.loads(invoke(capsys, ["gale", "--input", str(path)])[1])["payload"]
+            assert payload["dual_group"] == {"rank": 1, "torsion": [2]}
+            assert payload["matrix"] == [[1, -1], [1, 0]]
+
+
 def test_structure_outputs_match_bench_digests(capsys):
     """The stdout of gale, circuits, box, fan and cohomology on the shipped
     examples and the non-probe ladder rungs hashes to the benchmark's

@@ -62,6 +62,73 @@ def test_snf_identity():
     assert D.entries == IntMatrix.identity(3).entries
 
 
+def _product(a, b, ncols):
+    """The product of two row lists, the second ``ncols`` wide, so that a
+    factor with no rows or no columns keeps its shape."""
+    cols = [[row[j] for row in b] for j in range(ncols)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+@pytest.mark.parametrize("rows, ncols", [([], 3), ([[], []], 0), ([[], [], []], 0), ([[-6]], 1), ([[0]], 1)])
+def test_snf_degenerate_shapes(rows, ncols):
+    """U A V = D with U and V unimodular on the 0 x n, n x 0 and 1 x 1
+    shapes, computed on the row lists so that empty factors multiply."""
+    A = IntMatrix.from_rows(rows, ncols=ncols)
+    n, m = A.shape
+    U, D, V = smith_normal_form(A)
+    assert U.shape == (n, n) and V.shape == (m, m)
+    assert _product(_product(U.entries, A.entries, m), V.entries, m) == [list(r) for r in D.entries]
+    assert abs(det(U)) == 1 and abs(det(V)) == 1
+    assert [D[i, i] for i in range(min(n, m))] == [abs(x) for r in rows for x in r]
+
+
+def test_int_matrix_checks_its_shape_once_where_it_is_made():
+    """``from_rows`` rejects a ragged matrix and ``IntMatrix`` a shape that
+    its entries do not have."""
+    with pytest.raises(ExactAlgError, match="^ragged matrix$"):
+        IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ExactAlgError, match="^ragged matrix$"):
+        IntMatrix.from_rows([[1], [2, 3]])
+    shape = "^entries do not match declared shape$"
+    with pytest.raises(ExactAlgError, match=shape):
+        IntMatrix(((1, 2),), (1, 3))
+    with pytest.raises(ExactAlgError, match=shape):
+        IntMatrix(((1, 2), (3, 4)), (1, 2))
+    with pytest.raises(ExactAlgError, match=shape):
+        IntMatrix(((1, 2), (3,)), (2, 2))
+    assert IntMatrix.from_rows([], ncols=3).shape == (0, 3)
+    assert IntMatrix.from_rows([["2", 3.0]]).entries == ((2, 3),)
+
+
+def test_group_hom_checks_its_shape():
+    """Each of the three shape checks of ``GroupHom`` raises its message."""
+    with pytest.raises(ExactAlgError, match="^matrix rows must match target generators$"):
+        GroupHom(FgAbelianGroup(2), FgAbelianGroup(1, (2,)), IntMatrix.from_rows([[1, 2]]))
+    with pytest.raises(ExactAlgError, match="^only free sources are supported$"):
+        GroupHom(FgAbelianGroup(1, (2,)), FgAbelianGroup(1), IntMatrix.from_rows([[1, 0]]))
+    with pytest.raises(ExactAlgError, match="^matrix cols must match source generators$"):
+        GroupHom(FgAbelianGroup(3), FgAbelianGroup(1), IntMatrix.from_rows([[1, 2]]))
+
+
+def test_group_hom_reduces_torsion_rows():
+    """The torsion rows are stored in [0, q), negative entries included;
+    the free rows are kept as given."""
+    target = FgAbelianGroup(1, (2, 6))
+    hom = GroupHom(FgAbelianGroup(3), target, IntMatrix.from_rows([[-5, 7, 0], [-1, 3, -4], [-7, 13, 6]]))
+    assert hom.matrix == IntMatrix.from_rows([[-5, 7, 0], [1, 1, 0], [5, 1, 0]])
+    assert hom.column(0) == target.reduce_vector((-5, -1, -7))
+
+
+def test_group_hom_with_no_source_generators():
+    """A hom from the trivial group keeps its empty columns, into a target
+    with generators too, and so does its Gale dual."""
+    hom = GroupHom(FgAbelianGroup(0), FgAbelianGroup(1, (2,)), IntMatrix.zero(2, 0))
+    assert hom.matrix.shape == (2, 0) and hom.matrix.entries == ((), ())
+    dual = gale_dual(GroupHom(FgAbelianGroup(0), FgAbelianGroup(0, (2,)), IntMatrix.zero(1, 0)))
+    assert dual.target == FgAbelianGroup(0, (2,)) and dual.matrix.shape == (1, 0)
+    assert GroupHom(FgAbelianGroup(0), FgAbelianGroup(0), IntMatrix.zero(0, 0)).matrix.shape == (0, 0)
+
+
 matrix_strategy = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.integers(min_value=1, max_value=5).flatmap(
         lambda m: st.lists(

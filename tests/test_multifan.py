@@ -27,6 +27,27 @@ from hypertoric.multifan import (
 )
 
 
+def scan_circuits(arr):
+    """The reference for the supports that ``circuits`` reads off the
+    tableau: every (basis, j) pair builds its coefficients, its sorted
+    support and, for a support not met before, its primitive vector.
+    Returns the supports in the order met, each with that vector, and the
+    number of pairs scanned."""
+    kernels, pairs = {}, 0
+    for basis, rows in arr.tableau.items():
+        scale = arr.bases[basis][1]
+        for j in range(arr.m):
+            if j in basis:
+                continue
+            pairs += 1
+            coeffs = {i: row[j] for i, row in zip(basis, rows)}
+            coeffs[j] = -scale
+            support = tuple(sorted(i for i, x in coeffs.items() if x))
+            if support not in kernels:
+                kernels[support] = primitive_vector([coeffs[i] for i in support])
+    return kernels, pairs
+
+
 def by_support(arr):
     return {c.support: c for c in circuits(arr)}
 
