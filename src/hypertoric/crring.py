@@ -117,10 +117,6 @@ class CRClass(Record):
     def untwisted(context: CohomologyContext, poly: Poly) -> "CRClass":
         return CRClass.build(context, {context.trivial_box(): poly})
 
-    @staticmethod
-    def sector_unit(context: CohomologyContext, box: BoxElement) -> "CRClass":
-        return CRClass.build(context, {box: context.ring.one()})
-
     def component(self, box: BoxElement) -> Poly:
         for b, p in self.components:
             if b == box:
@@ -135,12 +131,6 @@ class CRClass(Record):
         for b, p in other.components:
             parts[b] = parts.get(b, self.context.ring.zero()) + p
         return CRClass.build(self.context, parts)
-
-    def __sub__(self, other: "CRClass") -> "CRClass":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "CRClass":
-        return CRClass.build(self.context, {b: p * c for b, p in self.components})
 
     def scale_poly(self, poly: Poly) -> "CRClass":
         return CRClass.build(self.context, {b: p * poly for b, p in self.components})

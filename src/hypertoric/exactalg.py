@@ -9,11 +9,11 @@ across runs and platforms.
 
 Lattice problems (Smith and Hermite forms, integer kernels and
 solutions) work on integer matrices.  Over the rationals each question
-has one routine, and each is a thin wrapper around ``row_reduce``, the
-one fraction-free Gauss-Jordan kernel: ``rational_rank`` for a rank,
-``solve_rational_system`` for a solution and ``basis_projection`` for
-coordinates in a basis.  The arrangement's basis table reads its first
-inverse and tableau off one ``row_reduce`` of [normals | I].
+a command asks has one routine, and each is a thin wrapper around
+``row_reduce``, the one fraction-free Gauss-Jordan kernel:
+``rational_rank`` for a rank and ``basis_projection`` for coordinates in
+a basis.  The arrangement's basis table reads its first inverse and
+tableau off one ``row_reduce`` of [normals | I].
 
 ``Record`` is the base of the package's value records, these matrices and
 groups among them.  Each record is checked once, where it is made:
@@ -118,14 +118,6 @@ class IntMatrix(Record):
                 raise ExactAlgError("ragged matrix")
         return IntMatrix._of(rows, (len(rows), width))
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)), (rows, cols))
-
     @property
     def nrows(self) -> int:
         return self.shape[0]
@@ -145,20 +137,9 @@ class IntMatrix(Record):
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries else (),
+        """The transpose; a matrix with no rows gives ``ncols`` empty rows."""
+        return IntMatrix(tuple(zip(*self.entries)) if self.entries else ((),) * self.ncols,
                          (self.ncols, self.nrows))
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ExactAlgError("dimension mismatch in matrix product")
-        ot = other.transpose().entries
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                for row in self.entries
-            ),
-            (self.nrows, other.ncols),
-        )
 
     def apply(self, vec) -> tuple[int, ...]:
         """Matrix times column vector."""
@@ -516,21 +497,6 @@ def _integer_row(row):
 def rational_rank(rows) -> int:
     """Rank of a matrix with int/Fraction entries."""
     return len(row_reduce(rows)[0])
-
-
-def solve_rational_system(rows, rhs):
-    """One rational solution of rows.x = rhs, of any shape, with its free
-    variables set to zero; None when the system is inconsistent."""
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    pivots, m, d = row_reduce(rows, [[b] for b in rhs])
-    if any(row[ncols] for row in m[len(pivots):]):
-        return None
-    x = [Fraction(0)] * ncols
-    for c, row in zip(pivots, m):
-        x[c] = Fraction(row[ncols], d)
-    return tuple(x)
 
 
 def primitive_vector(vec) -> tuple[int, ...]:

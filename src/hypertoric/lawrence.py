@@ -38,9 +38,6 @@ class ConeCoordinates(Record):
 
     __slots__ = ("max_cone", "coefficients")
 
-    def coefficient(self, ray_id: int) -> Fraction:
-        return self.coefficients.get(ray_id, Fraction(0))
-
 
 class LawrenceFan:
     """Rays, maximal cones and irrelevant monomials of the Lawrence lift.

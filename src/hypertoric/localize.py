@@ -75,10 +75,6 @@ class WeightedModel:
         self.lam_forms = lam_forms
         self.u_names = u_names
 
-    @property
-    def n(self) -> int:
-        return len(self.weights) - 1
-
     def hbar_form(self) -> Poly:
         return self.ring.var("hbar")
 
@@ -403,32 +399,3 @@ def _paper_steinberg(model, order):
     forward = PaperSteinbergOperator(order, ((I, half), (mixed, half)), images)
     images = {"fiber": {"fiber": I, "box": I}, "box": halves}
     return forward, PaperSteinbergOperator(order, ((I, half), (I, half)), images)
-
-
-def orbifold_degrees(model: WeightedModel):
-    """Orbifold degrees of the correspondence components; every one is 2n.
-
-    Components are indexed by ordered sector pairs, plus one diagonal
-    component per sector order.
-    """
-    secs = sectors(model)
-    half = {s.f: len(s.support) - 1 + s.age for s in secs}  # each factor's share
-    pairs = [(("pair", s1.f, s2.f), half[s1.f] + half[s2.f]) for s1 in secs for s2 in secs]
-    return tuple(pairs + [(("diagonal", s.f), 2 * half[s.f]) for s in secs])
-
-
-def box_square_sign_oracle(model: WeightedModel) -> str:
-    """Whether the standard table gives some self-inverse sector a
-    non-positive total multiplicity, the sum of 1 / w_k over its support:
-    "literal" if so, else "paper".
-
-    It does not decide the sign of a self-inverse sector square.  Every
-    multiplicity 1 / w_k is positive, so this returns "paper" for every
-    model.  No oracle in the package decides that sign.
-    """
-    for sec in sectors(model):
-        if sec.f == 0 or sector_inverse(sec.f) != sec.f:
-            continue
-        if sum(Fraction(1, model.weights[k]) for k in sec.support) <= 0:
-            return "literal"
-    return "paper"

@@ -233,11 +233,3 @@ def box_of(arr: StackyArrangement, alphas, v_torsion) -> BoxElement:
     cone = tuple(i for i, _ in alphas)
     v_free = _box_vector(arr, cone, [a.numerator * (n // a.denominator) for _, a in alphas], n)
     return BoxElement(v_free, tuple(v_torsion), cone, alphas)
-
-
-def box_inverse(box: BoxElement, arr: StackyArrangement) -> BoxElement:
-    """The inverse box: same cone, fractional coordinates 1 - alpha."""
-    tor = tuple(
-        (-t) % q for t, q in zip(box.v_torsion, arr.group_N.torsion_invariants)
-    )
-    return box_of(arr, ((i, 1 - a) for i, a in box.alphas), tor)

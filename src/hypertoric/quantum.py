@@ -244,44 +244,6 @@ class NovikovSeries(Record):
         zero_key = tuple(0 for _ in context.circuits)
         return NovikovSeries.build(context, order, {zero_key: cls})
 
-    def coefficient(self, key) -> CRClass:
-        for k, v in self.terms:
-            if k == key:
-                return v
-        return CRClass.zero(self.context)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "NovikovSeries") -> "NovikovSeries":
-        order = min(self.order, other.order)
-        parts: dict = {}
-        for k, v in self.terms + other.terms:
-            parts[k] = parts.get(k, CRClass.zero(self.context)) + v
-        return NovikovSeries.build(self.context, order, parts)
-
-    def __sub__(self, other: "NovikovSeries") -> "NovikovSeries":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "NovikovSeries":
-        return NovikovSeries.build(
-            self.context, self.order, {k: v.scale(c) for k, v in self.terms}
-        )
-
-    def scale_poly(self, poly: Poly) -> "NovikovSeries":
-        return NovikovSeries.build(
-            self.context, self.order, {k: v.scale_poly(poly) for k, v in self.terms}
-        )
-
-    def shift(self, circuit_index: int, amount: int) -> "NovikovSeries":
-        """Multiply by a power of one circuit's Novikov variable."""
-        parts = {}
-        for k, v in self.terms:
-            key = list(k)
-            key[circuit_index] += amount
-            parts[tuple(key)] = v
-        return NovikovSeries.build(self.context, self.order, parts)
-
 
 class QuantumContext:
     """The cohomology context of one arrangement, the sector pairs of its
@@ -368,28 +330,6 @@ def quantum_divisor_product(
     return NovikovSeries.build(context, order, parts)
 
 
-def star_word(qctx: QuantumContext, word, order: int, convention="example-calibrated"):
-    """Iterated quantum product of affine divisor factors.
-
-    ``word`` is a sequence of ("u", i) or ("hu", i) tokens, the latter
-    meaning the complementary divisor hbar - u_i; the product is taken
-    left to right starting from the unit.
-    """
-    context = qctx.context
-    result = NovikovSeries.from_class(
-        context, order, CRClass.untwisted(context, context.ring.one())
-    )
-    for kind, i in word:
-        if kind == "u":
-            result = quantum_divisor_product(qctx, i, result, order, convention)
-        elif kind == "hu":
-            ustar = quantum_divisor_product(qctx, i, result, order, convention)
-            result = result.scale_poly(context.hbar()) - ustar
-        else:
-            raise QuantumError(f"unknown word token {kind!r}")
-    return result
-
-
 def differential_sign_report(qctx: QuantumContext, order: int):
     """Per circuit and residue class, the first order where each literal
     reading departs from the calibrated one, or None up to ``order``.  The
@@ -470,19 +410,6 @@ class QSRElement(Record):
             q = ",".join(str(e) for e in exp)
             chunks.append(f"({coeff})*y{list(pt)}*Q^({q})")
         return " + ".join(chunks)
-
-
-def qsr_multiply(a: QSRElement, b: QSRElement, fan: LawrenceFan, order) -> QSRElement:
-    """Bilinear semigroup product twisted by the l-pairing Novikov weight."""
-    parts: dict = {}
-    for (pt1, exp1), c1 in a.terms:
-        for (pt2, exp2), c2 in b.terms:
-            degree = fan.l_pairing(pt1, pt2)
-            pt = tuple(x + y for x, y in zip(pt1, pt2))
-            exp = tuple(e1 + e2 + d for e1, e2, d in zip(exp1, exp2, degree))
-            key = (pt, exp)
-            parts[key] = parts.get(key, HBAR.zero()) + c1 * c2
-    return QSRElement.build(order, parts)
 
 
 def qsr_presentation(arr: StackyArrangement, order=6):

@@ -27,6 +27,7 @@ from hypertoric.exactalg import (
     solve_integer,
 )
 from hypertoric.multifan import circuits
+from helpers import matmul, zero_matrix
 
 
 def dual_of(columns, rank):
@@ -72,7 +73,7 @@ def test_generic_invariant_under_unimodular_change():
             m = [[0, 1], [1, 0]] if rng.random() < 0.5 else m
         M = IntMatrix.from_rows(m)
         changed = GroupHom(
-            FgAbelianGroup(4), FgAbelianGroup(2), M * dual.matrix
+            FgAbelianGroup(4), FgAbelianGroup(2), matmul(M, dual.matrix)
         )
         for theta in thetas:
             assert check_generic(dual, theta) == check_generic(
@@ -176,7 +177,7 @@ def test_lift_theta_is_pinned_and_matches_the_hand_built_rows(shipped, ladder, r
     torsion = dual_of([(2,)], 1)
     for theta in ((0,), (1,), (3,)):
         assert lift_theta(torsion, theta) == hand_built_lift(torsion, theta)
-    trivial = GroupHom(FgAbelianGroup(2), FgAbelianGroup(0), IntMatrix.zero(0, 2))
+    trivial = GroupHom(FgAbelianGroup(2), FgAbelianGroup(0), zero_matrix(0, 2))
     assert lift_theta(trivial, ()) == hand_built_lift(trivial, ()) == (0, 0)
 
 

@@ -19,8 +19,9 @@ from hypertoric.crring import (
     ht_presentation,
     htt_presentation,
 )
-from hypertoric.exactalg import FgAbelianGroup, rational_rank, solve_rational_system
-from hypertoric.multifan import BoxElement, box_inverse
+from hypertoric.exactalg import FgAbelianGroup, rational_rank
+from hypertoric.multifan import BoxElement
+from helpers import box_inverse, sector_unit, solve_rational_system
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +34,7 @@ def generators(ctx):
     gens.append(CRClass.untwisted(ctx, ctx.hbar()))
     for b in ctx.boxes:
         if not b.is_trivial():
-            gens.append(CRClass.sector_unit(ctx, b))
+            gens.append(sector_unit(ctx, b))
     return gens
 
 
@@ -90,13 +91,13 @@ def test_cr_relations_reduce_to_zero(shipped):
         pres = cr_presentation(ctx)
         for rel in pres.relations:
             if rel.kind == "box-u":
-                box_cls = CRClass.sector_unit(ctx, rel.lhs_boxes[0])
+                box_cls = sector_unit(ctx, rel.lhs_boxes[0])
                 u_cls = CRClass.untwisted(ctx, rel.lhs_poly)
                 assert cr_multiply(box_cls, u_cls).is_zero()
             if rel.kind == "box-box":
                 b1, b2 = rel.lhs_boxes
                 prod = cr_multiply(
-                    CRClass.sector_unit(ctx, b1), CRClass.sector_unit(ctx, b2)
+                    sector_unit(ctx, b1), sector_unit(ctx, b2)
                 )
                 assert prod == rel.rhs
 
@@ -165,7 +166,7 @@ def test_cr_multiply_is_associative(name, shipped, ladder, rank3_family):
     else:
         arr = shipped[name] if name in shipped else ladder[name]
     ctx = CohomologyContext(arr)
-    classes = [CRClass.sector_unit(ctx, box) for box in ctx.boxes]
+    classes = [sector_unit(ctx, box) for box in ctx.boxes]
     classes += [CRClass.untwisted(ctx, ctx.u(i)) for i in range(arr.m)]
     failing = [
         (x, y, z)
@@ -177,7 +178,7 @@ def test_cr_multiply_is_associative(name, shipped, ladder, rank3_family):
 
 def test_tp12_products(ctx12):
     box = [b for b in ctx12.boxes if not b.is_trivial()][0]
-    one_h = CRClass.sector_unit(ctx12, box)
+    one_h = sector_unit(ctx12, box)
     u1 = CRClass.untwisted(ctx12, ctx12.u(0))
     u2 = CRClass.untwisted(ctx12, ctx12.u(1))
     assert cr_multiply(one_h, u1).is_zero()
@@ -197,7 +198,7 @@ def test_degree_additivity(shipped):
         boxes = [b for b in ctx.boxes if not b.is_trivial()]
         for b1, b2 in itertools.combinations_with_replacement(boxes, 2):
             prod = cr_multiply(
-                CRClass.sector_unit(ctx, b1), CRClass.sector_unit(ctx, b2)
+                sector_unit(ctx, b1), sector_unit(ctx, b2)
             )
             if prod.is_zero():
                 continue
@@ -211,7 +212,7 @@ def test_degree_additivity(shipped):
 def test_weighted_hirzebruch_box_square(hirzebruch_weighted):
     ctx = CohomologyContext(hirzebruch_weighted)
     box = [b for b in ctx.boxes if not b.is_trivial()][0]
-    one_b = CRClass.sector_unit(ctx, box)
+    one_b = sector_unit(ctx, box)
     sq = cr_multiply(one_b, one_b)
     expected = CRClass.untwisted(ctx, ctx.u(0) ** 2 * ctx.u(3) ** 2)
     assert sq == expected

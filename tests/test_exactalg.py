@@ -23,14 +23,18 @@ from hypertoric.exactalg import (
     rational_rank,
     smith_normal_form,
     solve_integer,
-    solve_rational_system,
 )
+from helpers import matmul, solve_rational_system, zero_matrix
 from sympy_bridge import det
+
+
+def identity_matrix(n: int) -> IntMatrix:
+    return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
 def snf_contract(A: IntMatrix):
     U, D, V = smith_normal_form(A)
-    assert U * A * V == D
+    assert matmul(matmul(U, A), V) == D
     assert abs(det(U)) == 1
     assert abs(det(V)) == 1
     diag = [D[i, i] for i in range(min(A.nrows, A.ncols))]
@@ -58,26 +62,30 @@ def test_snf_gcd_row():
 
 
 def test_snf_identity():
-    _, D, _ = snf_contract(IntMatrix.identity(3))
-    assert D.entries == IntMatrix.identity(3).entries
+    _, D, _ = snf_contract(identity_matrix(3))
+    assert D.entries == identity_matrix(3).entries
 
 
-def _product(a, b, ncols):
-    """The product of two row lists, the second ``ncols`` wide, so that a
-    factor with no rows or no columns keeps its shape."""
-    cols = [[row[j] for row in b] for j in range(ncols)]
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+def test_transpose_and_product_of_a_matrix_with_no_rows():
+    """A 0 x 3 matrix transposes to three empty rows, and products through
+    it keep their shapes: 0 x 3 by 3 x 2, 3 x 0 by 0 x 3 and 0 x 3 by 3 x 0."""
+    A = IntMatrix.from_rows([], ncols=3)
+    assert A.transpose().shape == (3, 0) and A.transpose().entries == ((), (), ())
+    assert A.transpose().transpose() == A
+    assert matmul(A, IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]])) == IntMatrix.from_rows([], ncols=2)
+    assert matmul(A.transpose(), A) == zero_matrix(3, 3)
+    assert matmul(A, A.transpose()) == zero_matrix(0, 0)
 
 
 @pytest.mark.parametrize("rows, ncols", [([], 3), ([[], []], 0), ([[], [], []], 0), ([[-6]], 1), ([[0]], 1)])
 def test_snf_degenerate_shapes(rows, ncols):
     """U A V = D with U and V unimodular on the 0 x n, n x 0 and 1 x 1
-    shapes, computed on the row lists so that empty factors multiply."""
+    shapes."""
     A = IntMatrix.from_rows(rows, ncols=ncols)
     n, m = A.shape
     U, D, V = smith_normal_form(A)
     assert U.shape == (n, n) and V.shape == (m, m)
-    assert _product(_product(U.entries, A.entries, m), V.entries, m) == [list(r) for r in D.entries]
+    assert matmul(matmul(U, A), V) == D
     assert abs(det(U)) == 1 and abs(det(V)) == 1
     assert [D[i, i] for i in range(min(n, m))] == [abs(x) for r in rows for x in r]
 
@@ -122,11 +130,11 @@ def test_group_hom_reduces_torsion_rows():
 def test_group_hom_with_no_source_generators():
     """A hom from the trivial group keeps its empty columns, into a target
     with generators too, and so does its Gale dual."""
-    hom = GroupHom(FgAbelianGroup(0), FgAbelianGroup(1, (2,)), IntMatrix.zero(2, 0))
+    hom = GroupHom(FgAbelianGroup(0), FgAbelianGroup(1, (2,)), zero_matrix(2, 0))
     assert hom.matrix.shape == (2, 0) and hom.matrix.entries == ((), ())
-    dual = gale_dual(GroupHom(FgAbelianGroup(0), FgAbelianGroup(0, (2,)), IntMatrix.zero(1, 0)))
+    dual = gale_dual(GroupHom(FgAbelianGroup(0), FgAbelianGroup(0, (2,)), zero_matrix(1, 0)))
     assert dual.target == FgAbelianGroup(0, (2,)) and dual.matrix.shape == (1, 0)
-    assert GroupHom(FgAbelianGroup(0), FgAbelianGroup(0), IntMatrix.zero(0, 0)).matrix.shape == (0, 0)
+    assert GroupHom(FgAbelianGroup(0), FgAbelianGroup(0), zero_matrix(0, 0)).matrix.shape == (0, 0)
 
 
 matrix_strategy = st.integers(min_value=1, max_value=5).flatmap(
@@ -149,7 +157,7 @@ def test_snf_property(rows):
 def test_kernel_examples():
     assert kernel_basis(IntMatrix.from_rows([[-1, 1]])) == ((1, 1),)
     assert kernel_basis(IntMatrix.from_rows([[-2, 1]])) == ((1, 2),)
-    assert kernel_basis(IntMatrix.identity(2)) == ()
+    assert kernel_basis(identity_matrix(2)) == ()
 
 
 def test_kernel_is_canonical_under_row_order():
@@ -180,7 +188,7 @@ def test_gale_dual_weighted_line():
 
 
 def test_gale_dual_identity_is_zero_group():
-    beta = GroupHom(FgAbelianGroup(2), FgAbelianGroup(2), IntMatrix.identity(2))
+    beta = GroupHom(FgAbelianGroup(2), FgAbelianGroup(2), identity_matrix(2))
     dual = gale_dual(beta)
     assert dual.target == FgAbelianGroup(0)
     assert dual.matrix.shape == (0, 2)

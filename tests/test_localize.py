@@ -12,11 +12,9 @@ from hypertoric.localize import (
     WeightedModel,
     ZeroEuler,
     _localize,
-    box_square_sign_oracle,
     fiber_class_expr,
     integrate,
     integrate_base,
-    orbifold_degrees,
     paper_table_p12,
     sectors,
     standard_table,
@@ -25,6 +23,7 @@ from hypertoric.localize import (
 from hypertoric.crring import CohomologyContext
 from hypertoric.polynomials import Poly, PolyRing, divide_linear
 from hypertoric.quantum import CircuitModel
+from helpers import box_square_sign_oracle, model_n, orbifold_degrees
 from sympy_bridge import poly_to_sympy, rational_to_sympy
 
 # sympy symbols, for the oracle values of ``integrate``
@@ -197,7 +196,7 @@ def test_orbifold_degrees_are_twice_n():
     for weights in ((1, 1), (1, 2), (2, 2), (1, 2, 3), (2, 4, 6), (1, 1, 1, 2)):
         model = WeightedModel(weights)
         for comp, deg in orbifold_degrees(model):
-            assert deg == 2 * model.n, (weights, comp)
+            assert deg == 2 * model_n(model), (weights, comp)
 
 
 def test_box_square_sign_oracle_positive():

@@ -21,10 +21,10 @@ from hypertoric.multifan import (
     BoxElement,
     Circuit,
     box_elements,
-    box_inverse,
     box_of,
     circuits,
 )
+from helpers import box_inverse
 
 
 def scan_circuits(arr):
